@@ -87,10 +87,6 @@ def _mu_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
-def _policy_arg(text: str) -> str:
-    return text  # parsed in the command body so domain errors map to exit 3
-
-
 def _budget_list(text: str) -> list[int]:
     try:
         if ":" in text:
@@ -128,7 +124,7 @@ class SweepConfig:
     instances: list[BanditInstance]
     policies: list[PolicySpec]
     budgets: list[int]
-    output_path: str
+    output_path: str | None  # None writes to stdout
     seed: int
 
 
@@ -190,24 +186,30 @@ def _exact_row(policy: PolicySpec, inst: BanditInstance, T: int) -> list:
             summary.p_pick2, summary.e_n1, summary.e_omega2]
 
 
-def cmd_exact(args) -> int:
+def _run_sweep(args, header: list[str], row) -> int:
+    """Write ``row(policy, inst, T, seed)`` for every run of ``--config``, or
+    of ``--policy``/``--mu`` over ``--T`` (with ``--seed`` where the command has one)."""
     if args.config is not None:
         config = load_sweep_config(args.config)
-        rows = [
-            _exact_row(policy, inst, T)
-            for policy in config.policies
-            for inst in config.instances
-            for T in config.budgets
-        ]
-        _write_rows(config.output_path, EXACT_HEADER, rows)
-        return EXIT_OK
-    if args.policy is None or args.mu is None or args.T is None:
-        raise ArgumentError("exact needs --policy, --mu and --T (or --config)")
-    policy = parse_policy(args.policy)
-    inst = BanditInstance(*args.mu)
-    rows = [_exact_row(policy, inst, T) for T in args.T]
-    _write_rows(args.out, EXACT_HEADER, rows)
+    elif args.policy is None or args.mu is None or args.T is None:
+        raise ArgumentError(f"{args.command} needs --policy, --mu and --T (or --config)")
+    else:
+        policy = parse_policy(args.policy)
+        config = SweepConfig([BanditInstance(*args.mu)], [policy], args.T, args.out,
+                             getattr(args, "seed", 0))
+    rows = [
+        row(policy, inst, T, config.seed)
+        for policy in config.policies
+        for inst in config.instances
+        for T in config.budgets
+    ]
+    _write_rows(config.output_path, header, rows)
     return EXIT_OK
+
+
+def cmd_exact(args) -> int:
+    return _run_sweep(args, EXACT_HEADER,
+                      lambda policy, inst, T, seed: _exact_row(policy, inst, T))
 
 
 def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
@@ -223,23 +225,8 @@ def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
 
 
 def cmd_mc(args) -> int:
-    if args.config is not None:
-        config = load_sweep_config(args.config)
-        rows = [
-            _mc_row(policy, inst, T, args.n, config.seed, args.tilted)
-            for policy in config.policies
-            for inst in config.instances
-            for T in config.budgets
-        ]
-        _write_rows(config.output_path, MC_HEADER, rows)
-        return EXIT_OK
-    if args.policy is None or args.mu is None or args.T is None:
-        raise ArgumentError("mc needs --policy, --mu and --T (or --config)")
-    policy = parse_policy(args.policy)
-    inst = BanditInstance(*args.mu)
-    rows = [_mc_row(policy, inst, T, args.n, args.seed, args.tilted) for T in args.T]
-    _write_rows(args.out, MC_HEADER, rows)
-    return EXIT_OK
+    return _run_sweep(args, MC_HEADER, lambda policy, inst, T, seed: _mc_row(
+        policy, inst, T, args.n, seed, args.tilted))
 
 
 def cmd_scan(args) -> int:
@@ -276,7 +263,10 @@ def cmd_demo(args) -> int:
     best_cert = None
     best_cert_gap = -math.inf
     for a in (0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8):
-        cert = construct_beating_instance(a, x_tuned)
+        try:
+            cert = construct_beating_instance(a, x_tuned)
+        except ArgumentError:  # x_tuned too close to 1/2 for this target; never a = 0.5
+            continue
         gap = g_closed(0.5, cert.instance) - g_closed(x_tuned, cert.instance)
         if gap > best_cert_gap:
             best_cert, best_cert_gap = cert, gap
@@ -371,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact evaluation (CSV)")
-    p.add_argument("--policy", type=_policy_arg)
+    p.add_argument("--policy")
     p.add_argument("--mu", type=_mu_pair, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, metavar="T|START:STOP[:STEP]")
     p.add_argument("--out", default=None)
@@ -379,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("mc", help="Monte Carlo estimation (CSV)")
-    p.add_argument("--policy", type=_policy_arg)
+    p.add_argument("--policy")
     p.add_argument("--mu", type=_mu_pair, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, metavar="T|START:STOP[:STEP]")
     p.add_argument("--n", type=int, required=True)
@@ -390,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("scan", help="error-rate scan over budgets (CSV)")
-    p.add_argument("--policy", type=_policy_arg, required=True)
+    p.add_argument("--policy", required=True)
     p.add_argument("--mu", type=_mu_pair, required=True, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, required=True,
                    metavar="START:STOP[:STEP]")

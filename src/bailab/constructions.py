@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .dual import mean_to_natural, natural_to_mean, phi_second, phi_second_range
 from .errors import ArgumentError, ConstructionError
-from .rates import BanditInstance, g_closed, lambda_star, x_star
+from .rates import BanditInstance, _check_allocation, g_closed, lambda_star, x_star
 
 __all__ = [
     "ConstructionCase",
@@ -261,8 +261,7 @@ def construct_beating_instance(a: float, x: float) -> ConstructionCertificate:
     ArgumentError of :func:`construct_dual_instance`.
     """
     a = _check_target(a)
-    if math.isnan(x) or not 0.0 <= x <= 1.0:
-        raise ArgumentError(f"allocation must lie in [0, 1], got {x!r}")
+    x = _check_allocation(x)
     if x == 0.5:
         raise ArgumentError("no beating instance exists at the uniform allocation")
     if x > 0.5:

@@ -6,8 +6,10 @@ A Bernoulli mean ``p`` corresponds to the natural parameter
 becomes the Bregman divergence of ``phi``, the inner minimizer of the
 rate objective becomes a linear interpolation, and the optimal
 allocation has a closed form through the chord slope of ``phi``.  This
-module supplies those conversions plus the Taylor bracket on the
-Bregman divergence used by the half-disk construction.
+module supplies the potential, its Bregman divergence, the dual rate
+objects and the Taylor bracket used by the half-disk construction.  The
+conversions :func:`mean_to_natural` and :func:`natural_to_mean` are
+defined in :mod:`bailab.rates` and re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArgumentError, DomainError
-from .rates import BanditInstance
+from .rates import BanditInstance, _check_allocation, mean_to_natural, natural_to_mean
 
 __all__ = [
     "NaturalInstance",
@@ -82,23 +84,6 @@ class NaturalInstance:
         return BanditInstance(natural_to_mean(self.xi1), natural_to_mean(self.xi2))
 
 
-def mean_to_natural(p: float) -> float:
-    """Log-odds of a mean in (0, 1); inverse of :func:`natural_to_mean`."""
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise DomainError(f"mean must lie strictly inside (0, 1), got {p!r}")
-    return math.log(p / (1.0 - p))
-
-
-def natural_to_mean(xi: float) -> float:
-    """Logistic map from a natural parameter back to the mean."""
-    if not math.isfinite(xi):
-        raise DomainError(f"natural parameter must be finite, got {xi!r}")
-    if xi >= 0.0:
-        return 1.0 / (1.0 + math.exp(-xi))
-    e = math.exp(xi)
-    return e / (1.0 + e)
-
-
 def phi_second(xi: float) -> float:
     """Second derivative of the potential, written symmetrically.
 
@@ -158,8 +143,7 @@ def dual_rate_objects(x: float, nat: NaturalInstance) -> DualRateObjects:
     potential between them, and ``x_star_dual = (xi1 - eta)/(xi1 - xi2)``,
     always strictly inside (0, 1).
     """
-    if math.isnan(x) or not 0.0 <= x <= 1.0:
-        raise ArgumentError(f"allocation must lie in [0, 1], got {x!r}")
+    x = _check_allocation(x)
     if not nat.is_separated:
         raise DomainError("dual-degenerate instance: xi1 == xi2")
     xi1, xi2 = nat.xi1, nat.xi2

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.stats import binom
 
 from .errors import ArgumentError, CapacityError, DomainError, RecommendationError
-from .policies import PolicySpec, plugin_action_grid, schedule_counts, schedule_pulls_arm1
+from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,
+                       schedule_counts, schedule_pulls_arm1)
 from .rates import BanditInstance, g_closed, kl_bernoulli
 
 __all__ = [
@@ -105,19 +106,6 @@ class StabilityProfile:
     omega2_b: tuple[tuple[float, ...], ...]
 
 
-def _check_budget(T: int) -> int:
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
-        raise ArgumentError(f"budget must be an integer, got {T!r}")
-    if T < 2:
-        raise ArgumentError(f"budget must be at least 2, got {T}")
-    return int(T)
-
-
-def _validate_coverage(policy: PolicySpec, T: int) -> None:
-    if policy.deterministic_schedule:
-        schedule_counts(policy.schedule_fraction(), T, policy.description)
-
-
 def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):
     if policy.deterministic_schedule:
         return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
@@ -136,7 +124,7 @@ def dp_layers(
     Layers are live working arrays: consume each one before advancing the
     iterator if the values must be kept.
     """
-    T = _check_budget(T)
+    T = check_budget(T)
     limit = _max_states()
     m1, m2 = inst.mu1, inst.mu2
     layer: dict[int, np.ndarray] = {0: np.ones((1, 1))}
@@ -158,9 +146,6 @@ def dp_layers(
             if isinstance(action, float):
                 pull1 = mass if action == 1.0 else None
                 pull2 = mass if action == 0.0 else None
-                if action not in (0.0, 1.0):
-                    pull1 = mass * action
-                    pull2 = mass - pull1
             else:
                 pull1 = mass * action
                 pull2 = mass - pull1
@@ -197,9 +182,8 @@ def _final_decision(layer: dict[int, np.ndarray], T: int) -> tuple[float, float,
             raise RecommendationError(
                 f"terminal mass {slice_total} on states with an unsampled arm (n1={n1})"
             )
-        lhs = np.arange(mass.shape[0], dtype=np.int64)[:, None] * n2
-        rhs = np.arange(mass.shape[1], dtype=np.int64)[None, :] * n1
-        pick2 = (rhs > lhs) + 0.5 * (rhs == lhs)
+        rows, cols = mass.shape
+        pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], n2)
         p2 = float(np.sum(mass * pick2))
         p_pick2 += p2
         p_pick1 += float(np.sum(mass * (1.0 - pick2)))
@@ -213,10 +197,11 @@ def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSumm
     Deterministic given its arguments: the DP iterates states in a fixed
     order, so repeated evaluations are bit-identical.
     """
-    T = _check_budget(T)
+    T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("exact_summary needs distinct means to define an error")
-    _validate_coverage(policy, T)
+    if policy.deterministic_schedule:
+        schedule_counts(policy.schedule_fraction(), T, policy.description)
     final: dict[int, np.ndarray] = {}
     for t, layer in dp_layers(policy, inst, T):
         if t == T:
@@ -255,7 +240,7 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
 
 def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
     """log of the exact error probability of the static(x) schedule."""
-    T = _check_budget(T)
+    T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("the error probability needs distinct means")
     n1, n2 = schedule_counts(x, T, f"static:{x}")
@@ -309,7 +294,7 @@ def rate_ratio_scan(
         raise ArgumentError("empty budget grid")
     points = []
     for T in T_grid:
-        T = _check_budget(T)
+        T = check_budget(T)
         if policy.deterministic_schedule:
             logp = static_error_log(policy.schedule_fraction(), inst, T)
             p = math.exp(logp)
@@ -331,7 +316,7 @@ def stability_profile(
     """
     if math.isnan(a) or not 0.0 < a < 1.0:
         raise ArgumentError(f"a must lie strictly inside (0, 1), got {a!r}")
-    budgets = tuple(_check_budget(T) for T in T_grid)
+    budgets = tuple(check_budget(T) for T in T_grid)
     rows_a = []
     rows_b = []
     for gap in gaps:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .errors import ArgumentError, DomainError
-from .policies import PolicySpec, plugin_action_prob, schedule_counts
+from .policies import PolicySpec, check_budget, pick2_mass, plugin_action_prob, schedule_counts
 from .rates import BanditInstance, lambda_star
 
 __all__ = ["Estimate", "simulate_plain", "simulate_tilted_static"]
@@ -87,25 +87,13 @@ def _binom_from_uniform(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, u, side="left")
 
 
-def _error_values(s1, n1: int, s2, n2: int, best_arm: int) -> np.ndarray:
-    """Per-replication error mass of the fair-tie recommendation rule."""
-    lhs = np.asarray(s1, dtype=np.int64) * n2
-    rhs = np.asarray(s2, dtype=np.int64) * n1
-    if best_arm == 1:
-        wrong = rhs > lhs
-    else:
-        wrong = lhs > rhs
-    return wrong + 0.5 * (lhs == rhs)
-
-
 def _check_args(inst: BanditInstance, T: int, n: int) -> tuple[int, int]:
     if not inst.is_separated:
         raise DomainError("simulation needs distinct means to define an error")
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 2:
-        raise ArgumentError(f"budget must be an integer >= 2, got {T!r}")
+    T = check_budget(T)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ArgumentError(f"replication count must be a positive integer, got {n!r}")
-    return int(T), int(n)
+    return T, int(n)
 
 
 def simulate_plain(
@@ -125,11 +113,12 @@ def simulate_plain(
         n1, n2 = schedule_counts(policy.schedule_fraction(), T, policy.description)
         s1 = _binom_from_uniform(_uniform_batch(seed, reps, 0), _binom_cdf(n1, inst.mu1))
         s2 = _binom_from_uniform(_uniform_batch(seed, reps, 1), _binom_cdf(n2, inst.mu2))
-        errors = _error_values(s1, n1, s2, n2, inst.best_arm)
+        pick2 = pick2_mass(s1, n1, s2, n2)
     else:
-        errors = np.empty(n)
+        pick2 = np.empty(n)
         for i in range(n):
-            errors[i] = _replay_adaptive(policy, inst, T, seed, i)
+            pick2[i] = _replay_adaptive(policy, inst, T, seed, i)
+    errors = pick2 if inst.best_arm == 1 else 1.0 - pick2
     mean = float(np.mean(errors))
     std_err = math.sqrt(mean * (1.0 - mean) / n)
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="plain")
@@ -138,7 +127,7 @@ def simulate_plain(
 def _replay_adaptive(
     policy: PolicySpec, inst: BanditInstance, T: int, seed: int, rep: int
 ) -> float:
-    """One adaptive replication: draws 2 stream values per round (action, reward)."""
+    """Arm-2 decision mass of one adaptive replication: 2 draws per round (action, reward)."""
     m1, m2 = inst.mu1, inst.mu2
     fr = policy.force_rate
     n1 = s1 = s2 = 0
@@ -152,14 +141,7 @@ def _replay_adaptive(
                 s1 += 1
         elif u < m2:
             s2 += 1
-    n2 = T - n1
-    lhs = s1 * n2
-    rhs = s2 * n1
-    if inst.best_arm == 1:
-        wrong = rhs > lhs
-    else:
-        wrong = lhs > rhs
-    return 1.0 if wrong else (0.5 if lhs == rhs else 0.0)
+    return float(pick2_mass(s1, n1, s2, T - n1))
 
 
 def simulate_tilted_static(
@@ -183,7 +165,8 @@ def simulate_tilted_static(
     m1, m2 = inst.mu1, inst.mu2
     log_w = s1 * math.log(m1 / lam) + (n1 - s1) * math.log((1.0 - m1) / (1.0 - lam))
     log_w += s2 * math.log(m2 / lam) + (n2 - s2) * math.log((1.0 - m2) / (1.0 - lam))
-    values = np.exp(log_w) * _error_values(s1, n1, s2, n2, inst.best_arm)
+    pick2 = pick2_mass(s1, n1, s2, n2)
+    values = np.exp(log_w) * (pick2 if inst.best_arm == 1 else 1.0 - pick2)
     mean = float(np.mean(values))
     if n > 1:
         std_err = math.sqrt(float(np.var(values, ddof=1)) / n)

@@ -7,6 +7,11 @@ schedule tuned to the optimal allocation of a reference instance
 exploration (``plugin_tracking``).  A policy maps a state to the
 probability of pulling arm 1; the final recommendation picks the larger
 empirical mean and splits exact ties fairly.
+
+:func:`recommend` is that rule for one state and :func:`pick2_mass` over
+arrays of counts, for the exact engine and Monte Carlo alike; the package
+validates budgets with :func:`check_budget`.  Oracle schedules and the
+tracking rule share one ``x*`` cache of bounded size.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ __all__ = [
     "plugin_action_prob",
     "plugin_action_grid",
     "recommend",
+    "pick2_mass",
+    "check_budget",
     "pulls_arm2_at",
     "arm2_count",
     "covering_budget",
@@ -37,6 +44,10 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("uniform", "static", "oracle_static", "plugin_tracking")
+
+# Bounds the memory of the x* cache (keyed on mean pairs); Monte Carlo replay
+# of plug-in tracking at budgets near 60 fills a few thousand entries per run.
+X_STAR_CACHE_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -113,13 +124,22 @@ class PolicySpec:
         if self.kind == "static":
             return self.x
         if self.kind == "oracle_static":
-            return _oracle_fraction(self.ref.mu1, self.ref.mu2)
+            return _cached_x_star(self.ref.mu1, self.ref.mu2)
         raise ArgumentError(f"{self.kind} has no deterministic schedule")
 
 
-@lru_cache(maxsize=None)
-def _oracle_fraction(mu1: float, mu2: float) -> float:
+@lru_cache(maxsize=X_STAR_CACHE_SIZE)
+def _cached_x_star(mu1: float, mu2: float) -> float:
     return x_star(BanditInstance(mu1, mu2))
+
+
+def check_budget(T: int) -> int:
+    """The budget as an int; it must be an integer of at least 2."""
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
+        raise ArgumentError(f"budget must be an integer, got {T!r}")
+    if T < 2:
+        raise ArgumentError(f"budget must be at least 2, got {T}")
+    return int(T)
 
 
 def pulls_arm2_at(x: float, t: int) -> bool:
@@ -170,11 +190,6 @@ def schedule_pulls_arm1(policy: PolicySpec, t: int) -> bool:
     return not pulls_arm2_at(policy.schedule_fraction(), t)
 
 
-@lru_cache(maxsize=None)
-def _tracking_target(mu1: float, mu2: float) -> float:
-    return x_star(BanditInstance(mu1, mu2))
-
-
 def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> float:
     """Probability that the tracking rule pulls arm 1 from the given counts.
 
@@ -193,7 +208,7 @@ def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> 
     hi = 1.0 - lo
     m1 = min(max(s1 / n1, lo), hi)
     m2 = min(max(s2 / n2, lo), hi)
-    target = 0.5 if m1 == m2 else _tracking_target(m1, m2)
+    target = 0.5 if m1 == m2 else _cached_x_star(m1, m2)
     track_arm1 = (n1 / t) < 1.0 - target
     forced_arm1 = n1 <= n2
     return force_rate * (1.0 if forced_arm1 else 0.0) + (1.0 - force_rate) * (
@@ -254,6 +269,17 @@ def recommend(state: PolicyState) -> tuple[float, float]:
     if lhs < rhs:
         return (0.0, 1.0)
     return (0.5, 0.5)
+
+
+def pick2_mass(s1, n1, s2, n2) -> np.ndarray:
+    """Vectorized :func:`recommend`: mass of picking arm 2, by int64 cross-multiplication.
+
+    1 where ``s2/n2 > s1/n1``, 1/2 on an exact tie, else 0.  This is the error
+    mass when arm 1 is best; one minus it is the error mass when arm 2 is best.
+    """
+    lhs = np.asarray(s1, dtype=np.int64) * n2
+    rhs = np.asarray(s2, dtype=np.int64) * n1
+    return (rhs > lhs) + 0.5 * (rhs == lhs)
 
 
 def parse_policy(text: str) -> PolicySpec:

@@ -6,7 +6,9 @@ the minimum over ``lam`` of ``(1-x) d(lam, mu1) + x d(lam, mu2)``, a
 mixture of Bernoulli KL divergences.  This module provides the closed
 form of ``g``, an independent derivative-free minimization route, the
 inner minimizer, the optimal allocation, and the elementary
-inequalities the rest of the package builds on.
+inequalities the rest of the package builds on.  It is also the home of
+the checked logit pair :func:`mean_to_natural` / :func:`natural_to_mean`
+(log-odds and logistic map), which :mod:`bailab.dual` re-exports.
 
 Allocations are plain floats in [0, 1] (fraction of the budget on
 arm 2); instances are :class:`BanditInstance` pairs of means strictly
@@ -26,6 +28,8 @@ __all__ = [
     "BanditInstance",
     "RateProfile",
     "kl_bernoulli",
+    "mean_to_natural",
+    "natural_to_mean",
     "g_closed",
     "g_by_minimization",
     "minimize_rate_objective",
@@ -39,17 +43,6 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG2 = math.log(2.0)
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 def _check_allocation(x: float) -> float:
@@ -112,6 +105,23 @@ class RateProfile:
     g_value: float
     lambda_min: float
     x_star: float
+
+
+def mean_to_natural(p: float) -> float:
+    """Log-odds of a mean in (0, 1); inverse of :func:`natural_to_mean`."""
+    if math.isnan(p) or not 0.0 < p < 1.0:
+        raise DomainError(f"mean must lie strictly inside (0, 1), got {p!r}")
+    return math.log(p / (1.0 - p))
+
+
+def natural_to_mean(xi: float) -> float:
+    """Logistic map from a natural parameter back to the mean."""
+    if not math.isfinite(xi):
+        raise DomainError(f"natural parameter must be finite, got {xi!r}")
+    if xi >= 0.0:
+        return 1.0 / (1.0 + math.exp(-xi))
+    e = math.exp(xi)
+    return e / (1.0 + e)
 
 
 def kl_bernoulli(a: float, b: float) -> float:
@@ -212,8 +222,8 @@ def lambda_star(x: float, inst: BanditInstance) -> float:
     value strictly inside (0, 1).
     """
     x = _check_allocation(x)
-    s = (1.0 - x) * _logit(inst.mu1) + x * _logit(inst.mu2)
-    return _sigmoid(s)
+    s = (1.0 - x) * mean_to_natural(inst.mu1) + x * mean_to_natural(inst.mu2)
+    return natural_to_mean(s)
 
 
 def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
@@ -269,9 +279,9 @@ def stationarity_residual(x: float, inst: BanditInstance) -> float:
     if x == 0.0 or x == 1.0:
         raise ArgumentError("boundary allocations have no interior stationarity condition")
     lam = lambda_star(x, inst)
-    lam_logit = _logit(lam)
-    d1 = lam_logit - _logit(inst.mu1)
-    d2 = lam_logit - _logit(inst.mu2)
+    lam_logit = mean_to_natural(lam)
+    d1 = lam_logit - mean_to_natural(inst.mu1)
+    d2 = lam_logit - mean_to_natural(inst.mu2)
     return (1.0 - x) * d1 + x * d2
 
 

@@ -226,7 +226,8 @@ def _reverify_certificate(cert: constructions.ConstructionCertificate) -> dict[s
     x_tilde = 0.5 * (0.5 + x)
     final_inst, final_x, final_a = cert.instance, cert.x_input, cert.a_target
     return {
-        "residual": abs(rates.lambda_star(final_x, final_inst) - final_a),
+        "residual": max(abs(rates.lambda_star(final_x, final_inst) - final_a),
+                        abs(rates.lambda_star(x, inst) - a)),
         "orientation": inst.mu1 - inst.mu2,
         "half_region": inst.mu1 + inst.mu2 - 1.0,
         "x_star_margin": x_tilde - rates.x_star(inst),
@@ -278,12 +279,14 @@ def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
     f_value = _Extremum(largest=False)
     f_prime = _Extremum(largest=False)
     m_agree = _Extremum(largest=True)
-    for _ in range(samples):
+    count = 0
+    while count < samples:
         m1 = float(rng.uniform(0.52, 0.97))
         m2 = float(rng.uniform(1.0 - m1, m1 - 0.01))
         inst = rates.BanditInstance(m1, m2)
         if not (inst.mu1 > inst.mu2 and inst.mu1 + inst.mu2 >= 1.0):
             continue
+        count += 1
         xs = rates.x_star(inst)
         delta = float(rng.uniform(0.05, 1.0)) * min(xs, 1.0 - xs)
         res = constructions.asymmetry_gap(inst, delta)
@@ -336,7 +339,9 @@ def _random_policy(rng) -> tuple[PolicySpec, int]:
     if kind == 1:
         return PolicySpec.static(float(rng.uniform(0.15, 0.85))), 60
     if kind == 2:
-        return PolicySpec.oracle_static(_random_instance(rng)), 60
+        m1 = float(rng.uniform(0.2, 0.9))
+        m2 = float(rng.uniform(0.05, m1 - 0.05))
+        return PolicySpec.oracle_static(rates.BanditInstance(m1, m2)), 60
     return PolicySpec.plugin_tracking(float(rng.uniform(0.1, 1.0))), 24
 
 

@@ -4,7 +4,8 @@ Every test prints a single pass/fail line (visible under ``pytest -s``
 or in the captured output of a failing run).  Oracles are independent of
 the code paths they check: dense grids, brute-force enumeration,
 first-order sign bisection, and exact summaries on both sides of every
-inequality.
+inequality.  Criteria 4, 5 and 7 run the ``verify`` suites that define
+those properties, at fixed seeds and sample counts.
 """
 
 import json
@@ -17,12 +18,6 @@ import pytest
 from brute_force import enumerate_summary
 
 from bailab.cli import main
-from bailab.constructions import (
-    asymmetry_gap,
-    check_odds_inequality,
-    construct_beating_instance,
-    construct_dual_instance,
-)
 from bailab.dual import (
     NaturalInstance,
     bregman,
@@ -31,24 +26,22 @@ from bailab.dual import (
     taylor_bracket_check,
 )
 from bailab.exact import (
-    change_of_measure_slack,
     dp_layers,
     exact_summary,
     static_error_exact,
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
-from bailab.policies import PolicySpec, covering_budget
+from bailab.policies import PolicySpec
 from bailab.rates import (
     BanditInstance,
     g_by_minimization,
     g_closed,
     kl_bernoulli,
     lambda_star,
-    pinsker_like_bound_slack,
     x_star,
 )
-from bailab.verification import fd_argmin
+from bailab.verification import fd_argmin, suite_asymmetry, suite_com, suite_constructions
 
 MU_GRID = np.linspace(0.02, 0.98, 50)
 X_GRID = np.linspace(0.0, 1.0, 21)
@@ -58,6 +51,16 @@ def report(number: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number:2d} {status}: {detail}")
     assert passed, f"criterion {number}: {detail}"
+
+
+def report_suite(number: int, results, passed: bool = True, detail: str = "") -> None:
+    """Report a ``verify`` suite as one criterion: every property must pass."""
+    lines = [
+        f"{r.name}: worst={r.worst:.2e} (bound {r.bound:g}, {r.samples} samples)"
+        for r in results
+    ]
+    passed = passed and all(r.passed for r in results)
+    report(number, passed, "; ".join(lines + ([detail] if detail else [])))
 
 
 def test_criterion_01_closed_form_oracle_equivalence():
@@ -176,94 +179,13 @@ def test_criterion_03_duality():
 
 def test_criterion_04_constructions():
     start = time.perf_counter()
-    rng = np.random.default_rng(404)
-    worst_residual = 0.0
-    worst_orient = worst_half = worst_margin = worst_gap = math.inf
-    for k in range(200):
-        a = float(rng.uniform(0.05, 0.95))
-        if k % 2 == 0:
-            x = float(rng.uniform(0.55, 1.0))
-            cert = construct_dual_instance(a, x)
-        else:
-            x = float(rng.uniform(0.05, 0.45))
-            if rng.uniform() < 0.5:
-                x = 1.0 - x
-            cert = construct_beating_instance(a, x)
-        canon, cx, ca = cert.canonical()
-        worst_residual = max(
-            worst_residual,
-            abs(lambda_star(cert.x_input, cert.instance) - cert.a_target),
-            abs(lambda_star(cx, canon) - ca),
-        )
-        worst_orient = min(worst_orient, canon.mu1 - canon.mu2)
-        worst_half = min(worst_half, canon.mu1 + canon.mu2 - 1.0)
-        worst_margin = min(worst_margin, 0.5 * (0.5 + cx) - x_star(canon))
-        worst_gap = min(
-            worst_gap,
-            g_closed(0.5, cert.instance) - g_closed(cert.x_input, cert.instance),
-        )
+    results = suite_constructions(200, 404)
     elapsed = time.perf_counter() - start
-    report(
-        4,
-        worst_residual <= 1e-9
-        and worst_orient > 0.0
-        and worst_half >= -1e-12
-        and worst_margin > 0.0
-        and worst_gap > 0.0
-        and elapsed <= 30.0,
-        f"200 certificates: residual={worst_residual:.2e} (<=1e-9), "
-        f"orientation margin={worst_orient:.2e} (>0), half-region={worst_half:.2e} "
-        f"(>=-1e-12), optimum margin={worst_margin:.2e} (>0), "
-        f"rate gap={worst_gap:.2e} (>0), {elapsed:.1f}s (<=30s)",
-    )
+    report_suite(4, results, elapsed <= 30.0, f"{elapsed:.1f}s (<=30s)")
 
 
 def test_criterion_05_asymmetry_and_entropy():
-    rng = np.random.default_rng(505)
-    worst_gap = worst_fp = math.inf
-    worst_m = 0.0
-    n = 1000
-    count = 0
-    while count < n:
-        m1 = float(rng.uniform(0.52, 0.97))
-        m2 = float(rng.uniform(1.0 - m1, m1 - 0.01))
-        inst = BanditInstance(m1, m2)
-        if not (inst.mu1 > inst.mu2 and inst.mu1 + inst.mu2 >= 1.0):
-            continue
-        count += 1
-        xs = x_star(inst)
-        delta = float(rng.uniform(0.05, 1.0)) * min(xs, 1.0 - xs)
-        res = asymmetry_gap(inst, delta)
-        worst_gap = min(worst_gap, res.gap)
-        worst_fp = min(worst_fp, res.f_prime)
-        xs12 = x_star(inst, tol=1e-12)
-        m_first = (1 - m1) ** (1 - xs12) * (1 - m2) ** xs12 / math.log(m1 / m2)
-        m_second = m1 ** (1 - xs12) * m2**xs12 / math.log((1 - m2) / (1 - m1))
-        worst_m = max(worst_m, abs(m_first - m_second))
-
-    from fractions import Fraction
-
-    grid = np.linspace(0.0025, 0.9975, 200)
-    odds_failures = 0
-    odds_checked = 0
-    for m1 in grid:
-        f1 = Fraction(float(m1))
-        for m2 in grid:
-            f2 = Fraction(float(m2))
-            if f1 > f2 and f1 + f2 >= 1:
-                odds_checked += 1
-                if not check_odds_inequality(BanditInstance(float(m1), float(m2))):
-                    odds_failures += 1
-    report(
-        5,
-        worst_gap >= -1e-12
-        and worst_fp >= -1e-12
-        and worst_m <= 1e-9
-        and odds_failures == 0,
-        f"{n} sweeps: min gap={worst_gap:.2e} (>=-1e-12), min f'={worst_fp:.2e} "
-        f"(>=-1e-12), stationarity agreement={worst_m:.2e} (<=1e-9); odds grid "
-        f"{odds_checked} points, {odds_failures} failures",
-    )
+    report_suite(5, suite_asymmetry(1000, 505))
 
 
 def test_criterion_06_exact_engine_correctness():
@@ -311,43 +233,7 @@ def test_criterion_06_exact_engine_correctness():
 
 
 def test_criterion_07_change_of_measure():
-    rng = np.random.default_rng(707)
-    worst_slack = math.inf
-    worst_chain = math.inf
-    for _ in range(200):
-        kind = int(rng.integers(0, 4))
-        if kind == 0:
-            policy, t_cap = PolicySpec.uniform(), 60
-        elif kind == 1:
-            policy, t_cap = PolicySpec.static(float(rng.uniform(0.15, 0.85))), 60
-        elif kind == 2:
-            m1 = float(rng.uniform(0.2, 0.9))
-            m2 = float(rng.uniform(0.05, m1 - 0.05))
-            policy, t_cap = PolicySpec.oracle_static(BanditInstance(m1, m2)), 60
-        else:
-            policy, t_cap = PolicySpec.plugin_tracking(float(rng.uniform(0.1, 1.0))), 24
-        pi2 = float(rng.uniform(0.1, 0.9))
-        pi1 = float(rng.uniform(0.05, pi2 - 0.02))
-        mu1 = float(rng.uniform(0.15, 0.95))
-        mu2 = float(rng.uniform(0.05, mu1 - 0.02))
-        pi_inst = BanditInstance(pi1, pi2)
-        mu_inst = BanditInstance(mu1, mu2)
-        T = int(rng.integers(2, t_cap + 1))
-        if policy.deterministic_schedule:
-            T = max(T, covering_budget(policy.schedule_fraction()))
-        res = change_of_measure_slack(policy, pi_inst, mu_inst, T)
-        if not res.rhs_infinite:
-            worst_slack = min(worst_slack, res.slack)
-        p = exact_summary(policy, pi_inst, T).p_pick2
-        q = exact_summary(policy, mu_inst, T).p_pick2
-        if 0.0 < q < 1.0:
-            worst_chain = min(worst_chain, pinsker_like_bound_slack(p, q))
-    report(
-        7,
-        worst_slack >= -1e-10 and worst_chain >= 0.0,
-        f"200 tuples: min change-of-measure slack={worst_slack:.2e} (>=-1e-10), "
-        f"min chained-bound slack={worst_chain:.2e} (>=0)",
-    )
+    report_suite(7, suite_com(200, 707))
 
 
 def test_criterion_08_rate_reproduction():

@@ -205,6 +205,14 @@ class TestDemoCommand:
         assert winning["log_p_error_tuned"] < winning["log_p_error_uniform"]
         assert winning["p_error_tuned"] < winning["p_error_uniform"]
 
+    def test_skips_targets_without_a_representable_instance(self, capsys):
+        # x* = 0.4889 is too close to 1/2 for the targets a = 0.2 and 0.3
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["confirmed"] is True
+        assert payload["certificate"]["a_target"] == 0.6
+
     def test_symmetric_reference_has_no_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.3")
         assert code == 0

@@ -1,0 +1,59 @@
+"""Golden outputs: the stdout of fixed CLI commands, pinned by SHA-256.
+
+A refactor that must not change numbers keeps every digest.  A change
+that moves numbers on purpose re-records the file and says which
+commands changed and why:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from bailab.cli import main
+
+GOLDEN_PATH = Path(__file__).with_name("golden_stdout.json")
+
+COMMANDS = [
+    "rates --mu 0.9,0.5",
+    "exact --policy plugin:0.5 --mu 0.7,0.3 --T 24",
+    "exact --policy uniform --mu 0.7,0.3 --T 200",
+    "exact --policy oracle:0.9,0.5 --mu 0.6,0.4 --T 60",
+    "mc --policy plugin:0.5 --mu 0.75,0.35 --T 20 --n 200 --seed 3",
+    "mc --policy static:0.3 --mu 0.8,0.4 --T 45 --n 100000 --seed 1",
+    "mc --policy static:0.5 --mu 0.7,0.3 --T 200 --n 100000 --seed 99 --tilted",
+    "scan --policy oracle:0.6,0.4 --mu 0.6,0.4 --T 4000:40000:4000",
+    "construct --a 0.3 --x 0.7",
+    "construct --a 0.6 --x 0.3",
+    "construct --a 0.0856 --x 0.5519",
+    "demo --mu0 0.9,0.5 --grid 0.05",
+    "verify rates --samples 60 --seed 7",
+    "verify dual --samples 60 --seed 3",
+]
+
+
+def run_command(command: str) -> dict:
+    """Exit code and stdout digest of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_golden(command):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert run_command(command) == golden[command]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    record = {command: run_command(command) for command in COMMANDS}
+    GOLDEN_PATH.write_text(json.dumps(record, indent=2) + "\n")

@@ -9,8 +9,10 @@ from bailab.policies import (
     PolicyState,
     action_distribution,
     arm2_count,
+    check_budget,
     covering_budget,
     parse_policy,
+    pick2_mass,
     plugin_action_grid,
     plugin_action_prob,
     policy_label,
@@ -175,6 +177,37 @@ class TestRecommend:
             recommend(PolicyState(3, 3, 2, 0))
         with pytest.raises(RecommendationError):
             recommend(PolicyState(3, 0, 0, 1))
+
+
+    def test_pick2_mass_matches_recommend_on_every_state(self):
+        states = [
+            (T, n1, s1, s2)
+            for T in range(2, 9)
+            for n1 in range(1, T)
+            for s1 in range(n1 + 1)
+            for s2 in range(T - n1 + 1)
+        ]
+        T, n1, s1, s2 = (np.array(column) for column in zip(*states))
+        mass = pick2_mass(s1, n1, s2, T - n1)
+        assert np.any(mass == 0.5)  # ties are among the states
+        for k, state in enumerate(states):
+            d1, d2 = recommend(PolicyState(*state))
+            assert mass[k] == d2  # error mass when arm 1 is best
+            assert 1.0 - mass[k] == d1  # error mass when arm 2 is best
+            assert pick2_mass(state[2], state[1], state[3], state[0] - state[1]) == d2
+
+
+class TestCheckBudget:
+    def test_accepts_integers_from_two(self):
+        assert check_budget(2) == 2
+        assert type(check_budget(np.int64(7))) is int
+
+    @pytest.mark.parametrize("T,message", [
+        (1, "at least 2"), (-3, "at least 2"), (2.0, "an integer"), (True, "an integer"),
+    ])
+    def test_rejections_name_the_rule(self, T, message):
+        with pytest.raises(ArgumentError, match=message):
+            check_budget(T)
 
 
 class TestParsePolicy:
