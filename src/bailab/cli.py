@@ -250,6 +250,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if not 0.0 < args.grid < 0.4:
+        raise ArgumentError(f"--grid must lie in (0, 0.4) to scan two means, got {args.grid!r}")
     mu0 = BanditInstance(*args.mu0)
     x_tuned = x_star(mu0)
     if abs(x_tuned - 0.5) < 1e-9:

@@ -285,6 +285,9 @@ def construct_beating_instance(a: float, x: float) -> ConstructionCertificate:
             unmirrored=nu,
         )
     gap = g_closed(0.5, cert.instance) - g_closed(x, cert.instance)
+    if gap == 0.0:
+        raise ArgumentError(f"the gap g(1/2) - g(x) at a={a}, |x - 1/2|={abs(x - 0.5):.6g} "
+                            "is not representable: both rates round to the same double")
     if not gap > 0.0:
         raise ConstructionError(f"uniform does not strictly beat x={x}: gap={gap:.3e}")
     return cert

@@ -109,10 +109,6 @@ class StabilityProfile:
 def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):
     if policy.deterministic_schedule:
         return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
-    if t == 0:
-        return 1.0
-    if t == 1:
-        return 0.0
     return plugin_action_grid(t, n1, shape[0], shape[1], policy.force_rate)
 
 

@@ -1,19 +1,22 @@
 """Monte Carlo estimation of the misidentification probability.
 
-Plain simulation covers every policy; static schedules additionally get
-an exponentially tilted importance sampler that draws both success
-counts from the inner minimizer of the rate objective and reweights by
-exact likelihood ratios, which keeps the relative error workable at
-budgets where the plain estimator sees no error events at all.
+Plain simulation covers every policy; the replications of an adaptive
+policy advance together, one round at a time.  Static schedules
+additionally get an exponentially tilted importance sampler that draws
+both success counts from the inner minimizer of the rate objective and
+reweights by exact likelihood ratios, which keeps the relative error
+workable at budgets where the plain estimator sees no error events.
 
 Randomness contract: the stream of replication ``i`` is the splitmix64
 sequence whose initial state is ``mix64(mix64(seed) XOR i)``, where
 ``mix64`` is the splitmix64 finalizer (the seed is mixed first so that
 nearby seeds produce unrelated replication sets); draw ``k`` of the
 stream is ``mix64(state + (k+1) * GAMMA)`` mapped to [0, 1) through the
-top 53 bits.  Streams therefore depend only on ``(seed, i, k)``, never
-on execution order, and estimates are bit-reproducible.  Aggregation
-uses numpy's pairwise summation in replication-index order.
+top 53 bits; round ``t`` of an adaptive replay reads draw ``2t`` for the
+action and ``2t+1`` for the reward.  Streams therefore depend only on
+``(seed, i, k)``, never on execution order, and estimates are
+bit-reproducible.  Aggregation uses numpy's pairwise summation in
+replication-index order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import numpy as np
 from scipy.stats import binom
 
 from .errors import ArgumentError, DomainError
-from .policies import PolicySpec, check_budget, pick2_mass, plugin_action_prob, schedule_counts
+# plugin_action_prob is unused here; it stays a module attribute for benchmark tracing
+from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_prob,  # noqa: F401
+                       plugin_actions, schedule_counts)
 from .rates import BanditInstance, lambda_star
 
 __all__ = ["Estimate", "simulate_plain", "simulate_tilted_static"]
@@ -70,12 +75,6 @@ def _uniform_batch(seed: int, rep_ids: np.ndarray, draw_index: int) -> np.ndarra
     return (out >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def _uniform_scalar(seed: int, rep: int, draw_index: int) -> float:
-    state = _mix64(_mix64(seed) ^ rep)
-    out = _mix64((state + (draw_index + 1) * _GAMMA) & _MASK64)
-    return (out >> 11) * _U53
-
-
 def _binom_cdf(n: int, p: float) -> np.ndarray:
     cdf = binom.cdf(np.arange(n + 1), n, p)
     cdf[-1] = 1.0  # guard the searchsorted upper end against round-off
@@ -115,9 +114,7 @@ def simulate_plain(
         s2 = _binom_from_uniform(_uniform_batch(seed, reps, 1), _binom_cdf(n2, inst.mu2))
         pick2 = pick2_mass(s1, n1, s2, n2)
     else:
-        pick2 = np.empty(n)
-        for i in range(n):
-            pick2[i] = _replay_adaptive(policy, inst, T, seed, i)
+        pick2 = _replay_adaptive(policy, inst, T, seed, reps)
     errors = pick2 if inst.best_arm == 1 else 1.0 - pick2
     mean = float(np.mean(errors))
     std_err = math.sqrt(mean * (1.0 - mean) / n)
@@ -125,23 +122,18 @@ def simulate_plain(
 
 
 def _replay_adaptive(
-    policy: PolicySpec, inst: BanditInstance, T: int, seed: int, rep: int
-) -> float:
-    """Arm-2 decision mass of one adaptive replication: 2 draws per round (action, reward)."""
-    m1, m2 = inst.mu1, inst.mu2
-    fr = policy.force_rate
-    n1 = s1 = s2 = 0
+    policy: PolicySpec, inst: BanditInstance, T: int, seed: int, reps: np.ndarray
+) -> np.ndarray:
+    """Arm-2 decision mass of every adaptive replication in ``reps``, advanced together."""
+    n1, s1, s2 = np.zeros((3, reps.size), dtype=np.int64)
     for t in range(T):
-        p1 = plugin_action_prob(t, n1, s1, s2, fr)
-        pull1 = _uniform_scalar(seed, rep, 2 * t) < p1
-        u = _uniform_scalar(seed, rep, 2 * t + 1)
-        if pull1:
-            n1 += 1
-            if u < m1:
-                s1 += 1
-        elif u < m2:
-            s2 += 1
-    return float(pick2_mass(s1, n1, s2, T - n1))
+        p1 = plugin_actions(t, n1, s1, s2, policy.force_rate)
+        pull1 = _uniform_batch(seed, reps, 2 * t) < p1
+        success = _uniform_batch(seed, reps, 2 * t + 1) < np.where(pull1, inst.mu1, inst.mu2)
+        n1 += pull1
+        s1 += pull1 & success
+        s2 += ~pull1 & success
+    return pick2_mass(s1, n1, s2, T - n1)
 
 
 def simulate_tilted_static(

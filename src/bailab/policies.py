@@ -10,8 +10,10 @@ empirical mean and splits exact ties fairly.
 
 :func:`recommend` is that rule for one state and :func:`pick2_mass` over
 arrays of counts, for the exact engine and Monte Carlo alike; the package
-validates budgets with :func:`check_budget`.  Oracle schedules and the
-tracking rule share one ``x*`` cache of bounded size.
+validates budgets with :func:`check_budget`.  :func:`plugin_actions` is the
+tracking rule over arrays of counts, for the exact engine and Monte Carlo
+alike; :func:`plugin_action_prob`, the rule for one state, is the reference
+the tree oracle replays and shares a bounded ``x*`` cache with oracle schedules.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "PolicySpec",
     "action_distribution",
     "plugin_action_prob",
+    "plugin_actions",
     "plugin_action_grid",
     "recommend",
     "pick2_mass",
@@ -45,8 +48,8 @@ __all__ = [
 
 POLICY_KINDS = ("uniform", "static", "oracle_static", "plugin_tracking")
 
-# Bounds the memory of the x* cache (keyed on mean pairs); Monte Carlo replay
-# of plug-in tracking at budgets near 60 fills a few thousand entries per run.
+# Bounds the memory of the x* cache (keyed on mean pairs), which only the scalar
+# tracking rule and oracle fractions fill; plugin_actions does not use it.
 X_STAR_CACHE_SIZE = 2**16
 
 
@@ -185,8 +188,6 @@ def schedule_counts(x: float, T: int, label: str) -> tuple[int, int]:
 
 def schedule_pulls_arm1(policy: PolicySpec, t: int) -> bool:
     """Round-t action of a deterministic-schedule policy."""
-    if policy.kind == "uniform":
-        return t % 2 == 0
     return not pulls_arm2_at(policy.schedule_fraction(), t)
 
 
@@ -216,22 +217,19 @@ def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> 
     )
 
 
-def plugin_action_grid(
-    t: int, n1: int, n_s1: int, n_s2: int, force_rate: float
-) -> np.ndarray:
-    """Vectorized :func:`plugin_action_prob` over a full (s1, s2) grid.
+def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
+    """:func:`plugin_action_prob` over broadcastable integer count arrays of round ``t``.
 
-    Produces bit-identical probabilities to the scalar path: the clamping,
-    the bisection for x*, and the comparisons are the same floating
-    operations applied elementwise.
+    Rounds 0 and 1 return the float 1.0 or 0.0; later rounds apply the scalar
+    rule's floating operations elementwise, so the probabilities are bit-identical.
     """
-    if t < 2:
-        raise ArgumentError("grid actions start at t=2; earlier rounds are deterministic")
+    if t == 0:
+        return 1.0
+    if t == 1:
+        return 0.0
     n2 = t - n1
     lo = 1.0 / (t + 1)
     hi = 1.0 - lo
-    s1 = np.arange(n_s1, dtype=float)[:, None]
-    s2 = np.arange(n_s2, dtype=float)[None, :]
     m1 = np.minimum(np.maximum(s1 / n1, lo), hi)
     m2 = np.minimum(np.maximum(s2 / n2, lo), hi)
     m1, m2 = np.broadcast_arrays(m1, m2)
@@ -240,8 +238,16 @@ def plugin_action_grid(
     if np.any(separated):
         target[separated] = x_star_grid(m1[separated], m2[separated])
     track_arm1 = (n1 / t) < 1.0 - target
-    forced_arm1 = 1.0 if n1 <= n2 else 0.0
+    forced_arm1 = n1 <= n2
     return force_rate * forced_arm1 + (1.0 - force_rate) * track_arm1
+
+
+def plugin_action_grid(
+    t: int, n1: int, n_s1: int, n_s2: int, force_rate: float
+) -> np.ndarray | float:
+    """:func:`plugin_actions` over the full (s1, s2) grid of one ``n1`` slice: the
+    exact engine's per-slice call, which benchmark tracing counts by its grid size."""
+    return plugin_actions(t, n1, np.arange(n_s1)[:, None], np.arange(n_s2)[None, :], force_rate)
 
 
 def action_distribution(policy: PolicySpec, state: PolicyState) -> float:

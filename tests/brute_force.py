@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the exact-engine tests.
+"""Independent brute-force oracles for the exact and Monte Carlo engines.
 
 The enumeration walks the full trajectory tree (actions and rewards),
 weighting each path by its probability and replaying the policy through
@@ -6,12 +6,17 @@ its public interface.  It shares no code with the dynamic program it
 checks.  The path weights are summed with ``math.fsum``: a running float
 sum over the tens of thousands of leaves at T=12 drifts by ~1e-12, the
 size of the tolerance the comparison uses.
+
+The scalar replay runs one Monte Carlo replication of a policy draw by
+draw, through the same public interface, with each draw computed from the
+documented splitmix64 stream formula.
 """
 
 from __future__ import annotations
 
 import math
 
+from bailab.mc import _mix64
 from bailab.policies import PolicySpec, PolicyState, action_distribution, recommend
 from bailab.rates import BanditInstance
 
@@ -42,3 +47,26 @@ def enumerate_summary(
     walk(0, 0, 0, 0, 1.0)
     p_error, p_pick2, e_n1 = (math.fsum(column) for column in terms)
     return p_error, p_pick2, e_n1
+
+
+def stream_draw(seed: int, rep: int, k: int) -> float:
+    """Draw ``k`` of replication ``rep``'s stream: ``mix64(state + (k+1) * GAMMA)``
+    with ``state = mix64(mix64(seed) XOR rep)``, top 53 bits as a uniform in [0, 1)."""
+    state = _mix64(_mix64(seed) ^ rep)
+    out = _mix64((state + (k + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+    return (out >> 11) * 2.0**-53
+
+
+def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, rep: int) -> float:
+    """Arm-2 decision mass of one Monte Carlo replication; round ``t`` reads
+    draw ``2t`` for the action and draw ``2t+1`` for the reward."""
+    n1 = s1 = s2 = 0
+    for t in range(T):
+        p1 = action_distribution(policy, PolicyState(t, n1, s1, s2))
+        reward = stream_draw(seed, rep, 2 * t + 1)
+        if stream_draw(seed, rep, 2 * t) < p1:
+            n1 += 1
+            s1 += reward < inst.mu1
+        else:
+            s2 += reward < inst.mu2
+    return recommend(PolicyState(T, n1, s1, s2))[1]

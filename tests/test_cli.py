@@ -178,6 +178,13 @@ class TestConstructCommand:
         code, _, _ = run_cli(capsys, "construct", "--a", "0.3", "--x", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("a, x", [("0.999999", "0.500001"), ("1e-15", "0.1")])
+    def test_unrepresentable_gap_exits_usage(self, capsys, a, x):
+        # g(1/2) and g(x) round to the same double on the constructed instance
+        code, _, err = run_cli(capsys, "construct", "--a", a, "--x", x)
+        assert code == 2
+        assert "g(1/2)" in err and "|x - 1/2|" in err and "not representable" in err
+
 
 class TestVerifyCommand:
     def test_rates_suite_passes(self, capsys):
@@ -212,6 +219,12 @@ class TestDemoCommand:
         payload = json.loads(out)
         assert payload["confirmed"] is True
         assert payload["certificate"]["a_target"] == 0.6
+
+    @pytest.mark.parametrize("grid", ["0", "nan", "-0.1", "0.4", "0.45", "1", "inf"])
+    def test_grid_outside_its_range_exits_usage(self, capsys, grid):
+        code, out, err = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "(0, 0.4)" in err
 
     def test_symmetric_reference_has_no_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.3")

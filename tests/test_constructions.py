@@ -167,6 +167,11 @@ class TestConstructBeatingInstance:
         with pytest.raises(ArgumentError):
             construct_beating_instance(0.3, 0.5)
 
+    @pytest.mark.parametrize("a, x", [(0.999999, 0.500001), (1e-15, 0.1)])
+    def test_unrepresentable_gap_rejected(self, a, x):
+        with pytest.raises(ArgumentError, match="not representable"):
+            construct_beating_instance(a, x)
+
     def test_boundary_allocations_admitted(self):
         reverify(construct_beating_instance(0.35, 1.0))
         reverify(construct_beating_instance(0.35, 0.0))

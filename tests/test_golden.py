@@ -35,6 +35,10 @@ COMMANDS = [
     "demo --mu0 0.9,0.5 --grid 0.05",
     "verify rates --samples 60 --seed 7",
     "verify dual --samples 60 --seed 3",
+    "mc --policy plugin:0.5 --mu 0.6,0.4 --T 60 --n 100 --seed 1",
+    "mc --policy plugin:0.2 --mu 0.45,0.65 --T 48 --n 100 --seed 2",
+    "mc --policy plugin:0.5 --mu 0.5,0.3 --T 60 --n 100 --seed 3",
+    "mc --policy plugin:0.2 --mu 0.4,0.58 --T 48 --n 100 --seed 4",
 ]
 
 

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from brute_force import replay_pick2, stream_draw
+
 from bailab.errors import ArgumentError, DomainError
 from bailab.exact import exact_summary, static_error_exact
 from bailab.mc import (
     Estimate,
     _mix64,
+    _replay_adaptive,
     _uniform_batch,
-    _uniform_scalar,
     simulate_plain,
     simulate_tilted_static,
 )
@@ -28,7 +30,7 @@ class TestStreams:
             for k in (0, 1, 7):
                 batch = _uniform_batch(seed, reps, k)
                 for i in (0, 1, 55, 199):
-                    assert batch[i] == _uniform_scalar(seed, i, k)
+                    assert batch[i] == stream_draw(seed, i, k)
 
     def test_streams_fill_the_unit_interval(self):
         u = _uniform_batch(7, np.arange(200_000, dtype=np.uint64), 0)
@@ -66,6 +68,14 @@ class TestSimulatePlain:
         assert abs(est.mean - exact_p) <= 4 * est.std_err
         again = simulate_plain(policy, INST, 12, 40_000, 11)
         assert est == again
+
+    @pytest.mark.parametrize("T", [2, 3, 17])
+    @pytest.mark.parametrize("mu", [(0.7, 0.3), (0.45, 0.6)])
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    def test_adaptive_replay_matches_scalar_reference(self, rate, mu, T):
+        policy, inst = PolicySpec.plugin_tracking(rate), BanditInstance(*mu)
+        masses = _replay_adaptive(policy, inst, T, 21, np.arange(64, dtype=np.uint64))
+        assert masses.tolist() == [replay_pick2(policy, inst, T, 21, i) for i in range(64)]
 
     def test_degenerate_instance_rejected(self):
         with pytest.raises(DomainError):

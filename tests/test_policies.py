@@ -15,6 +15,7 @@ from bailab.policies import (
     pick2_mass,
     plugin_action_grid,
     plugin_action_prob,
+    plugin_actions,
     policy_label,
     pulls_arm2_at,
     recommend,
@@ -159,6 +160,23 @@ class TestPluginTracking:
             for s1 in range(n1 + 1):
                 for s2 in range(t - n1 + 1):
                     assert grid[s1, s2] == plugin_action_prob(t, n1, s1, s2, fr)
+
+    def test_first_two_rounds_are_floats(self):
+        # the exact engine moves a float action's slice without splitting it
+        for action, want in [(plugin_action_grid(0, 0, 1, 1, 0.35), 1.0),
+                             (plugin_action_grid(1, 1, 2, 1, 0.35), 0.0)]:
+            assert isinstance(action, float) and action == want
+
+    def test_kernel_over_count_arrays_matches_scalar_bitwise(self):
+        rng = np.random.default_rng(4)
+        fr, t = 0.2, 25
+        n1 = rng.integers(1, t, size=500)
+        s1 = rng.integers(0, n1 + 1)
+        s2 = rng.integers(0, t - n1 + 1)
+        probs = plugin_actions(t, n1, s1, s2, fr)
+        for k in range(n1.size):
+            want = plugin_action_prob(t, int(n1[k]), int(s1[k]), int(s2[k]), fr)
+            assert probs[k] == want
 
 
 class TestRecommend:
