@@ -78,6 +78,8 @@ class ExactSummary:
 class ComSlack(NamedTuple):
     slack: float
     rhs_infinite: bool
+    p_pick2_pi: float
+    p_pick2_mu: float
 
 
 class RatePoint(NamedTuple):
@@ -261,7 +263,7 @@ def change_of_measure_slack(
     difference and is nonnegative up to round-off.  A boundary decision
     probability on the ``mu`` side with an interior one on the ``pi``
     side makes the RHS infinite; that case is reported with the flag set
-    and an infinite slack.
+    and an infinite slack.  Both decision probabilities are returned too.
     """
     s_pi = exact_summary(policy, pi_inst, T)
     s_mu = exact_summary(policy, mu_inst, T)
@@ -269,10 +271,10 @@ def change_of_measure_slack(
     lhs += (T - s_pi.e_n1) * kl_bernoulli(pi_inst.mu2, mu_inst.mu2)
     p, q = s_pi.p_pick2, s_mu.p_pick2
     if 0.0 < q < 1.0:
-        return ComSlack(lhs - kl_bernoulli(p, q), False)
+        return ComSlack(lhs - kl_bernoulli(p, q), False, p, q)
     if p == q:
-        return ComSlack(lhs, False)
-    return ComSlack(math.inf, True)
+        return ComSlack(lhs, False, p, q)
+    return ComSlack(math.inf, True, p, q)
 
 
 def rate_ratio_scan(

@@ -12,20 +12,23 @@ empirical mean and splits exact ties fairly.
 arrays of counts, for the exact engine and Monte Carlo alike; the package
 validates budgets with :func:`check_budget`.  :func:`plugin_actions` is the
 tracking rule over arrays of counts, for the exact engine and Monte Carlo
-alike; :func:`plugin_action_prob`, the rule for one state, is the reference
-the tree oracle replays and shares a bounded ``x*`` cache with oracle schedules.
+alike, and :func:`plugin_action_prob` calls it for one state.  Tracking
+solves for no ``x*``: ``exp(-g)`` is strictly convex in the arm-2 share, so
+arm 1 is pulled iff its slope at the share ``n2/t`` is ``>= 0`` (0 included).
+Equal clamped means pull the arm with fewer pulls, arm 2 on equal counts;
+forcing pulls the arm with fewer pulls, arm 1 on equal counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ArgumentError, RecommendationError
-from .rates import BanditInstance, x_star, x_star_grid
+# x_star_grid is unused here; it stays a module attribute for benchmark tracing
+from .rates import BanditInstance, x_star, x_star_grid  # noqa: F401
 
 __all__ = [
     "PolicyState",
@@ -47,10 +50,6 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("uniform", "static", "oracle_static", "plugin_tracking")
-
-# Bounds the memory of the x* cache (keyed on mean pairs), which only the scalar
-# tracking rule and oracle fractions fill; plugin_actions does not use it.
-X_STAR_CACHE_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class PolicyState:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Immutable description of a sampling policy."""
+    """Immutable description of a sampling policy; ``oracle_static`` sets ``x`` to ``x*(ref)``."""
 
     kind: str
     x: float | None = None
@@ -92,6 +91,7 @@ class PolicySpec:
         if self.kind == "oracle_static":
             if self.ref is None or not self.ref.is_separated:
                 raise ArgumentError("oracle_static needs a reference instance with distinct means")
+            object.__setattr__(self, "x", x_star(self.ref))
         if self.kind == "plugin_tracking":
             fr = self.force_rate
             if fr is None or math.isnan(fr) or not 0.0 < fr <= 1.0:
@@ -124,16 +124,9 @@ class PolicySpec:
         """Arm-2 fraction of the deterministic schedule."""
         if self.kind == "uniform":
             return 0.5
-        if self.kind == "static":
+        if self.kind in ("static", "oracle_static"):
             return self.x
-        if self.kind == "oracle_static":
-            return _cached_x_star(self.ref.mu1, self.ref.mu2)
         raise ArgumentError(f"{self.kind} has no deterministic schedule")
-
-
-@lru_cache(maxsize=X_STAR_CACHE_SIZE)
-def _cached_x_star(mu1: float, mu2: float) -> float:
-    return x_star(BanditInstance(mu1, mu2))
 
 
 def check_budget(T: int) -> int:
@@ -192,36 +185,29 @@ def schedule_pulls_arm1(policy: PolicySpec, t: int) -> bool:
 
 
 def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> float:
-    """Probability that the tracking rule pulls arm 1 from the given counts.
+    """:func:`plugin_actions` for one state.
 
-    First two rounds pull each arm once.  Afterwards the under-sampled arm
-    (ties to arm 1) is forced with probability ``force_rate``; otherwise
-    arm 1 is pulled iff its share of pulls is below ``1 - x*`` of the
-    plug-in instance, whose empirical means are clamped to
-    ``[1/(t+1), 1 - 1/(t+1)]`` (equal clamped means target 1/2).
+    Raises ArgumentError on a state no run reaches: after round 2 both
+    arms have at least one pull.
     """
-    if t == 0:
-        return 1.0
-    if t == 1:
-        return 0.0
-    n2 = t - n1
-    lo = 1.0 / (t + 1)
-    hi = 1.0 - lo
-    m1 = min(max(s1 / n1, lo), hi)
-    m2 = min(max(s2 / n2, lo), hi)
-    target = 0.5 if m1 == m2 else _cached_x_star(m1, m2)
-    track_arm1 = (n1 / t) < 1.0 - target
-    forced_arm1 = n1 <= n2
-    return force_rate * (1.0 if forced_arm1 else 0.0) + (1.0 - force_rate) * (
-        1.0 if track_arm1 else 0.0
-    )
+    if t >= 2 and not 1 <= n1 <= t - 1:
+        raise ArgumentError(f"tracking state t={t}, n1={n1} is unreachable: "
+                            "after round 2 both arms have at least one pull")
+    # a one-element array, so that the powers take numpy's array power (see plugin_actions)
+    return float(np.ravel(plugin_actions(t, np.array([n1]), s1, s2, force_rate))[0])
 
 
 def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
-    """:func:`plugin_action_prob` over broadcastable integer count arrays of round ``t``.
+    """Probability that the tracking rule pulls arm 1, over broadcastable
+    integer count arrays of round ``t``.
 
-    Rounds 0 and 1 return the float 1.0 or 0.0; later rounds apply the scalar
-    rule's floating operations elementwise, so the probabilities are bit-identical.
+    Rounds 0 and 1 return the float 1.0 or 0.0: each arm is pulled once.
+    Afterwards the arm with fewer pulls (arm 1 on equal counts) is forced
+    with probability ``force_rate``.  Otherwise the empirical means are
+    clamped to ``[1/(t+1), 1 - 1/(t+1)]`` and arm 1 is pulled iff the slope
+    of ``exp(-g)`` of the clamped instance at the arm-2 share ``y = n2/t``
+    is ``>= 0``, i.e. iff ``y >= x*``, a slope of exactly 0 included; equal
+    clamped means pull the arm with fewer pulls, arm 2 on equal counts.
     """
     if t == 0:
         return 1.0
@@ -233,11 +219,13 @@ def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
     m1 = np.minimum(np.maximum(s1 / n1, lo), hi)
     m2 = np.minimum(np.maximum(s2 / n2, lo), hi)
     m1, m2 = np.broadcast_arrays(m1, m2)
-    target = np.full(m1.shape, 0.5)
-    separated = m1 != m2
-    if np.any(separated):
-        target[separated] = x_star_grid(m1[separated], m2[separated])
-    track_arm1 = (n1 / t) < 1.0 - target
+    # A full array exponent: numpy takes a float or broadcast exponent 0.5 as
+    # sqrt and numpy scalars to the C library's pow; both can differ from the
+    # array power in the last bit and flip a slope that is 0 up to rounding.
+    y = np.full(m1.shape, n2 / t)
+    slope = (1.0 - m1) ** (1.0 - y) * (1.0 - m2) ** y * np.log((1.0 - m2) / (1.0 - m1))
+    slope = slope + m1 ** (1.0 - y) * m2 ** y * np.log(m2 / m1)
+    track_arm1 = np.where(m1 == m2, n1 < n2, slope >= 0.0)
     forced_arm1 = n1 <= n2
     return force_rate * forced_arm1 + (1.0 - force_rate) * track_arm1
 

@@ -366,10 +366,8 @@ def suite_com(samples: int, seed: int) -> list[PropertyResult]:
         }
         if not res.rhs_infinite:
             slack.update(res.slack, **where)
-        p = exact.exact_summary(policy, pi_inst, T).p_pick2
-        q = exact.exact_summary(policy, mu_inst, T).p_pick2
-        if 0.0 < q < 1.0:
-            chained.update(rates.pinsker_like_bound_slack(p, q), **where)
+        if 0.0 < res.p_pick2_mu < 1.0:
+            chained.update(rates.pinsker_like_bound_slack(res.p_pick2_pi, res.p_pick2_mu), **where)
     return [
         _result("change-of-measure slack", samples, slack, -1e-10,
                 slack.value >= -1e-10),

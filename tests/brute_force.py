@@ -7,6 +7,11 @@ checks.  The path weights are summed with ``math.fsum``: a running float
 sum over the tens of thousands of leaves at T=12 drifts by ~1e-12, the
 size of the tolerance the comparison uses.
 
+The textbook tracking rule solves for the optimal allocation ``x*`` of the
+plug-in instance by bisection and compares the arm-1 share with
+``1 - x*``; the library's rule, a sign test on the slope at the current
+share, must make the same decision.
+
 The scalar replay runs one Monte Carlo replication of a policy draw by
 draw, through the same public interface, with each draw computed from the
 documented splitmix64 stream formula.
@@ -16,9 +21,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from bailab.mc import _mix64
 from bailab.policies import PolicySpec, PolicyState, action_distribution, recommend
-from bailab.rates import BanditInstance
+from bailab.rates import BanditInstance, x_star_grid
 
 
 def enumerate_summary(
@@ -47,6 +54,20 @@ def enumerate_summary(
     walk(0, 0, 0, 0, 1.0)
     p_error, p_pick2, e_n1 = (math.fsum(column) for column in terms)
     return p_error, p_pick2, e_n1
+
+
+def textbook_track_arm1(t: int, n1, s1, s2) -> np.ndarray:
+    """Unforced tracking decision at round ``t >= 2`` over count arrays: pull
+    arm 1 iff its share of pulls is below ``1 - x*`` of the plug-in instance,
+    whose empirical means are clamped to ``[1/(t+1), 1 - 1/(t+1)]``; equal
+    clamped means target 1/2."""
+    lo = 1.0 / (t + 1)
+    m1 = np.clip(s1 / n1, lo, 1.0 - lo)
+    m2 = np.clip(s2 / (t - n1), lo, 1.0 - lo)
+    target = np.full(m1.shape, 0.5)
+    separated = m1 != m2
+    target[separated] = x_star_grid(m1[separated], m2[separated])
+    return n1 / t < 1.0 - target
 
 
 def stream_draw(seed: int, rep: int, k: int) -> float:

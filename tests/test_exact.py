@@ -173,11 +173,12 @@ class TestChangeOfMeasure:
         assert res.slack == 0.0  # d(mu, mu) = 0 on both sides
 
     def test_spec_point_pair(self):
-        res = change_of_measure_slack(
-            PolicySpec.uniform(), BanditInstance(0.3, 0.7), BanditInstance(0.7, 0.3), 10
-        )
+        pi_inst, mu_inst = BanditInstance(0.3, 0.7), BanditInstance(0.7, 0.3)
+        res = change_of_measure_slack(PolicySpec.uniform(), pi_inst, mu_inst, 10)
         assert not res.rhs_infinite
         assert res.slack >= 0.0
+        assert res.p_pick2_pi == exact_summary(PolicySpec.uniform(), pi_inst, 10).p_pick2
+        assert res.p_pick2_mu == exact_summary(PolicySpec.uniform(), mu_inst, 10).p_pick2
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(59)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from brute_force import textbook_track_arm1
+
 from bailab.errors import ArgumentError, RecommendationError
 from bailab.policies import (
     PolicySpec,
@@ -177,6 +179,43 @@ class TestPluginTracking:
         for k in range(n1.size):
             want = plugin_action_prob(t, int(n1[k]), int(s1[k]), int(s2[k]), fr)
             assert probs[k] == want
+
+    @pytest.mark.parametrize("fr", [0.0, 0.35])
+    def test_kernel_matches_the_textbook_rule_on_every_state(self, fr):
+        # flat count arrays, as Monte Carlo passes them, and the (s1, s2)
+        # grids of the exact engine's slices, whose exponent is a broadcast
+        for t in range(2, 61):
+            n1, s1, s2 = (np.array(column) for column in zip(*[
+                (n1, s1, s2)
+                for n1 in range(1, t)
+                for s1 in range(n1 + 1)
+                for s2 in range(t - n1 + 1)
+            ]))
+            want = fr * (n1 <= t - n1) + (1.0 - fr) * textbook_track_arm1(t, n1, s1, s2)
+            assert np.array_equal(plugin_actions(t, n1, s1, s2, fr), want), t
+            grids = [plugin_action_grid(t, k, k + 1, t - k + 1, fr).ravel() for k in range(1, t)]
+            assert np.array_equal(np.concatenate(grids), want), t
+            if t <= 12:
+                for k in range(n1.size):
+                    got = plugin_action_prob(t, int(n1[k]), int(s1[k]), int(s2[k]), fr)
+                    assert got == want[k]
+
+    @pytest.mark.parametrize("state,want", [
+        # the slope of exp(-g) at n2/t is -1.5e-14 and +8.3e-14 in 50-digit
+        # arithmetic, below what a 34-step bisection for x* resolves
+        ((152497, 75518, 69560, 70086), 0.0),
+        ((202295, 102407, 81228, 82882), 1.0),
+    ])
+    def test_sign_of_a_tiny_slope_at_large_t(self, state, want):
+        assert plugin_action_prob(*state, 0.0) == want
+        t, n1, s1, s2 = state
+        assert plugin_actions(t, np.array([n1]), s1, s2, 0.0)[0] == want
+
+    @pytest.mark.parametrize("state", [(3, 0, 0, 0), (3, 3, 1, 0)])
+    def test_unreachable_states_name_the_limit(self, state):
+        policy = PolicySpec.plugin_tracking(0.5)
+        with pytest.raises(ArgumentError, match="after round 2 both arms have at least one pull"):
+            action_distribution(policy, PolicyState(*state))
 
 
 class TestRecommend:
