@@ -10,7 +10,10 @@ lexicographic (n1, s1, s2) order, so repeated runs are bit-identical.
 
 Static schedules additionally get a closed binomial fast path that
 works entirely in the log domain and therefore survives budgets deep
-into the underflow range of plain probabilities.
+into the underflow range of plain probabilities.  Its binomial log-pmf
+is ``scipy.special``'s ``gammaln``/``xlogy``/``xlog1py`` in the grouping
+of ``scipy.stats.binom.logpmf``, so it has the same bits without
+importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import ArgumentError, CapacityError, DomainError, RecommendationError
 from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,
@@ -214,6 +217,30 @@ def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSumm
     )
 
 
+def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
+    """:func:`schedule_counts`, raising CapacityError when an arm's binomial
+    table of ``n + 1`` entries is over the state limit.
+
+    The log path and static Monte Carlo each build one such table per arm;
+    both call this before building either.
+    """
+    n1, n2 = schedule_counts(x, T, label)
+    length = max(n1, n2) + 1
+    limit = _max_states()
+    if length > limit:
+        raise CapacityError(
+            f"T={T} needs a binomial table of {length} entries, over the limit of {limit}; "
+            f"set {MAX_STATES_ENV} to raise it"
+        )
+    return n1, n2
+
+
+def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P[Binomial(n, p) = k], grouped as ``scipy.stats.binom.logpmf`` groups it."""
+    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+
+
 def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
     """log P[recommend arm 2] for independent binomial counts, arm 1 best.
 
@@ -222,8 +249,8 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
     positive double.
     """
     s1 = np.arange(n1 + 1)
-    lb1 = binom.logpmf(s1, n1, m1)
-    lb2 = binom.logpmf(np.arange(n2 + 1), n2, m2)
+    lb1 = _binom_logpmf(s1, n1, m1)
+    lb2 = _binom_logpmf(np.arange(n2 + 1), n2, m2)
     logtail = np.empty(n2 + 2)
     logtail[n2 + 1] = -np.inf
     logtail[: n2 + 1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
@@ -241,7 +268,7 @@ def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
     T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("the error probability needs distinct means")
-    n1, n2 = schedule_counts(x, T, f"static:{x}")
+    n1, n2 = static_counts(x, T, f"static:{x}")
     if inst.mu1 > inst.mu2:
         return _error_log_best1(n1, inst.mu1, n2, inst.mu2)
     return _error_log_best1(n2, inst.mu2, n1, inst.mu1)

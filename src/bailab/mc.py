@@ -25,12 +25,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+# scipy.stats.binom.cdf calls this same Boost ufunc (tests/test_mc.py pins the
+# two together); importing it from scipy.special keeps scipy.stats, about 1 s
+# of start-up, off the import path.
+from scipy.special._ufuncs import _binom_cdf as _boost_binom_cdf
 
 from .errors import ArgumentError, DomainError
+from .exact import static_counts
 # plugin_action_prob is unused here; it stays a module attribute for benchmark tracing
 from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_prob,  # noqa: F401
-                       plugin_actions, schedule_counts)
+                       plugin_actions)
 from .rates import BanditInstance, lambda_star
 
 __all__ = ["Estimate", "simulate_plain", "simulate_tilted_static"]
@@ -76,8 +80,10 @@ def _uniform_batch(seed: int, rep_ids: np.ndarray, draw_index: int) -> np.ndarra
 
 
 def _binom_cdf(n: int, p: float) -> np.ndarray:
-    cdf = binom.cdf(np.arange(n + 1), n, p)
-    cdf[-1] = 1.0  # guard the searchsorted upper end against round-off
+    """P[Binomial(n, p) <= k] for k = 0 .. n, as ``scipy.stats.binom.cdf`` gives it."""
+    cdf = np.empty(n + 1)
+    cdf[:n] = np.clip(_boost_binom_cdf(np.arange(n, dtype=np.float64), n, p), 0.0, 1.0)
+    cdf[n] = 1.0  # exact at k = n; also guards the searchsorted upper end
     return cdf
 
 
@@ -109,7 +115,7 @@ def simulate_plain(
     reps = np.arange(n, dtype=np.uint64)
     if policy.deterministic_schedule:
         # counts are schedule-determined; two binomial draws per stream
-        n1, n2 = schedule_counts(policy.schedule_fraction(), T, policy.description)
+        n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
         s1 = _binom_from_uniform(_uniform_batch(seed, reps, 0), _binom_cdf(n1, inst.mu1))
         s2 = _binom_from_uniform(_uniform_batch(seed, reps, 1), _binom_cdf(n2, inst.mu2))
         pick2 = pick2_mass(s1, n1, s2, n2)
@@ -149,7 +155,7 @@ def simulate_tilted_static(
     reported raw (noise can push them above 1).
     """
     T, n = _check_args(inst, T, n)
-    n1, n2 = schedule_counts(x, T, f"static:{x}")
+    n1, n2 = static_counts(x, T, f"static:{x}")
     lam = lambda_star(x, inst)
     reps = np.arange(n, dtype=np.uint64)
     s1 = _binom_from_uniform(_uniform_batch(seed, reps, 0), _binom_cdf(n1, lam))

@@ -35,6 +35,8 @@ def enumerate_summary(
     m1, m2 = inst.mu1, inst.mu2
     best = inst.best_arm
     terms: tuple[list[float], list[float], list[float]] = ([], [], [])
+    # many paths reach each state; the policy is asked once per state
+    actions: dict[tuple[int, int, int, int], float] = {}
 
     def walk(t: int, n1: int, s1: int, s2: int, prob: float) -> None:
         if t == T:
@@ -43,7 +45,10 @@ def enumerate_summary(
             terms[1].append(prob * d2)
             terms[2].append(prob * n1)
             return
-        p1 = action_distribution(policy, PolicyState(t, n1, s1, s2))
+        state = (t, n1, s1, s2)
+        p1 = actions.get(state)
+        if p1 is None:
+            p1 = actions[state] = action_distribution(policy, PolicyState(*state))
         if p1 > 0.0:
             walk(t + 1, n1 + 1, s1 + 1, s2, prob * p1 * m1)
             walk(t + 1, n1 + 1, s1, s2, prob * p1 * (1.0 - m1))

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bailab
 from bailab.cli import main
 from bailab.exact import exact_summary
 from bailab.policies import PolicySpec, parse_policy
@@ -231,3 +236,41 @@ class TestDemoCommand:
         assert code == 0
         payload = json.loads(out)
         assert "no witness" in payload["message"]
+
+
+# One command of each benchmark shape.
+IMPORT_PATH_COMMANDS = [
+    ["exact", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "40"],
+    ["exact", "--policy", "plugin:0.5", "--mu", "0.7,0.3", "--T", "12"],
+    ["scan", "--policy", "oracle:0.9,0.5", "--mu", "0.7,0.3", "--T", "100,1000"],
+    ["mc", "--policy", "static:0.4", "--mu", "0.7,0.3", "--T", "50", "--n", "1000",
+     "--seed", "1"],
+    ["mc", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "200", "--n", "1000",
+     "--seed", "1", "--tilted"],
+    ["demo", "--mu0", "0.9,0.5", "--grid", "0.1"],
+]
+
+IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import bailab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [bailab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "stats": sorted(m for m in sys.modules if m.startswith("scipy.stats"))}))
+"""
+
+
+def test_cli_never_imports_scipy_stats():
+    """``scipy.stats`` costs about 1 s to import and the library needs none of
+    it; a lazy import inside a command would hide that cost in its run time."""
+    env = dict(os.environ)
+    src = str(Path(bailab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, json.dumps(IMPORT_PATH_COMMANDS)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(IMPORT_PATH_COMMANDS)
+    assert result["stats"] == []

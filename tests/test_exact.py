@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from brute_force import enumerate_summary
 
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
+    _binom_logpmf,
     change_of_measure_slack,
     dp_layers,
     exact_summary,
     rate_ratio_scan,
     stability_profile,
+    static_counts,
     static_error_exact,
     static_error_log,
 )
+from bailab.mc import simulate_plain, simulate_tilted_static
 from bailab.policies import PolicySpec, arm2_count
 from bailab.rates import BanditInstance, g_closed, kl_bernoulli, pinsker_like_bound_slack
 
@@ -154,6 +158,37 @@ class TestStaticFastPath:
             static_error_log(0.18930722269290384, INST, 2)
         with pytest.raises(ArgumentError, match="samples both arms is T=6"):
             exact_summary(PolicySpec.static(0.18930722269290384), INST, 5)
+
+
+class TestBinomialLogPmf:
+    @pytest.mark.parametrize("n", [1, 7, 40, 900, 100_000])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
+    def test_equals_scipy_stats_bit_for_bit(self, n, p):
+        k = np.arange(n + 1)
+        assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+
+
+class TestBinomialTableLimit:
+    """Each arm's binomial table has n + 1 entries; the log path and static
+    Monte Carlo refuse one over the state limit before allocating it."""
+
+    def test_table_at_the_limit_is_allowed(self, monkeypatch):
+        monkeypatch.setenv("BAI_MAX_STATES", "51")
+        assert static_counts(0.5, 100, "uniform") == (50, 50)
+        assert math.isfinite(static_error_log(0.5, INST, 100))
+
+    @pytest.mark.parametrize("run, length", [
+        (lambda: static_error_log(0.5, INST, 101), 52),
+        (lambda: rate_ratio_scan(PolicySpec.uniform(), INST, [100, 101]), 52),
+        (lambda: simulate_plain(PolicySpec.uniform(), INST, 101, 10, 0), 52),
+        (lambda: simulate_plain(PolicySpec.static(0.3), INST, 101, 10, 0), 72),
+        (lambda: simulate_tilted_static(0.5, INST, 101, 10, 0), 52),
+    ], ids=["log_path", "scan", "plain_mc", "plain_mc_static", "tilted_mc"])
+    def test_over_the_limit_raises_naming_length_and_limit(self, monkeypatch, run, length):
+        monkeypatch.setenv("BAI_MAX_STATES", "51")
+        limit = f"table of {length} entries, over the limit of 51"
+        with pytest.raises(CapacityError, match=limit):
+            run()
 
 
 class TestArmSwapSymmetry:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from brute_force import replay_pick2, stream_draw
 
@@ -11,14 +12,15 @@ from bailab.errors import ArgumentError, DomainError
 from bailab.exact import exact_summary, static_error_exact
 from bailab.mc import (
     Estimate,
+    _binom_cdf,
     _mix64,
     _replay_adaptive,
     _uniform_batch,
     simulate_plain,
     simulate_tilted_static,
 )
-from bailab.policies import PolicySpec
-from bailab.rates import BanditInstance, g_closed
+from bailab.policies import PolicySpec, schedule_counts
+from bailab.rates import BanditInstance, g_closed, lambda_star
 
 INST = BanditInstance(0.7, 0.3)
 
@@ -42,6 +44,22 @@ class TestStreams:
     def test_mix_is_deterministic(self):
         assert _mix64(0) == _mix64(0)
         assert _mix64(1) != _mix64(2)
+
+
+class TestBinomialCdf:
+    """The inverse-CDF sampler's table equals ``scipy.stats.binom.cdf``, which
+    calls the same ufunc, so static draws stay what they were."""
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 900, 100_000])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
+    def test_equals_scipy_stats_bit_for_bit(self, n, p):
+        assert np.array_equal(_binom_cdf(n, p), binom.cdf(np.arange(n + 1), n, p))
+
+    def test_equals_scipy_stats_at_an_oracle_tilt(self):
+        x = PolicySpec.oracle_static(BanditInstance(0.9, 0.5)).schedule_fraction()
+        lam = lambda_star(x, INST)
+        for n in schedule_counts(x, 2001, "oracle"):
+            assert np.array_equal(_binom_cdf(n, lam), binom.cdf(np.arange(n + 1), n, lam))
 
 
 class TestSimulatePlain:
