@@ -57,7 +57,6 @@ from .policies import (
 from .rates import (
     BanditInstance,
     RateProfile,
-    g_by_minimization,
     g_closed,
     kl_bernoulli,
     lambda_star,

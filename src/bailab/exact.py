@@ -1,19 +1,20 @@
-"""Exact finite-horizon evaluation by forward dynamic programming.
+"""Exact finite-horizon evaluation: a binomial log path for fixed
+schedules and a forward dynamic program for adaptive policies.
+
+The log path works entirely in the log domain and therefore survives
+budgets deep into the underflow range of plain probabilities.  Its
+binomial log-pmf is ``scipy.special``'s ``gammaln``/``xlogy``/``xlog1py``
+in the grouping of ``scipy.stats.binom.logpmf``, so it has the same bits
+without importing ``scipy.stats``.
 
 The DP runs over sufficient-statistic states ``(n1, s1, s2)`` with
 ``n2 = t - n1`` implied.  A layer is stored as a dict mapping ``n1`` to
 an array of shape ``(n1+1, t-n1+1)`` holding the probability of each
-``(s1, s2)`` cell; deterministic schedules occupy a single ``n1`` key
-per layer while randomized policies fan out across keys.  Layers are
-merged in ascending ``n1`` with row-major array updates, i.e. a fixed
-lexicographic (n1, s1, s2) order, so repeated runs are bit-identical.
-
-Static schedules additionally get a closed binomial fast path that
-works entirely in the log domain and therefore survives budgets deep
-into the underflow range of plain probabilities.  Its binomial log-pmf
-is ``scipy.special``'s ``gammaln``/``xlogy``/``xlog1py`` in the grouping
-of ``scipy.stats.binom.logpmf``, so it has the same bits without
-importing ``scipy.stats``.
+``(s1, s2)`` cell; randomized policies fan out across keys, while a fixed
+schedule (which the tests run through the DP to cross-check the log
+path) occupies one key per layer.  Layers are merged in ascending ``n1``
+with row-major array updates, i.e. a fixed lexicographic (n1, s1, s2)
+order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ __all__ = [
     "stability_profile",
 ]
 
-# Per-layer state budget; ~T^3/6 states per layer caps adaptive budgets
-# near T=150 while deterministic schedules (one n1 slice per layer) reach
-# far further.  Override with the BAI_MAX_STATES environment variable.
+# State budget: ~T^3/6 DP states per layer cap adaptive budgets near T=150,
+# and a fixed schedule's binomial tables (n + 1 entries per arm) near
+# T=1.2e6 at x = 1/2.  Override with the BAI_MAX_STATES environment variable.
 DEFAULT_MAX_STATES = 600_000
 
 MAX_STATES_ENV = "BAI_MAX_STATES"
@@ -168,13 +169,14 @@ def dp_layers(
         yield t + 1, layer
 
 
-def _final_decision(layer: dict[int, np.ndarray], T: int) -> tuple[float, float, float]:
-    """(p_pick1, p_pick2, e_n1) from the final DP layer."""
-    p_pick1 = 0.0
-    p_pick2 = 0.0
-    e_n1 = 0.0
-    for n1 in sorted(layer):
-        mass = layer[n1]
+def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
+    """:func:`exact_summary` by the forward DP: the engine of adaptive
+    policies, and the cross-check of the log path on fixed schedules."""
+    for _, final in dp_layers(policy, inst, T):
+        pass  # the last layer yielded is round T's
+    p_pick1 = p_pick2 = e_n1 = 0.0
+    for n1 in sorted(final):
+        mass = final[n1]
         n2 = T - n1
         slice_total = float(np.sum(mass))
         if slice_total == 0.0:
@@ -185,36 +187,39 @@ def _final_decision(layer: dict[int, np.ndarray], T: int) -> tuple[float, float,
             )
         rows, cols = mass.shape
         pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], n2)
-        p2 = float(np.sum(mass * pick2))
-        p_pick2 += p2
+        p_pick2 += float(np.sum(mass * pick2))
         p_pick1 += float(np.sum(mass * (1.0 - pick2)))
         e_n1 += slice_total * n1
-    return p_pick1, p_pick2, e_n1
+    p_error = p_pick2 if inst.best_arm == 1 else p_pick1
+    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T)
+
+
+def _evaluate(policy: PolicySpec, inst: BanditInstance, T: int) -> tuple[ExactSummary, float]:
+    """The summary and ``log p_error``: fixed schedules on the log path, adaptive
+    policies on the DP.  The one engine choice in this module."""
+    if not policy.deterministic_schedule:
+        summary = _dp_summary(policy, inst, T)
+        p_error = summary.p_error
+        return summary, math.log(p_error) if p_error > 0.0 else -math.inf
+    x = policy.schedule_fraction()
+    n1, n2 = schedule_counts(x, T, policy.description)  # its errors name the policy
+    logp = static_error_log(x, inst, T)
+    p_error = math.exp(logp)
+    p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
+    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1), e_omega2=n2 / T), logp
 
 
 def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
     """Exact error probability, decision probability, and pull counts.
 
-    Deterministic given its arguments: the DP iterates states in a fixed
-    order, so repeated evaluations are bit-identical.
+    Fixed schedules take the binomial log path, with the schedule's own
+    pull counts; adaptive policies take the DP.  Deterministic given its
+    arguments: both engines fix their order of summation.
     """
     T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("exact_summary needs distinct means to define an error")
-    if policy.deterministic_schedule:
-        schedule_counts(policy.schedule_fraction(), T, policy.description)
-    final: dict[int, np.ndarray] = {}
-    for t, layer in dp_layers(policy, inst, T):
-        if t == T:
-            final = layer
-    p_pick1, p_pick2, e_n1 = _final_decision(final, T)
-    p_error = p_pick2 if inst.best_arm == 1 else p_pick1
-    return ExactSummary(
-        p_error=p_error,
-        p_pick2=p_pick2,
-        e_n1=e_n1,
-        e_omega2=(T - e_n1) / T,
-    )
+    return _evaluate(policy, inst, T)[0]
 
 
 def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
@@ -320,13 +325,8 @@ def rate_ratio_scan(
     points = []
     for T in T_grid:
         T = check_budget(T)
-        if policy.deterministic_schedule:
-            logp = static_error_log(policy.schedule_fraction(), inst, T)
-            p = math.exp(logp)
-        else:
-            p = exact_summary(policy, inst, T).p_error
-            logp = math.log(p)
-        points.append(RatePoint(T=T, p_error=p, ratio=T / -logp))
+        summary, logp = _evaluate(policy, inst, T)
+        points.append(RatePoint(T=T, p_error=summary.p_error, ratio=T / -logp))
     return RateScan(points=tuple(points), inv_g_half=1.0 / g_closed(0.5, inst))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError, RecommendationError
 # x_star_grid is unused here; it stays a module attribute for benchmark tracing
-from .rates import BanditInstance, x_star, x_star_grid  # noqa: F401
+from .rates import BanditInstance, exp_neg_g_slope, x_star, x_star_grid  # noqa: F401
 
 __all__ = [
     "PolicyState",
@@ -223,9 +223,7 @@ def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
     # sqrt and numpy scalars to the C library's pow; both can differ from the
     # array power in the last bit and flip a slope that is 0 up to rounding.
     y = np.full(m1.shape, n2 / t)
-    slope = (1.0 - m1) ** (1.0 - y) * (1.0 - m2) ** y * np.log((1.0 - m2) / (1.0 - m1))
-    slope = slope + m1 ** (1.0 - y) * m2 ** y * np.log(m2 / m1)
-    track_arm1 = np.where(m1 == m2, n1 < n2, slope >= 0.0)
+    track_arm1 = np.where(m1 == m2, n1 < n2, exp_neg_g_slope(m1, m2, y) >= 0.0)
     forced_arm1 = n1 <= n2
     return force_rate * forced_arm1 + (1.0 - force_rate) * track_arm1
 

@@ -3,12 +3,15 @@
 The central object is the error exponent ``g(x, inst)`` of a static
 sampling schedule that spends a fraction ``x`` of the budget on arm 2:
 the minimum over ``lam`` of ``(1-x) d(lam, mu1) + x d(lam, mu2)``, a
-mixture of Bernoulli KL divergences.  This module provides the closed
-form of ``g``, an independent derivative-free minimization route, the
-inner minimizer, the optimal allocation, and the elementary
-inequalities the rest of the package builds on.  It is also the home of
-the checked logit pair :func:`mean_to_natural` / :func:`natural_to_mean`
-(log-odds and logistic map), which :mod:`bailab.dual` re-exports.
+mixture of Bernoulli KL divergences.  This module holds closed forms
+only: ``g``, its inner minimizer, the slope of ``exp(-g)`` that the
+optimal allocation and the tracking rule both test, and the elementary
+inequalities the rest of the package builds on.  The optimal allocation
+:func:`x_star` is a bisection on that slope.  The iterative oracles that
+check these closed forms live in :mod:`bailab.verification`.  This is also
+the home of the checked logit pair :func:`mean_to_natural` /
+:func:`natural_to_mean` (log-odds and logistic map), which
+:mod:`bailab.dual` re-exports.
 
 Allocations are plain floats in [0, 1] (fraction of the budget on
 arm 2); instances are :class:`BanditInstance` pairs of means strictly
@@ -31,9 +34,8 @@ __all__ = [
     "mean_to_natural",
     "natural_to_mean",
     "g_closed",
-    "g_by_minimization",
-    "minimize_rate_objective",
     "lambda_star",
+    "exp_neg_g_slope",
     "x_star",
     "x_star_grid",
     "stationarity_residual",
@@ -41,7 +43,6 @@ __all__ = [
     "rate_profile",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG2 = math.log(2.0)
 
 
@@ -145,19 +146,6 @@ def kl_bernoulli(a: float, b: float) -> float:
     return total
 
 
-def _kl_mixture(lam: float, x: float, m1: float, m2: float) -> float:
-    """``(1-x) d(lam, m1) + x d(lam, m2)`` for ``lam`` strictly inside (0, 1).
-
-    The same floating operations as two :func:`kl_bernoulli` calls, minus
-    their argument checks: the search brackets of the minimization oracles
-    keep every argument interior, and the checks dominated their cost.
-    """
-    rest = 1.0 - lam
-    d1 = lam * math.log(lam / m1) + rest * math.log(rest / (1.0 - m1))
-    d2 = lam * math.log(lam / m2) + rest * math.log(rest / (1.0 - m2))
-    return (1.0 - x) * d1 + x * d2
-
-
 def g_closed(x: float, inst: BanditInstance) -> float:
     """Closed form of the static error exponent at allocation ``x``.
 
@@ -174,46 +162,6 @@ def g_closed(x: float, inst: BanditInstance) -> float:
     return -math.log(tail + head)
 
 
-def minimize_rate_objective(
-    x: float, inst: BanditInstance, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimization of the KL-mixture objective in lambda.
-
-    Returns ``(lambda_min, value)``.  The minimizer lies between the two
-    means because each KL term is monotone in lambda outside that
-    interval, so the search bracket is ``[min(mu), max(mu)]``.
-    """
-    x = _check_allocation(x)
-    _check_tol(tol)
-    m1, m2 = inst.mu1, inst.mu2
-    a, b = min(m1, m2), max(m1, m2)
-    h = b - a
-    if h <= tol:
-        lam = 0.5 * (a + b)
-        return lam, _kl_mixture(lam, x, m1, m2)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = _kl_mixture(c, x, m1, m2), _kl_mixture(d, x, m1, m2)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = _kl_mixture(c, x, m1, m2)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = _kl_mixture(d, x, m1, m2)
-    lam = 0.5 * (a + b)
-    return lam, _kl_mixture(lam, x, m1, m2)
-
-
-def g_by_minimization(x: float, inst: BanditInstance, tol: float = 1e-10) -> float:
-    """Static error exponent by direct 1-D minimization (oracle for g_closed)."""
-    return minimize_rate_objective(x, inst, tol)[1]
-
-
 def lambda_star(x: float, inst: BanditInstance) -> float:
     """Unique minimizer of the KL-mixture objective: odds interpolation.
 
@@ -224,6 +172,19 @@ def lambda_star(x: float, inst: BanditInstance) -> float:
     x = _check_allocation(x)
     s = (1.0 - x) * mean_to_natural(inst.mu1) + x * mean_to_natural(inst.mu2)
     return natural_to_mean(s)
+
+
+def exp_neg_g_slope(m1, m2, y):
+    """Derivative in the arm-2 share ``y`` of ``exp(-g)``, over arrays.
+
+    ``exp(-g) = (1-m1)^(1-y) (1-m2)^y + m1^(1-y) m2^y`` is strictly convex
+    in ``y``, so ``g`` increases exactly where this slope is negative.
+    Pass ``y`` as a full array of the result's shape: numpy computes a
+    float or broadcast exponent of 0.5 as ``sqrt``, which can differ from
+    the array power in the last bit.
+    """
+    slope = (1.0 - m1) ** (1.0 - y) * (1.0 - m2) ** y * np.log((1.0 - m2) / (1.0 - m1))
+    return slope + m1 ** (1.0 - y) * m2 ** y * np.log(m2 / m1)
 
 
 def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
@@ -239,17 +200,12 @@ def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
     m2 = np.asarray(mu2, dtype=float)
     if np.any(m1 == m2):
         raise DomainError("x_star needs distinct means: g is identically zero")
-    lr_tail = np.log((1.0 - m2) / (1.0 - m1))
-    lr_head = np.log(m2 / m1)
     shape = np.broadcast_shapes(m1.shape, m2.shape)
     lo = np.zeros(shape)
     hi = np.ones(shape)
     for _ in range(_bisect_iterations(tol)):
         mid = 0.5 * (lo + hi)
-        slope = (1.0 - m1) ** (1.0 - mid) * (1.0 - m2) ** mid * lr_tail
-        slope = slope + m1 ** (1.0 - mid) * m2 ** mid * lr_head
-        # slope is the derivative of exp(-g); g increases where it is negative
-        go_right = slope < 0.0
+        go_right = exp_neg_g_slope(m1, m2, mid) < 0.0
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)

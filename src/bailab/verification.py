@@ -5,8 +5,12 @@ sampled inputs and reports the worst case it saw.  The suites are
 deliberately independent of the code paths they check: closed forms are
 compared against direct minimization, dual quantities against primal
 ones, certificates against primal re-verification, and the
-change-of-measure inequality against exact dynamic programming on both
-sides.
+change-of-measure inequality against exact evaluation on both sides.
+
+The iterative oracles of :mod:`bailab.rates` live here, apart from the
+library: :func:`minimize_rate_objective` (golden section) and
+:func:`fd_argmin` (sign bisection), both over broadcastable arrays of
+allocations and means.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import constructions, dual, exact, rates
+from .errors import ArgumentError
 from .policies import PolicySpec, covering_budget
 
-__all__ = ["PropertyResult", "SUITES", "fd_argmin", "run_suites"]
+__all__ = ["PropertyResult", "SUITES", "fd_argmin", "minimize_rate_objective", "run_suites"]
 
 
 @dataclass
@@ -63,34 +68,75 @@ def _random_instance(rng, lo=0.05, hi=0.95, min_gap=0.01) -> rates.BanditInstanc
             return rates.BanditInstance(m1, m2)
 
 
-def fd_argmin(x: float, inst: rates.BanditInstance, h: float = 1e-7) -> float:
-    """Inner argmin located by sign bisection on the centered difference of
-    the mixture objective.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_WIDTH = 1e-10  # bracket width at which the golden section stops
+_FD_STEP = 1e-7  # half-step of fd_argmin's centered difference
+
+
+def _oracle_inputs(x, mu1, mu2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, mu1, mu2)`` as float arrays of one shape; allocations must lie in [0, 1]."""
+    x, m1, m2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, mu1, mu2)))
+    if not np.all((0.0 <= x) & (x <= 1.0)):
+        raise ArgumentError("allocations must lie in [0, 1]")
+    return x, m1, m2
+
+
+def _kl_mixture(lam, x, m1, m2):
+    """``(1-x) d(lam, m1) + x d(lam, m2)``, unchecked: the oracles keep ``lam`` inside (0, 1)."""
+    rest = 1.0 - lam
+    d1 = lam * np.log(lam / m1) + rest * np.log(rest / (1.0 - m1))
+    d2 = lam * np.log(lam / m2) + rest * np.log(rest / (1.0 - m2))
+    return (1.0 - x) * d1 + x * d2
+
+
+def minimize_rate_objective(x, mu1, mu2) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimization of the KL-mixture objective in lambda, over
+    broadcastable arrays: ``(lambda_min, value)``, the value being the oracle
+    for :func:`rates.g_closed`.
+
+    Each KL term is monotone in lambda outside the two means, so the search
+    bracket is ``[min(mu), max(mu)]``.  Each element stops once its bracket
+    is at most ``_GOLDEN_WIDTH`` wide; one that starts so narrow returns its
+    midpoint.
+    """
+    x, m1, m2 = _oracle_inputs(x, mu1, mu2)
+    a, b = np.minimum(m1, m2), np.maximum(m1, m2)
+    h = b - a
+    c, d = b - _INV_PHI * h, a + _INV_PHI * h
+    active = h > _GOLDEN_WIDTH
+    while np.any(active):
+        lower = _kl_mixture(c, x, m1, m2) < _kl_mixture(d, x, m1, m2)  # minimum in [a, d]
+        b = np.where(active & lower, d, b)
+        a = np.where(active & ~lower, c, a)
+        h = b - a
+        c, d = np.where(lower, b - _INV_PHI * h, d), np.where(lower, c, a + _INV_PHI * h)
+        active = h > _GOLDEN_WIDTH
+    lam = 0.5 * (a + b)
+    return lam, _kl_mixture(lam, x, m1, m2)
+
+
+def fd_argmin(x, mu1, mu2) -> np.ndarray:
+    """Inner argmin by sign bisection on the centered difference of the
+    mixture objective, over broadcastable arrays.
 
     Value-comparison minimizers (golden section) cannot resolve an argmin
     below ~sqrt(eps/curvature), about 1.5e-8 here; the sign of
     ``F(lam+h) - F(lam-h)`` stays informative down to ~1e-9, which the
     1e-8 comparisons need.  Boundary allocations pin the minimizer at the
-    sampled mean, no search required.
+    sampled mean, and means closer than ``2h`` give their midpoint.
     """
-    if x == 0.0:
-        return inst.mu1
-    if x == 1.0:
-        return inst.mu2
-
-    m1, m2 = inst.mu1, inst.mu2
-    objective = rates._kl_mixture
-    lo = min(m1, m2) + h
-    hi = max(m1, m2) - h
-    if lo >= hi:
-        return 0.5 * (m1 + m2)
+    x, m1, m2 = _oracle_inputs(x, mu1, mu2)
+    lo = np.minimum(m1, m2) + _FD_STEP
+    hi = np.maximum(m1, m2) - _FD_STEP
+    collapsed = lo >= hi
+    # collapsed brackets are replaced below; bisect them at 1/2, inside (0, 1)
+    lo, hi = np.where(collapsed, 0.5, lo), np.where(collapsed, 0.5, hi)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if objective(mid + h, x, m1, m2) - objective(mid - h, x, m1, m2) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        up = _kl_mixture(mid + _FD_STEP, x, m1, m2) - _kl_mixture(mid - _FD_STEP, x, m1, m2)
+        lo, hi = np.where(up < 0.0, mid, lo), np.where(up < 0.0, hi, mid)
+    lam = np.where(collapsed, 0.5 * (m1 + m2), 0.5 * (lo + hi))
+    return np.where(x == 0.0, m1, np.where(x == 1.0, m2, lam))
 
 
 def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
@@ -100,16 +146,15 @@ def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
     closed_vs_min = _Extremum(largest=True)
     argmin_vs_lambda = _Extremum(largest=True)
     stationarity = _Extremum(largest=True)
-    for _ in range(samples):
-        inst = _random_instance(rng, min_gap=0.0)
-        x = float(rng.uniform(0.0, 1.0))
-        gc = rates.g_closed(x, inst)
-        gm = rates.g_by_minimization(x, inst)
-        closed_vs_min.update(abs(gc - gm), mu1=inst.mu1, mu2=inst.mu2, x=x)
-        argmin_vs_lambda.update(
-            abs(fd_argmin(x, inst) - rates.lambda_star(x, inst)),
-            mu1=inst.mu1, mu2=inst.mu2, x=x,
-        )
+    cases = [(_random_instance(rng, min_gap=0.0), float(rng.uniform(0.0, 1.0)))
+             for _ in range(samples)]
+    xs, m1, m2 = np.array([(x, inst.mu1, inst.mu2) for inst, x in cases]).T
+    g_min = minimize_rate_objective(xs, m1, m2)[1].tolist()
+    lam_fd = fd_argmin(xs, m1, m2).tolist()
+    for (inst, x), gm, lam in zip(cases, g_min, lam_fd):
+        closed_vs_min.update(abs(rates.g_closed(x, inst) - gm), mu1=inst.mu1, mu2=inst.mu2, x=x)
+        argmin_vs_lambda.update(abs(lam - rates.lambda_star(x, inst)),
+                                mu1=inst.mu1, mu2=inst.mu2, x=x)
         if 0.0 < x < 1.0:
             stationarity.update(
                 abs(rates.stationarity_residual(x, inst)), mu1=inst.mu1, mu2=inst.mu2, x=x
@@ -387,6 +432,8 @@ SUITES = {
 
 def run_suites(names: list[str], samples: int, seed: int) -> list[PropertyResult]:
     """Run the named suites; ``all`` expands to every suite in order."""
+    if samples < 1:
+        raise ArgumentError(f"verify needs at least 1 sample, got {samples}")
     if names == ["all"]:
         names = list(SUITES)
     results = []

@@ -84,6 +84,15 @@ class TestExactCommand:
         assert code == 4
         assert "BAI_MAX_STATES" in err
 
+    def test_fixed_schedule_capacity_is_the_binomial_table(self, capsys):
+        # the log path's limit: far past T = 1547, where the uniform DP stopped
+        code, out, _ = run_cli(capsys, "exact", "--policy", "uniform",
+                               "--mu", "0.7,0.3", "--T", "2000")
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["e_n1"] == "1000"
+        assert row["e_omega2"] == "0.5"
+
     def test_sweep_config(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         config = {
@@ -197,6 +206,13 @@ class TestVerifyCommand:
                                "--seed", "7")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("suite, samples", [("rates", "0"), ("com", "-3")])
+    def test_fewer_than_one_sample_exits_usage(self, capsys, suite, samples):
+        code, out, err = run_cli(capsys, "verify", suite, "--samples", samples)
+        assert code == 2
+        assert "PASS" not in out
+        assert "at least 1 sample" in err
 
     def test_dual_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dual", "--samples", "60",

@@ -8,9 +8,11 @@ from scipy.stats import binom
 
 from brute_force import enumerate_summary
 
+from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
     _binom_logpmf,
+    _dp_summary,
     change_of_measure_slack,
     dp_layers,
     exact_summary,
@@ -119,13 +121,29 @@ class TestStaticFastPath:
     def test_matches_dp(self, x, T):
         if min(arm2_count(x, T), T - arm2_count(x, T)) < 1:
             pytest.skip("schedule does not cover both arms")
-        dp = exact_summary(PolicySpec.static(x), INST, T).p_error
+        dp = _dp_summary(PolicySpec.static(x), INST, T).p_error
         assert static_error_exact(x, INST, T) == pytest.approx(dp, abs=1e-12)
 
     def test_uniform_dp_equals_fast_path_at_even_and_odd_budgets(self):
         for T in (13, 40):
-            dp = exact_summary(PolicySpec.uniform(), INST, T).p_error
+            dp = _dp_summary(PolicySpec.uniform(), INST, T).p_error
             assert static_error_exact(0.5, INST, T) == pytest.approx(dp, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", BUILTINS[:5], ids=lambda p: p.description)
+    @pytest.mark.parametrize("inst", [INST, INST_REV], ids=["best1", "best2"])
+    def test_exact_summary_of_a_schedule_never_enters_the_dp(self, monkeypatch, policy, inst):
+        def no_dp(*args):
+            raise AssertionError("fixed schedules take the log path")
+
+        T = 40
+        dp = _dp_summary(policy, inst, T)
+        monkeypatch.setattr(exact, "dp_layers", no_dp)
+        s = exact_summary(policy, inst, T)
+        n2 = arm2_count(policy.schedule_fraction(), T)
+        assert (s.e_n1, s.e_omega2) == (T - n2, n2 / T)
+        assert s.p_error == pytest.approx(dp.p_error, abs=1e-12)
+        assert s.p_pick2 == pytest.approx(dp.p_pick2, abs=1e-12)
+        assert s.e_n1 == pytest.approx(dp.e_n1, abs=1e-12)
 
     def test_complement_symmetry(self):
         # flipping every reward label swaps the arms' roles
@@ -159,6 +177,11 @@ class TestStaticFastPath:
         with pytest.raises(ArgumentError, match="samples both arms is T=6"):
             exact_summary(PolicySpec.static(0.18930722269290384), INST, 5)
 
+    def test_unsampled_arm_message_names_the_policy_label(self):
+        oracle = PolicySpec.oracle_static(BanditInstance(0.5, 0.01))  # x* = 0.3798
+        with pytest.raises(ArgumentError, match=r"schedule of oracle:0\.5,0\.01 leaves"):
+            exact_summary(oracle, INST, 2)
+
 
 class TestBinomialLogPmf:
     @pytest.mark.parametrize("n", [1, 7, 40, 900, 100_000])
@@ -183,7 +206,8 @@ class TestBinomialTableLimit:
         (lambda: simulate_plain(PolicySpec.uniform(), INST, 101, 10, 0), 52),
         (lambda: simulate_plain(PolicySpec.static(0.3), INST, 101, 10, 0), 72),
         (lambda: simulate_tilted_static(0.5, INST, 101, 10, 0), 52),
-    ], ids=["log_path", "scan", "plain_mc", "plain_mc_static", "tilted_mc"])
+        (lambda: exact_summary(PolicySpec.static(0.3), INST, 101), 72),
+    ], ids=["log_path", "scan", "plain_mc", "plain_mc_static", "tilted_mc", "exact_static"])
     def test_over_the_limit_raises_naming_length_and_limit(self, monkeypatch, run, length):
         monkeypatch.setenv("BAI_MAX_STATES", "51")
         limit = f"table of {length} entries, over the limit of 51"

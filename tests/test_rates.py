@@ -8,17 +8,16 @@ import pytest
 from bailab.errors import ArgumentError, DomainError
 from bailab.rates import (
     BanditInstance,
-    g_by_minimization,
     g_closed,
     kl_bernoulli,
     lambda_star,
-    minimize_rate_objective,
     pinsker_like_bound_slack,
     rate_profile,
     stationarity_residual,
     x_star,
     x_star_grid,
 )
+from bailab.verification import fd_argmin, minimize_rate_objective
 
 # Values frozen from a 60-digit mpmath evaluation of the defining formulas.
 KL_HALF_QUARTER = 0.14384103622589045
@@ -155,29 +154,49 @@ class TestGClosed:
 class TestGByMinimization:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(23)
-        worst = 0.0
-        for _ in range(300):
-            inst = BanditInstance(*rng.uniform(0.02, 0.98, 2))
-            x = float(rng.uniform(0, 1))
-            worst = max(worst, abs(g_closed(x, inst) - g_by_minimization(x, inst)))
+        cases = [(BanditInstance(*rng.uniform(0.02, 0.98, 2)), float(rng.uniform(0, 1)))
+                 for _ in range(300)]
+        values = minimize_rate_objective([x for _, x in cases], [i.mu1 for i, _ in cases],
+                                         [i.mu2 for i, _ in cases])[1]
+        worst = max(abs(g_closed(x, inst) - v) for (inst, x), v in zip(cases, values))
         assert worst <= 1e-6
 
     def test_boundary_allocation_minimizes_at_the_pulled_arm(self):
-        inst = BanditInstance(0.6, 0.2)
-        lam, value = minimize_rate_objective(0.0, inst)
+        lam, value = minimize_rate_objective(0.0, 0.6, 0.2)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert lam == pytest.approx(0.6, abs=1e-6)
 
     def test_minimizer_matches_lambda_star(self):
         inst = BanditInstance(0.8, 0.4)
-        lam, _ = minimize_rate_objective(0.75, inst)
+        lam, _ = minimize_rate_objective(0.75, inst.mu1, inst.mu2)
         assert lam == pytest.approx(lambda_star(0.75, inst), abs=1e-8)
 
-    def test_rejects_bad_tolerance(self):
+
+class TestArrayOracles:
+    def test_grid_call_equals_elementwise_calls(self):
+        rng = np.random.default_rng(31)
+        x, m1, m2 = rng.uniform(0.02, 0.98, (3, 40))
+        x[:2], m2[2] = (0.0, 1.0), m1[2]
+        lam, value = minimize_rate_objective(x, m1, m2)
+        lam_fd = fd_argmin(x, m1, m2)
+        for i in range(x.size):
+            assert minimize_rate_objective(x[i], m1[i], m2[i]) == (lam[i], value[i])
+            assert fd_argmin(x[i], m1[i], m2[i]) == lam_fd[i]
+
+    def test_collapsed_bracket_gives_the_midpoint(self):
+        lam, value = minimize_rate_objective(0.4, 0.3, 0.3 + 5e-11)
+        assert lam == 0.5 * (0.3 + (0.3 + 5e-11))
+        assert value == pytest.approx(0.0, abs=1e-15)
+        assert fd_argmin(0.4, 0.3, 0.3 + 1e-7) == 0.5 * (0.3 + (0.3 + 1e-7))
+
+    def test_boundary_allocations_pin_fd_argmin_at_the_pulled_mean(self):
+        assert fd_argmin([0.0, 1.0], 0.6, 0.2).tolist() == [0.6, 0.2]
+
+    def test_rejects_allocations_outside_the_unit_interval(self):
         with pytest.raises(ArgumentError):
-            g_by_minimization(0.5, BanditInstance(0.7, 0.3), tol=0.0)
+            minimize_rate_objective([0.5, 1.5], 0.7, 0.3)
         with pytest.raises(ArgumentError):
-            g_by_minimization(0.5, BanditInstance(0.7, 0.3), tol=-1e-9)
+            fd_argmin(float("nan"), 0.7, 0.3)
 
 
 class TestLambdaStar:
