@@ -20,13 +20,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
 from .exact import exact_summary, rate_ratio_scan, static_error_log
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, parse_policy, policy_label
-from .rates import BanditInstance, g_closed, lambda_star, x_star
+from .rates import BanditInstance, g_closed, g_closed_grid, lambda_star, x_star
 from .verification import run_suites
 
 EXIT_OK = 0
@@ -39,6 +41,7 @@ EXIT_RESOLUTION = 5
 EXACT_HEADER = ["policy", "mu1", "mu2", "T", "p_error", "p_pick2", "e_n1", "e_omega2"]
 MC_HEADER = ["method", "policy", "mu1", "mu2", "T", "n", "seed", "estimate", "std_err"]
 SCAN_HEADER = ["T", "p_error", "ratio", "inv_g_half"]
+_DEMO_GRID_ROWS = 256  # rows of the demo grid evaluated at once
 
 
 def _fmt(value) -> str:
@@ -273,19 +276,21 @@ def cmd_demo(args) -> int:
         if gap > best_cert_gap:
             best_cert, best_cert_gap = cert, gap
 
-    # grid scan for the largest rate gap at the requested resolution
+    # grid scan for the largest rate gap at the requested resolution, a band of
+    # rows at a time so memory stays linear in the grid side; the first largest
+    # cell in row-major order wins, as in a scan that keeps a strict maximum
     best_grid = None
     best_grid_gap = -math.inf
     steps = int(round(1.0 / args.grid)) - 1
     values = [args.grid * k for k in range(1, steps + 1)]
-    for m1 in values:
-        for m2 in values:
-            if m1 == m2:
-                continue
-            inst = BanditInstance(m1, m2)
-            gap = g_closed(0.5, inst) - g_closed(x_tuned, inst)
-            if gap > best_grid_gap:
-                best_grid, best_grid_gap = inst, gap
+    for start in range(0, steps, _DEMO_GRID_ROWS):
+        rows = values[start:start + _DEMO_GRID_ROWS]
+        gaps = g_closed_grid(0.5, rows, values) - g_closed_grid(x_tuned, rows, values)
+        band = np.arange(len(rows))
+        gaps[band, start + band] = -math.inf  # equal means have no best arm
+        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+        if gaps[i, j] > best_grid_gap:
+            best_grid, best_grid_gap = BanditInstance(rows[i], values[j]), float(gaps[i, j])
 
     if best_cert_gap >= args.min_gap:
         witness, witness_gap = best_cert.instance, best_cert_gap

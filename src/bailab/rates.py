@@ -34,6 +34,7 @@ __all__ = [
     "mean_to_natural",
     "natural_to_mean",
     "g_closed",
+    "g_closed_grid",
     "lambda_star",
     "exp_neg_g_slope",
     "x_star",
@@ -160,6 +161,31 @@ def g_closed(x: float, inst: BanditInstance) -> float:
     tail = (1.0 - m1) ** (1.0 - x) * (1.0 - m2) ** x
     head = m1 ** (1.0 - x) * m2 ** x
     return -math.log(tail + head)
+
+
+def g_closed_grid(x: float, mu1s, mu2s) -> np.ndarray:
+    """:func:`g_closed` at ``x`` on every pair of means from two 1-D lists.
+
+    Entry ``[i, j]`` is ``g_closed(x, BanditInstance(mu1s[i], mu2s[j]))`` bit
+    for bit.  The two powers of each mean are Python float powers (C ``pow``,
+    as in :func:`g_closed`; numpy's power may round differently), the cells
+    are formed with :func:`g_closed`'s grouping, and each cell takes
+    ``math.log``, whose last bit numpy's ``log`` does not always match.
+    """
+    x = _check_allocation(x)
+    mu1s, mu2s = [float(m) for m in mu1s], [float(m) for m in mu2s]
+    for m in mu1s + mu2s:
+        if not 0.0 < m < 1.0:
+            raise DomainError(f"means must lie strictly inside (0, 1), got {m!r}")
+    if x == 0.0 or x == 1.0:
+        return np.zeros((len(mu1s), len(mu2s)))
+    tail1 = np.array([(1.0 - m) ** (1.0 - x) for m in mu1s])
+    head1 = np.array([m ** (1.0 - x) for m in mu1s])
+    tail2 = np.array([(1.0 - m) ** x for m in mu2s])
+    head2 = np.array([m ** x for m in mu2s])
+    cells = tail1[:, None] * tail2 + head1[:, None] * head2
+    logs = np.array(list(map(math.log, cells.ravel().tolist())))
+    return -logs.reshape(cells.shape)
 
 
 def lambda_star(x: float, inst: BanditInstance) -> float:

@@ -15,6 +15,10 @@ share, must make the same decision.
 The scalar replay runs one Monte Carlo replication of a policy draw by
 draw, through the same public interface, with each draw computed from the
 documented splitmix64 stream formula.
+
+The static Monte Carlo reference holds every replication at once: one
+``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
+the success counts, and ``np.mean``/``np.var`` over the whole array.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.stats import binom
 
 from bailab.mc import _mix64
-from bailab.policies import PolicySpec, PolicyState, action_distribution, recommend
-from bailab.rates import BanditInstance, x_star_grid
+from bailab.policies import (PolicySpec, PolicyState, action_distribution, arm2_count,
+                             pick2_mass, recommend)
+from bailab.rates import BanditInstance, lambda_star, x_star_grid
 
 
 def enumerate_summary(
@@ -96,3 +102,39 @@ def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, re
         else:
             s2 += reward < inst.mu2
     return recommend(PolicyState(T, n1, s1, s2))[1]
+
+
+def stream_uniforms(seed: int, n: int, k: int) -> np.ndarray:
+    """Draw ``k`` of replications 0 .. n-1, one :func:`stream_draw` each."""
+    return np.array([stream_draw(seed, i, k) for i in range(n)])
+
+
+def static_successes(u1, u2, n1: int, n2: int, p1: float, p2: float):
+    """Success counts of ``n1`` pulls at ``p1`` and ``n2`` at ``p2``, from the
+    uniforms of draws 0 and 1: the smallest k with ``cdf[k] >= u``."""
+    s1 = np.searchsorted(binom.cdf(np.arange(n1 + 1), n1, p1), u1, side="left")
+    s2 = np.searchsorted(binom.cdf(np.arange(n2 + 1), n2, p2), u2, side="left")
+    return s1, s2
+
+
+def static_mc_reference(
+    u1, u2, x: float, inst: BanditInstance, T: int, tilted: bool
+) -> tuple[float, float]:
+    """``(mean, std_err)`` of plain or tilted static(x) Monte Carlo whose
+    replications read the uniforms ``u1`` (draw 0) and ``u2`` (draw 1)."""
+    n = len(u1)
+    n2 = arm2_count(x, T)
+    n1 = T - n2
+    m1, m2 = inst.mu1, inst.mu2
+    lam = lambda_star(x, inst)
+    s1, s2 = static_successes(u1, u2, n1, n2, *((lam, lam) if tilted else (m1, m2)))
+    pick2 = pick2_mass(s1, n1, s2, n2)
+    errors = pick2 if inst.best_arm == 1 else 1.0 - pick2
+    if not tilted:
+        mean = float(np.mean(errors))
+        return mean, math.sqrt(mean * (1.0 - mean) / n)
+    log_w = s1 * math.log(m1 / lam) + (n1 - s1) * math.log((1.0 - m1) / (1.0 - lam))
+    log_w += s2 * math.log(m2 / lam) + (n2 - s2) * math.log((1.0 - m2) / (1.0 - lam))
+    values = np.exp(log_w) * errors
+    std_err = math.sqrt(float(np.var(values, ddof=1)) / n) if n > 1 else 0.0
+    return float(np.mean(values)), std_err

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bailab
@@ -246,6 +247,31 @@ class TestDemoCommand:
         code, out, err = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", grid)
         assert code == 2 and out == ""
         assert "(0, 0.4)" in err
+
+    @pytest.mark.parametrize("grid, plant, first", [
+        # one band: the diagonal's larger value is no instance
+        (0.05, {(3, 3): 2.0, (5, 2): 1.0, (2, 7): 1.0, (2, 9): 1.0}, (2, 7)),
+        # two bands of rows: a tie in the later band does not replace the first
+        (0.003, {(300, 4): 1.0, (10, 200): 1.0, (10, 9): 0.5, (300, 300): 3.0}, (10, 200)),
+    ])
+    def test_grid_tie_goes_to_the_first_cell_in_row_major_order(
+            self, capsys, monkeypatch, grid, plant, first):
+        index = {grid * k: k - 1 for k in range(1, int(round(1.0 / grid)))}
+
+        def planted(x, mu1s, mu2s):
+            gaps = np.zeros((len(mu1s), len(mu2s)))
+            if x == 0.5:
+                for i, m1 in enumerate(mu1s):
+                    for j, m2 in enumerate(mu2s):
+                        gaps[i, j] = plant.get((index[m1], index[m2]), 0.0)
+            return gaps
+
+        monkeypatch.setattr("bailab.cli.g_closed_grid", planted)
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", str(grid))
+        assert code == 0
+        i, j = first
+        assert json.loads(out)["grid_best"] == {"mu1": grid * (i + 1), "mu2": grid * (j + 1),
+                                                "rate_gap": 1.0}
 
     def test_symmetric_reference_has_no_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.3")

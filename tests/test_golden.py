@@ -39,6 +39,11 @@ COMMANDS = [
     "mc --policy plugin:0.2 --mu 0.45,0.65 --T 48 --n 100 --seed 2",
     "mc --policy plugin:0.5 --mu 0.5,0.3 --T 60 --n 100 --seed 3",
     "mc --policy plugin:0.2 --mu 0.4,0.58 --T 48 --n 100 --seed 4",
+    # block edges (200001 = 3 * 2**16 + 3393, 131073 = 2 * 2**16 + 1),
+    # arm 2 best, and a fine demo grid
+    "mc --policy uniform --mu 0.4,0.6 --T 30 --n 200001 --seed 5",
+    "mc --policy static:0.3 --mu 0.2,0.25 --T 300 --n 131073 --seed 9 --tilted",
+    "demo --mu0 0.7,0.2 --grid 0.003",
 ]
 
 

@@ -1,21 +1,25 @@
 """Tests for the Monte Carlo engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from brute_force import replay_pick2, stream_draw
+from brute_force import (replay_pick2, static_mc_reference, static_successes, stream_draw,
+                         stream_uniforms)
 
 from bailab.errors import ArgumentError, DomainError
 from bailab.exact import exact_summary, static_error_exact
 from bailab.mc import (
     Estimate,
     _binom_cdf,
+    _inverse_cdf_sampler,
     _mix64,
     _replay_adaptive,
-    _uniform_batch,
+    _stream_states,
+    _uniforms,
     simulate_plain,
     simulate_tilted_static,
 )
@@ -30,12 +34,12 @@ class TestStreams:
         reps = np.arange(200, dtype=np.uint64)
         for seed in (0, 42, 123456789, -17):
             for k in (0, 1, 7):
-                batch = _uniform_batch(seed, reps, k)
+                batch = _uniforms(_stream_states(seed, reps), k)
                 for i in (0, 1, 55, 199):
                     assert batch[i] == stream_draw(seed, i, k)
 
     def test_streams_fill_the_unit_interval(self):
-        u = _uniform_batch(7, np.arange(200_000, dtype=np.uint64), 0)
+        u = _uniforms(_stream_states(7, np.arange(200_000, dtype=np.uint64)), 0)
         assert 0.0 <= u.min() and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.005
         hist, _ = np.histogram(u, bins=20, range=(0, 1))
@@ -60,6 +64,79 @@ class TestBinomialCdf:
         lam = lambda_star(x, INST)
         for n in schedule_counts(x, 2001, "oracle"):
             assert np.array_equal(_binom_cdf(n, lam), binom.cdf(np.arange(n + 1), n, lam))
+
+
+class TestInverseCdfSampler:
+    """The guide table returns what ``searchsorted`` in the CDF returns, on the
+    draws where a bucket or a threshold begins or ends."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 900, 100_000])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
+    def test_equals_searchsorted_at_every_edge(self, n, p):
+        cdf = _binom_cdf(n, p)
+        thr = np.floor(cdf * 2.0**53).astype(np.int64)
+        edges = np.arange(1, 2**12, dtype=np.int64) << 41
+        bits = np.concatenate([[0, 2**53 - 1], edges - 1, edges, thr - 1, thr, thr + 1])
+        bits = np.clip(bits, 0, 2**53 - 1)
+        expected = np.searchsorted(cdf, bits.astype(np.float64) * 2.0**-53, side="left")
+        assert np.array_equal(_inverse_cdf_sampler(cdf)(bits), expected)
+
+
+# the block length of the static and adaptive Monte Carlo loops
+BLOCK = 2**16
+EDGE_SEED = 2024
+
+
+@pytest.fixture(scope="module")
+def edge_uniforms():
+    n = 3 * BLOCK + 7
+    return stream_uniforms(EDGE_SEED, n, 0), stream_uniforms(EDGE_SEED, n, 1)
+
+
+class TestBlockEdges:
+    """Blocked estimates equal the whole-array reference bit for bit, whichever
+    side of a block edge the replication count falls."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("mu", [(0.6, 0.45), (0.45, 0.6)])
+    def test_static_estimates_equal_the_whole_array_reference(self, edge_uniforms, n, mu):
+        inst = BanditInstance(*mu)
+        u1, u2 = (u[:n] for u in edge_uniforms)
+        for policy, T in [(PolicySpec.uniform(), 9), (PolicySpec.static(0.3), 10)]:
+            est = simulate_plain(policy, inst, T, n, EDGE_SEED)
+            assert (est.mean, est.std_err) == static_mc_reference(
+                u1, u2, policy.schedule_fraction(), inst, T, tilted=False)
+        est = simulate_tilted_static(0.3, inst, 60, n, EDGE_SEED)
+        assert (est.mean, est.std_err) == static_mc_reference(u1, u2, 0.3, inst, 60, tilted=True)
+
+    def test_adaptive_estimate_equals_the_whole_array_replay(self):
+        policy, inst, T, n = PolicySpec.plugin_tracking(0.5), INST, 4, BLOCK + 3
+        errors = _replay_adaptive(policy, inst, T, 8, np.arange(n, dtype=np.uint64))
+        assert simulate_plain(policy, inst, T, n, 8).mean == float(np.mean(errors))
+
+
+def _peak_traced_bytes(run) -> int:
+    run()  # first call outside the trace: one-time imports and caches
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_tilted_holds_one_value_per_replication(self):
+        n = 10**6
+        peak = _peak_traced_bytes(lambda: simulate_tilted_static(0.5, INST, 200, n, 1))
+        assert peak <= 24 * n + 8 * 2**20
+
+    def test_plain_static_memory_does_not_grow_with_n(self):
+        def peak(n):
+            return _peak_traced_bytes(
+                lambda: simulate_plain(PolicySpec.static(0.4), INST, 40, n, 1))
+
+        assert peak(2**22) - peak(2**16) < 2**20
 
 
 class TestSimulatePlain:
@@ -130,17 +207,14 @@ class TestSimulateTiltedStatic:
 
     def test_raw_weights_average_to_one(self):
         # importance weights without the indicator integrate to one
-        from bailab.mc import _binom_cdf, _binom_from_uniform, _uniform_batch
         from bailab.policies import arm2_count
-        from bailab.rates import lambda_star
 
         x, T, n, seed = 0.5, 60, 10**5, 3
         n2 = arm2_count(x, T)
         n1 = T - n2
         lam = lambda_star(x, INST)
-        reps = np.arange(n, dtype=np.uint64)
-        s1 = _binom_from_uniform(_uniform_batch(seed, reps, 0), _binom_cdf(n1, lam))
-        s2 = _binom_from_uniform(_uniform_batch(seed, reps, 1), _binom_cdf(n2, lam))
+        s1, s2 = static_successes(stream_uniforms(seed, n, 0), stream_uniforms(seed, n, 1),
+                                  n1, n2, lam, lam)
         logw = s1 * math.log(INST.mu1 / lam)
         logw = logw + (n1 - s1) * math.log((1 - INST.mu1) / (1 - lam))
         logw = logw + s2 * math.log(INST.mu2 / lam)

@@ -9,6 +9,7 @@ from bailab.errors import ArgumentError, DomainError
 from bailab.rates import (
     BanditInstance,
     g_closed,
+    g_closed_grid,
     kl_bernoulli,
     lambda_star,
     pinsker_like_bound_slack,
@@ -149,6 +150,44 @@ class TestGClosed:
             g_closed(1.5, BanditInstance(0.5, 0.6))
         with pytest.raises(ArgumentError):
             g_closed(float("nan"), BanditInstance(0.5, 0.6))
+
+
+# the reference instances of the benchmark's ``demo`` runs
+DEMO_MU0 = [(0.9, 0.5), (0.8, 0.3), (0.95, 0.7), (0.7, 0.2),
+            (0.85, 0.55), (0.75, 0.35), (0.92, 0.6), (0.3, 0.8)]
+
+
+class TestGClosedGrid:
+    @pytest.mark.parametrize("grid", [0.05, 0.037, 0.01, 0.003])
+    def test_equals_scalar_on_every_off_diagonal_cell(self, grid):
+        # the means and the allocations the demo command scans
+        values = [grid * k for k in range(1, int(round(1.0 / grid)))]
+        cells = [(i, j) for i in range(len(values)) for j in range(len(values)) if i != j]
+        instances = [BanditInstance(values[i], values[j]) for i, j in cells]
+        rows, cols = np.array(cells).T
+        for x in [0.5] + [x_star(BanditInstance(*mu)) for mu in DEMO_MU0]:
+            scalar = np.array([g_closed(x, inst) for inst in instances])
+            assert np.array_equal(g_closed_grid(x, values, values)[rows, cols], scalar)
+
+    def test_rows_and_columns_take_their_own_means(self):
+        grid = g_closed_grid(0.3, [0.2, 0.9], [0.4, 0.6, 0.7])
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == g_closed(0.3, BanditInstance(0.9, 0.7))
+
+    def test_boundary_allocations_give_zero(self):
+        assert not g_closed_grid(0.0, [0.2, 0.7], [0.4]).any()
+        assert not g_closed_grid(1.0, [0.2, 0.7], [0.4]).any()
+
+    @pytest.mark.parametrize("means", [[0.2, 0.0], [1.0], [0.5, float("nan")]])
+    def test_rejects_means_outside_the_open_interval(self, means):
+        with pytest.raises(DomainError):
+            g_closed_grid(0.5, means, [0.3])
+        with pytest.raises(DomainError):
+            g_closed_grid(0.5, [0.3], means)
+
+    def test_rejects_invalid_allocation(self):
+        with pytest.raises(ArgumentError):
+            g_closed_grid(1.5, [0.2, 0.7], [0.4])
 
 
 class TestGByMinimization:
