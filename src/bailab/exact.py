@@ -8,13 +8,21 @@ in the grouping of ``scipy.stats.binom.logpmf``, so it has the same bits
 without importing ``scipy.stats``.
 
 The DP runs over sufficient-statistic states ``(n1, s1, s2)`` with
-``n2 = t - n1`` implied.  A layer is stored as a dict mapping ``n1`` to
-an array of shape ``(n1+1, t-n1+1)`` holding the probability of each
-``(s1, s2)`` cell; randomized policies fan out across keys, while a fixed
-schedule (which the tests run through the DP to cross-check the log
-path) occupies one key per layer.  Layers are merged in ascending ``n1``
-with row-major array updates, i.e. a fixed lexicographic (n1, s1, s2)
-order, so repeated runs are bit-identical.
+``n2 = t - n1`` implied.  A layer is one flat float64 array: its slices
+``n1 = lo .. hi`` in ascending order, slice ``n1`` holding the ``(n1+1) x
+(t-n1+1)`` cells ``(s1, s2)`` in row-major order, i.e. a fixed lexicographic
+``(n1, s1, s2)`` order.  Each slice range, and so each layer's state count,
+is known before the pass starts.  Randomized policies fan out across slices,
+while a fixed schedule (which the tests run through the DP to cross-check
+the log path) occupies one slice per layer.
+
+A step walks the layer in groups of consecutive whole slices holding at
+least ``_GROUP_CELLS`` cells (a larger slice is a group of its own, and the
+last group may hold fewer), with one call of the tracking kernel per group.
+Each cell of the next layer starts from 0.0 and receives its contributions
+in one order: arm-1 success, arm-1 failure, arm-2 success, arm-2 failure,
+so repeated runs are bit-identical.  :func:`dp_layers` yields each layer as a dict of 2-D views;
+its storage is overwritten when the iterator advances.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import ArgumentError, CapacityError, DomainError, RecommendationError
-from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,
-                       schedule_counts, schedule_pulls_arm1)
+# plugin_action_grid is unused here; it stays a module attribute for benchmark tracing
+from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,  # noqa: F401
+                       plugin_actions, schedule_counts, schedule_pulls_arm1)
 from .rates import BanditInstance, g_closed, kl_bernoulli
 
 __all__ = [
@@ -112,10 +121,141 @@ class StabilityProfile:
     omega2_b: tuple[tuple[float, ...], ...]
 
 
-def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):
+# Slices are walked in groups of at least this many cells, one tracking-kernel
+# call per group: large enough to amortise numpy's per-call cost, small enough
+# that a group's temporaries stay in cache.
+_GROUP_CELLS = 1 << 12
+
+
+def _round_action(policy: PolicySpec, t: int) -> float | None:
+    """Arm-1 probability of round ``t`` when it is the same in every state, else None."""
     if policy.deterministic_schedule:
         return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
-    return plugin_action_grid(t, n1, shape[0], shape[1], policy.force_rate)
+    if t < 2:
+        return plugin_actions(t, 0, 0, 0, policy.force_rate)  # each arm once
+    return None
+
+
+def _slice_sizes(t: int, lo: int, hi: int) -> np.ndarray:
+    """Cells of slices ``n1 = lo .. hi`` of layer ``t``: ``(n1+1)(t-n1+1)`` each."""
+    n1 = np.arange(lo, hi + 1)
+    return (n1 + 1) * (t - n1 + 1)
+
+
+def _plan(
+    policy: PolicySpec, T: int, limit: int
+) -> tuple[list[tuple[int, int]], list[float | None]]:
+    """The slice range ``(lo, hi)`` of layers t = 0 .. T and the
+    :func:`_round_action` of rounds t = 0 .. T-1.
+
+    Raises CapacityError, before any layer is built, at the first layer whose
+    state count is over ``limit``.
+    """
+    ranges = [(0, 0)]
+    actions = []
+    for t in range(T):
+        action = _round_action(policy, t)
+        lo, hi = ranges[-1]
+        lo, hi = lo + (action == 1.0), hi + (action != 0.0)
+        states = int(np.sum(_slice_sizes(t + 1, lo, hi)))
+        if states > limit:
+            raise CapacityError(
+                f"layer {t + 1} needs {states} states, over the limit of {limit}; "
+                f"set {MAX_STATES_ENV} to raise it"
+            )
+        ranges.append((lo, hi))
+        actions.append(action)
+    return ranges, actions
+
+
+def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """``[first, stop)`` slice indices of consecutive groups of at least
+    :data:`_GROUP_CELLS` cells (the last may hold fewer); a slice that large
+    is a group of its own."""
+    first = cells = 0
+    for i, size in enumerate(sizes):
+        if size >= _GROUP_CELLS and cells:
+            yield first, i
+            first, cells = i, 0
+        cells += size
+        if cells >= _GROUP_CELLS:
+            yield first, i + 1
+            first, cells = i + 1, 0
+    if cells:
+        yield first, len(sizes)
+
+
+def _group_counts(t: int, n1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``(n1, s1, s2)`` counts of the cells of slices ``n1s`` of layer ``t``,
+    slice after slice, each in row-major ``(s1, s2)`` order."""
+    rows = n1s + 1
+    row_len = np.repeat(t - n1s + 1, rows)
+    row_end = np.cumsum(row_len)
+    s1_of_row = np.arange(row_end.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    n1 = np.repeat(np.repeat(n1s, rows), row_len)
+    s1 = np.repeat(s1_of_row, row_len)
+    s2 = np.arange(row_end[-1]) - np.repeat(row_end - row_len, row_len)
+    return n1, s1, s2
+
+
+def _next_layer(
+    mass: np.ndarray, t: int, span: tuple[int, int], next_span: tuple[int, int],
+    action: float | None, force_rate: float | None, inst: BanditInstance,
+) -> np.ndarray:
+    """Layer ``t + 1`` from layer ``t``, both flat; ``mass`` is overwritten."""
+    m1, m2 = inst.mu1, inst.mu2
+    lo, nlo = span[0], next_span[0]
+    sizes = _slice_sizes(t, *span)
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    nsizes = _slice_sizes(t + 1, *next_span)
+    nstarts = (np.cumsum(nsizes) - nsizes).tolist()
+    nxt = np.zeros(int(np.sum(nsizes)))
+    sizes = sizes.tolist()
+    for first, stop in _groups(sizes):
+        a = starts[first]
+        pull1 = pull2 = mass[a:starts[stop - 1] + sizes[stop - 1]]
+        if action is None:
+            n1s = np.arange(lo + first, lo + stop)
+            pull1 = plugin_actions(t, *_group_counts(t, n1s), force_rate)
+            # in place: the action buffer becomes pull1, the group's mass pull2
+            np.multiply(pull2, pull1, out=pull1)
+            np.subtract(pull2, pull1, out=pull2)
+        elif action == 1.0:
+            pull2 = None
+        else:
+            pull1 = None
+        if pull1 is not None:
+            win1, lose1 = pull1 * m1, pull1 * (1.0 - m1)
+        if pull2 is not None:
+            win2, lose2 = pull2 * m2, pull2 * (1.0 - m2)
+        for i in range(first, stop):
+            n1 = lo + i
+            rows, cols = n1 + 1, t - n1 + 1
+            o, n = starts[i] - a, sizes[i]
+            if pull1 is not None:
+                # arm 1: slice n1 + 1, whose rows are one longer; a success is one row down
+                s = nstarts[n1 + 1 - nlo]
+                np.add(nxt[s + cols:s + cols + n], win1[o:o + n], out=nxt[s + cols:s + cols + n])
+                np.add(nxt[s:s + n], lose1[o:o + n], out=nxt[s:s + n])
+            if pull2 is not None:
+                # arm 2: slice n1, one column wider; a success is one column right
+                s = nstarts[n1 - nlo]
+                tgt = nxt[s:s + rows * (cols + 1)].reshape(rows, cols + 1)
+                np.add(tgt[:, 1:], win2[o:o + n].reshape(rows, cols), out=tgt[:, 1:])
+                np.add(tgt[:, :-1], lose2[o:o + n].reshape(rows, cols), out=tgt[:, :-1])
+    return nxt
+
+
+def _slices(mass: np.ndarray, t: int, span: tuple[int, int]) -> dict[int, np.ndarray]:
+    """``{n1: (s1, s2) view}`` of flat layer ``t``, in ascending ``n1``."""
+    lo, hi = span
+    sizes = _slice_sizes(t, lo, hi).tolist()
+    layer = {}
+    start = 0
+    for n1, size in zip(range(lo, hi + 1), sizes):
+        layer[n1] = mass[start:start + size].reshape(n1 + 1, t - n1 + 1)
+        start += size
+    return layer
 
 
 def dp_layers(
@@ -123,50 +263,18 @@ def dp_layers(
 ) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
     """Forward DP pass, yielding ``(t, layer)`` for t = 0 .. T.
 
-    Layers are live working arrays: consume each one before advancing the
-    iterator if the values must be kept.
+    A layer maps each ``n1`` to a 2-D view of the layer's flat storage.  The
+    views are overwritten when the iterator advances: consume each layer
+    first if its values must be kept.  A budget whose largest layer is over
+    the state limit raises CapacityError before layer 0 is yielded.
     """
     T = check_budget(T)
-    limit = _max_states()
-    m1, m2 = inst.mu1, inst.mu2
-    layer: dict[int, np.ndarray] = {0: np.ones((1, 1))}
-    yield 0, layer
-    for t in range(T):
-        nxt: dict[int, np.ndarray] = {}
-
-        def target(key: int, rows: int, cols: int) -> np.ndarray:
-            arr = nxt.get(key)
-            if arr is None:
-                arr = np.zeros((rows, cols))
-                nxt[key] = arr
-            return arr
-
-        for n1 in sorted(layer):
-            mass = layer[n1]
-            rows, cols = mass.shape
-            action = _slice_action(policy, t, n1, mass.shape)
-            if isinstance(action, float):
-                pull1 = mass if action == 1.0 else None
-                pull2 = mass if action == 0.0 else None
-            else:
-                pull1 = mass * action
-                pull2 = mass - pull1
-            if pull1 is not None:
-                tgt = target(n1 + 1, rows + 1, cols)
-                tgt[1:, :] += pull1 * m1
-                tgt[:-1, :] += pull1 * (1.0 - m1)
-            if pull2 is not None:
-                tgt = target(n1, rows, cols + 1)
-                tgt[:, 1:] += pull2 * m2
-                tgt[:, :-1] += pull2 * (1.0 - m2)
-        states = sum(arr.size for arr in nxt.values())
-        if states > limit:
-            raise CapacityError(
-                f"layer {t + 1} needs {states} states, over the limit of {limit}; "
-                f"set {MAX_STATES_ENV} to raise it"
-            )
-        layer = dict(sorted(nxt.items()))
-        yield t + 1, layer
+    ranges, actions = _plan(policy, T, _max_states())
+    mass = np.ones(1)
+    yield 0, _slices(mass, 0, ranges[0])
+    for t, action in enumerate(actions):
+        mass = _next_layer(mass, t, ranges[t], ranges[t + 1], action, policy.force_rate, inst)
+        yield t + 1, _slices(mass, t + 1, ranges[t + 1])
 
 
 def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:

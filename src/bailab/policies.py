@@ -231,8 +231,11 @@ def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
 def plugin_action_grid(
     t: int, n1: int, n_s1: int, n_s2: int, force_rate: float
 ) -> np.ndarray | float:
-    """:func:`plugin_actions` over the full (s1, s2) grid of one ``n1`` slice: the
-    exact engine's per-slice call, which benchmark tracing counts by its grid size."""
+    """:func:`plugin_actions` over the full (s1, s2) grid of one ``n1`` slice.
+
+    The exact engine calls :func:`plugin_actions` once per group of slices on
+    flat counts; this per-slice form serves the tests' reference DP and
+    benchmark tracing, which counts its calls by grid size."""
     return plugin_actions(t, n1, np.arange(n_s1)[:, None], np.arange(n_s2)[None, :], force_rate)
 
 

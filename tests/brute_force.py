@@ -16,6 +16,11 @@ The scalar replay runs one Monte Carlo replication of a policy draw by
 draw, through the same public interface, with each draw computed from the
 documented splitmix64 stream formula.
 
+The dict DP is the exact engine's forward pass as it was before layers were
+stored flat and walked in groups of slices: a dict of ``(s1, s2)`` arrays, one
+per ``n1``, with one :func:`plugin_action_grid` call per slice.  The engine
+must yield the same layers byte for byte.
+
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
 the success counts, and ``np.mean``/``np.var`` over the whole array.
@@ -30,7 +35,7 @@ from scipy.stats import binom
 
 from bailab.mc import _mix64
 from bailab.policies import (PolicySpec, PolicyState, action_distribution, arm2_count,
-                             pick2_mass, recommend)
+                             pick2_mass, plugin_action_grid, recommend, schedule_pulls_arm1)
 from bailab.rates import BanditInstance, lambda_star, x_star_grid
 
 
@@ -65,6 +70,50 @@ def enumerate_summary(
     walk(0, 0, 0, 0, 1.0)
     p_error, p_pick2, e_n1 = (math.fsum(column) for column in terms)
     return p_error, p_pick2, e_n1
+
+
+def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):
+    if policy.deterministic_schedule:
+        return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
+    return plugin_action_grid(t, n1, shape[0], shape[1], policy.force_rate)
+
+
+def dict_dp_layers(policy: PolicySpec, inst: BanditInstance, T: int):
+    """Forward DP pass over a dict of slices, yielding ``(t, layer)`` for
+    t = 0 .. T; it has no state limit."""
+    m1, m2 = inst.mu1, inst.mu2
+    layer: dict[int, np.ndarray] = {0: np.ones((1, 1))}
+    yield 0, layer
+    for t in range(T):
+        nxt: dict[int, np.ndarray] = {}
+
+        def target(key: int, rows: int, cols: int) -> np.ndarray:
+            arr = nxt.get(key)
+            if arr is None:
+                arr = np.zeros((rows, cols))
+                nxt[key] = arr
+            return arr
+
+        for n1 in sorted(layer):
+            mass = layer[n1]
+            rows, cols = mass.shape
+            action = _slice_action(policy, t, n1, mass.shape)
+            if isinstance(action, float):
+                pull1 = mass if action == 1.0 else None
+                pull2 = mass if action == 0.0 else None
+            else:
+                pull1 = mass * action
+                pull2 = mass - pull1
+            if pull1 is not None:
+                tgt = target(n1 + 1, rows + 1, cols)
+                tgt[1:, :] += pull1 * m1
+                tgt[:-1, :] += pull1 * (1.0 - m1)
+            if pull2 is not None:
+                tgt = target(n1, rows, cols + 1)
+                tgt[:, 1:] += pull2 * m2
+                tgt[:, :-1] += pull2 * (1.0 - m2)
+        layer = dict(sorted(nxt.items()))
+        yield t + 1, layer
 
 
 def textbook_track_arm1(t: int, n1, s1, s2) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Tests for the exact DP engine and the binomial fast path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from brute_force import enumerate_summary
+from brute_force import dict_dp_layers, enumerate_summary
 
 from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
@@ -108,6 +109,75 @@ class TestDpLayers:
         a = exact_summary(PolicySpec.plugin_tracking(0.3), INST, 15)
         b = exact_summary(PolicySpec.plugin_tracking(0.3), INST, 15)
         assert a == b
+
+
+def assert_same_layers(policy, inst, T):
+    """Every layer of ``dp_layers`` equals the dict DP's, byte for byte."""
+    last = None
+    for (t, layer), (t_ref, ref) in zip(dp_layers(policy, inst, T),
+                                        dict_dp_layers(policy, inst, T)):
+        assert t == t_ref
+        assert list(layer) == list(ref)
+        for n1, arr in layer.items():
+            assert arr.dtype == ref[n1].dtype and arr.shape == ref[n1].shape
+            assert arr.tobytes() == ref[n1].tobytes(), (t, n1)
+        last = t
+    assert last == T
+
+
+class TestDpLayersAgainstDictReference:
+    """The flat, grouped engine against the dict-of-slices DP it replaced."""
+
+    @pytest.mark.parametrize("T", [2, 3, 17, 48])
+    @pytest.mark.parametrize("mu", [(0.6, 0.4), (0.7, 0.3), (0.5, 0.3), (0.4, 0.6)],
+                             ids=str)
+    @pytest.mark.parametrize("force_rate", [0.01, 0.2, 0.5, 1.0])
+    def test_plugin_layers_are_byte_identical(self, force_rate, mu, T):
+        assert_same_layers(PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu), T)
+
+    def test_slices_larger_than_a_group(self):
+        # at T = 130 the middle slices hold up to 66 * 66 > 2**12 cells
+        assert (66 * 66) > exact._GROUP_CELLS
+        assert_same_layers(PolicySpec.plugin_tracking(0.01), BanditInstance(0.9, 0.1), 130)
+
+    @pytest.mark.parametrize("T", [7, 25, 60])
+    @pytest.mark.parametrize("policy", [PolicySpec.static(0.3), PolicySpec.uniform()],
+                             ids=lambda p: p.description)
+    def test_schedule_layers_are_byte_identical(self, policy, T):
+        assert_same_layers(policy, INST, T)
+
+
+class TestDpCapacity:
+    """Each layer's state count is known in advance, so the limit is checked
+    before layer 0; layer 20 of tracking holds 1729 states, layer 21 1980."""
+
+    def test_budget_at_the_limit_runs(self, monkeypatch):
+        monkeypatch.setenv("BAI_MAX_STATES", "1729")
+        states = [sum(a.size for a in layer.values())
+                  for _, layer in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20)]
+        assert states[-1] == 1729
+
+    def test_over_the_limit_raises_before_layer_0(self, monkeypatch):
+        monkeypatch.setenv("BAI_MAX_STATES", "1729")
+        layers = dp_layers(PolicySpec.plugin_tracking(0.5), INST, 21)
+        with pytest.raises(CapacityError, match="layer 21 needs 1980 states, over the limit of 1729"):
+            next(layers)
+
+
+class TestDpMemory:
+    def test_peak_is_two_layers_and_bounded_temporaries(self):
+        # layer 100 of tracking holds 176,649 states; the current and next
+        # layers take 16 B per state of it, group temporaries stay bounded
+        policy = PolicySpec.plugin_tracking(0.5)
+        inst = BanditInstance(0.6, 0.4)
+        _dp_summary(policy, inst, 10)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            _dp_summary(policy, inst, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 176_649 + 2**20
 
 
 class TestStaticFastPath:

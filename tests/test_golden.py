@@ -44,6 +44,11 @@ COMMANDS = [
     "mc --policy uniform --mu 0.4,0.6 --T 30 --n 200001 --seed 5",
     "mc --policy static:0.3 --mu 0.2,0.25 --T 300 --n 131073 --seed 9 --tilted",
     "demo --mu0 0.7,0.2 --grid 0.003",
+    # the plug-in DP at the benchmark's shape on a knife edge, with arm 2
+    # best, and at a budget whose largest slices exceed one group of cells
+    "exact --policy plugin:0.5 --mu 0.6,0.4 --T 48",
+    "exact --policy plugin:0.2 --mu 0.4,0.6 --T 40",
+    "exact --policy plugin:0.01 --mu 0.9,0.1 --T 130",
 ]
 
 
