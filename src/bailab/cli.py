@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
-from .exact import exact_summary, rate_ratio_scan, static_error_log
+from .exact import exact_summary, inv_g_half, rate_ratio_scan, static_error_log
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, parse_policy, policy_label
 from .rates import BanditInstance, g_closed, g_closed_grid, lambda_star, x_star
@@ -141,7 +141,8 @@ def load_sweep_config(path: str) -> SweepConfig:
         instances = [BanditInstance(float(a), float(b)) for a, b in raw["instances"]]
         policies = [parse_policy(p) for p in raw["policies"]]
         budgets = [int(t) for t in raw["budgets"]]
-        output_path = str(raw["output_path"])
+        output_path = raw.get("output_path")
+        output_path = None if output_path is None else str(output_path)
         seed = int(raw.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed sweep config {path!r}: {exc}") from None
@@ -161,7 +162,7 @@ def cmd_rates(args) -> int:
         "g": g_closed(at, inst),
         "lambda": lambda_star(at, inst),
         "x_star": xs,
-        "inv_g_half": 1.0 / g_closed(0.5, inst),
+        "inv_g_half": inv_g_half(inst),
     }
     print(_json_dumps(payload))
     return EXIT_OK
@@ -191,15 +192,21 @@ def _exact_row(policy: PolicySpec, inst: BanditInstance, T: int) -> list:
 
 def _run_sweep(args, header: list[str], row) -> int:
     """Write ``row(policy, inst, T, seed)`` for every run of ``--config``, or
-    of ``--policy``/``--mu`` over ``--T`` (with ``--seed`` where the command has one)."""
+    of ``--policy``/``--mu`` over ``--T`` (with ``--seed`` where the command has one).
+
+    The config sets what those flags and ``--out`` would, so a flag given
+    next to ``--config`` is refused rather than ignored."""
     if args.config is not None:
+        for flag in ("policy", "mu", "T", "out", "seed"):
+            if getattr(args, flag, None) is not None:
+                raise ArgumentError(f"--{flag} conflicts with --config, which sets it")
         config = load_sweep_config(args.config)
     elif args.policy is None or args.mu is None or args.T is None:
         raise ArgumentError(f"{args.command} needs --policy, --mu and --T (or --config)")
     else:
         policy = parse_policy(args.policy)
         config = SweepConfig([BanditInstance(*args.mu)], [policy], args.T, args.out,
-                             getattr(args, "seed", 0))
+                             getattr(args, "seed", None) or 0)
     rows = [
         row(policy, inst, T, config.seed)
         for policy in config.policies
@@ -380,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_mu_pair, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, metavar="T|START:STOP[:STEP]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--tilted", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON sweep config")

@@ -1,5 +1,5 @@
 """Exact finite-horizon evaluation: a binomial log path for fixed
-schedules and a forward dynamic program for adaptive policies.
+schedules and a forward dynamic program for plug-in tracking.
 
 The log path works entirely in the log domain and therefore survives
 budgets deep into the underflow range of plain probabilities.  Its
@@ -7,14 +7,13 @@ binomial log-pmf is ``scipy.special``'s ``gammaln``/``xlogy``/``xlog1py``
 in the grouping of ``scipy.stats.binom.logpmf``, so it has the same bits
 without importing ``scipy.stats``.
 
-The DP runs over sufficient-statistic states ``(n1, s1, s2)`` with
-``n2 = t - n1`` implied.  A layer is one flat float64 array: its slices
-``n1 = lo .. hi`` in ascending order, slice ``n1`` holding the ``(n1+1) x
-(t-n1+1)`` cells ``(s1, s2)`` in row-major order, i.e. a fixed lexicographic
-``(n1, s1, s2)`` order.  Each slice range, and so each layer's state count,
-is known before the pass starts.  Randomized policies fan out across slices,
-while a fixed schedule (which the tests run through the DP to cross-check
-the log path) occupies one slice per layer.
+The DP runs plug-in tracking, and only it, over sufficient-statistic states
+``(n1, s1, s2)`` with ``n2 = t - n1`` implied.  Tracking pulls arm 1, then
+arm 2, so layers 0-2 are closed forms and every later layer t spans the
+slices ``n1 = 1 .. t-1``: each layer's state count is known before the pass
+starts.  From layer 2 on a layer is one flat float64 array holding slice
+``n1``'s ``(n1+1) x (t-n1+1)`` cells ``(s1, s2)`` in row-major order after
+the slices below it, a fixed lexicographic ``(n1, s1, s2)`` order.
 
 A step walks the layer in groups of consecutive whole slices holding at
 least ``_GROUP_CELLS`` cells (a larger slice is a group of its own, and the
@@ -35,10 +34,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .errors import ArgumentError, CapacityError, DomainError, RecommendationError
+from .errors import ArgumentError, CapacityError, DomainError
 # plugin_action_grid is unused here; it stays a module attribute for benchmark tracing
 from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,  # noqa: F401
-                       plugin_actions, schedule_counts, schedule_pulls_arm1)
+                       plugin_actions, schedule_counts)
 from .rates import BanditInstance, g_closed, kl_bernoulli
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "static_error_exact",
     "static_error_log",
     "change_of_measure_slack",
+    "inv_g_half",
     "rate_ratio_scan",
     "stability_profile",
 ]
@@ -127,45 +127,22 @@ class StabilityProfile:
 _GROUP_CELLS = 1 << 12
 
 
-def _round_action(policy: PolicySpec, t: int) -> float | None:
-    """Arm-1 probability of round ``t`` when it is the same in every state, else None."""
-    if policy.deterministic_schedule:
-        return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
-    if t < 2:
-        return plugin_actions(t, 0, 0, 0, policy.force_rate)  # each arm once
-    return None
-
-
 def _slice_sizes(t: int, lo: int, hi: int) -> np.ndarray:
     """Cells of slices ``n1 = lo .. hi`` of layer ``t``: ``(n1+1)(t-n1+1)`` each."""
     n1 = np.arange(lo, hi + 1)
     return (n1 + 1) * (t - n1 + 1)
 
 
-def _plan(
-    policy: PolicySpec, T: int, limit: int
-) -> tuple[list[tuple[int, int]], list[float | None]]:
-    """The slice range ``(lo, hi)`` of layers t = 0 .. T and the
-    :func:`_round_action` of rounds t = 0 .. T-1.
-
-    Raises CapacityError, before any layer is built, at the first layer whose
-    state count is over ``limit``.
-    """
-    ranges = [(0, 0)]
-    actions = []
-    for t in range(T):
-        action = _round_action(policy, t)
-        lo, hi = ranges[-1]
-        lo, hi = lo + (action == 1.0), hi + (action != 0.0)
-        states = int(np.sum(_slice_sizes(t + 1, lo, hi)))
+def _check_capacity(T: int, limit: int) -> None:
+    """Raise CapacityError at the first layer t = 1 .. T whose slices
+    ``n1 = 1 .. max(1, t-1)`` hold more than ``limit`` states."""
+    for t in range(1, T + 1):
+        states = int(np.sum(_slice_sizes(t, 1, max(1, t - 1))))
         if states > limit:
             raise CapacityError(
-                f"layer {t + 1} needs {states} states, over the limit of {limit}; "
+                f"layer {t} needs {states} states, over the limit of {limit}; "
                 f"set {MAX_STATES_ENV} to raise it"
             )
-        ranges.append((lo, hi))
-        actions.append(action)
-    return ranges, actions
 
 
 def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:
@@ -198,61 +175,45 @@ def _group_counts(t: int, n1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return n1, s1, s2
 
 
-def _next_layer(
-    mass: np.ndarray, t: int, span: tuple[int, int], next_span: tuple[int, int],
-    action: float | None, force_rate: float | None, inst: BanditInstance,
-) -> np.ndarray:
-    """Layer ``t + 1`` from layer ``t``, both flat; ``mass`` is overwritten."""
+def _next_layer(mass: np.ndarray, t: int, force_rate: float, inst: BanditInstance) -> np.ndarray:
+    """Layer ``t + 1`` (slices 1 .. t) from layer ``t >= 2`` (slices 1 .. t-1),
+    both flat; ``mass`` is overwritten."""
     m1, m2 = inst.mu1, inst.mu2
-    lo, nlo = span[0], next_span[0]
-    sizes = _slice_sizes(t, *span)
+    sizes = _slice_sizes(t, 1, t - 1)
     starts = (np.cumsum(sizes) - sizes).tolist()
-    nsizes = _slice_sizes(t + 1, *next_span)
+    nsizes = _slice_sizes(t + 1, 1, t)
     nstarts = (np.cumsum(nsizes) - nsizes).tolist()
     nxt = np.zeros(int(np.sum(nsizes)))
     sizes = sizes.tolist()
     for first, stop in _groups(sizes):
         a = starts[first]
-        pull1 = pull2 = mass[a:starts[stop - 1] + sizes[stop - 1]]
-        if action is None:
-            n1s = np.arange(lo + first, lo + stop)
-            pull1 = plugin_actions(t, *_group_counts(t, n1s), force_rate)
-            # in place: the action buffer becomes pull1, the group's mass pull2
-            np.multiply(pull2, pull1, out=pull1)
-            np.subtract(pull2, pull1, out=pull2)
-        elif action == 1.0:
-            pull2 = None
-        else:
-            pull1 = None
-        if pull1 is not None:
-            win1, lose1 = pull1 * m1, pull1 * (1.0 - m1)
-        if pull2 is not None:
-            win2, lose2 = pull2 * m2, pull2 * (1.0 - m2)
+        pull2 = mass[a:starts[stop - 1] + sizes[stop - 1]]
+        pull1 = plugin_actions(t, *_group_counts(t, np.arange(1 + first, 1 + stop)), force_rate)
+        # in place: the action buffer becomes pull1, the group's mass pull2
+        np.multiply(pull2, pull1, out=pull1)
+        np.subtract(pull2, pull1, out=pull2)
+        win1, lose1 = pull1 * m1, pull1 * (1.0 - m1)
+        win2, lose2 = pull2 * m2, pull2 * (1.0 - m2)
         for i in range(first, stop):
-            n1 = lo + i
-            rows, cols = n1 + 1, t - n1 + 1
+            rows, cols = i + 2, t - i  # slice n1 = i + 1
             o, n = starts[i] - a, sizes[i]
-            if pull1 is not None:
-                # arm 1: slice n1 + 1, whose rows are one longer; a success is one row down
-                s = nstarts[n1 + 1 - nlo]
-                np.add(nxt[s + cols:s + cols + n], win1[o:o + n], out=nxt[s + cols:s + cols + n])
-                np.add(nxt[s:s + n], lose1[o:o + n], out=nxt[s:s + n])
-            if pull2 is not None:
-                # arm 2: slice n1, one column wider; a success is one column right
-                s = nstarts[n1 - nlo]
-                tgt = nxt[s:s + rows * (cols + 1)].reshape(rows, cols + 1)
-                np.add(tgt[:, 1:], win2[o:o + n].reshape(rows, cols), out=tgt[:, 1:])
-                np.add(tgt[:, :-1], lose2[o:o + n].reshape(rows, cols), out=tgt[:, :-1])
+            # arm 1: slice n1 + 1, whose rows are one longer; a success is one row down
+            s = nstarts[i + 1]
+            np.add(nxt[s + cols:s + cols + n], win1[o:o + n], out=nxt[s + cols:s + cols + n])
+            np.add(nxt[s:s + n], lose1[o:o + n], out=nxt[s:s + n])
+            # arm 2: slice n1, one column wider; a success is one column right
+            s = nstarts[i]
+            tgt = nxt[s:s + rows * (cols + 1)].reshape(rows, cols + 1)
+            np.add(tgt[:, 1:], win2[o:o + n].reshape(rows, cols), out=tgt[:, 1:])
+            np.add(tgt[:, :-1], lose2[o:o + n].reshape(rows, cols), out=tgt[:, :-1])
     return nxt
 
 
-def _slices(mass: np.ndarray, t: int, span: tuple[int, int]) -> dict[int, np.ndarray]:
-    """``{n1: (s1, s2) view}`` of flat layer ``t``, in ascending ``n1``."""
-    lo, hi = span
-    sizes = _slice_sizes(t, lo, hi).tolist()
+def _slices(mass: np.ndarray, t: int) -> dict[int, np.ndarray]:
+    """``{n1: (s1, s2) view}`` of flat layer ``t >= 2``, ``n1 = 1 .. t-1`` ascending."""
     layer = {}
     start = 0
-    for n1, size in zip(range(lo, hi + 1), sizes):
+    for n1, size in enumerate(_slice_sizes(t, 1, t - 1).tolist(), start=1):
         layer[n1] = mass[start:start + size].reshape(n1 + 1, t - n1 + 1)
         start += size
     return layer
@@ -261,43 +222,46 @@ def _slices(mass: np.ndarray, t: int, span: tuple[int, int]) -> dict[int, np.nda
 def dp_layers(
     policy: PolicySpec, inst: BanditInstance, T: int
 ) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
-    """Forward DP pass, yielding ``(t, layer)`` for t = 0 .. T.
+    """Forward DP pass of plug-in tracking, yielding ``(t, layer)`` for t = 0 .. T.
 
-    A layer maps each ``n1`` to a 2-D view of the layer's flat storage.  The
-    views are overwritten when the iterator advances: consume each layer
-    first if its values must be kept.  A budget whose largest layer is over
-    the state limit raises CapacityError before layer 0 is yielded.
+    A layer maps each ``n1`` to a 2-D ``(s1, s2)`` array: ``{0: [[1]]}``,
+    ``{1: [[1-mu1], [mu1]]}``, ``{1: outer([1-mu1, mu1], [1-mu2, mu2])}``,
+    then ``n1 = 1 .. t-1`` at layer t.  From layer 2 on the arrays are views
+    of flat storage, overwritten when the iterator advances: consume each
+    layer first if its values must be kept.  Before layer 0, raises
+    ArgumentError on a fixed schedule (its exact path is the binomial log
+    path) and CapacityError on a budget whose largest layer is over the
+    state limit.
     """
     T = check_budget(T)
-    ranges, actions = _plan(policy, T, _max_states())
-    mass = np.ones(1)
-    yield 0, _slices(mass, 0, ranges[0])
-    for t, action in enumerate(actions):
-        mass = _next_layer(mass, t, ranges[t], ranges[t + 1], action, policy.force_rate, inst)
-        yield t + 1, _slices(mass, t + 1, ranges[t + 1])
+    if policy.deterministic_schedule:
+        raise ArgumentError(
+            f"dp_layers evaluates plug-in tracking only; the fixed schedule "
+            f"{policy.description} takes the binomial log path (static_error_log)"
+        )
+    _check_capacity(T, _max_states())
+    m1, m2 = inst.mu1, inst.mu2
+    yield 0, {0: np.ones((1, 1))}
+    yield 1, {1: np.array([[1.0 - m1], [m1]])}
+    mass = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).ravel()
+    yield 2, _slices(mass, 2)
+    for t in range(2, T):
+        mass = _next_layer(mass, t, policy.force_rate, inst)
+        yield t + 1, _slices(mass, t + 1)
 
 
 def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
-    """:func:`exact_summary` by the forward DP: the engine of adaptive
-    policies, and the cross-check of the log path on fixed schedules."""
+    """:func:`exact_summary` of plug-in tracking by the forward DP, summed in
+    ascending ``n1``; every terminal slice has ``1 <= n1 <= T-1``."""
     for _, final in dp_layers(policy, inst, T):
         pass  # the last layer yielded is round T's
     p_pick1 = p_pick2 = e_n1 = 0.0
-    for n1 in sorted(final):
-        mass = final[n1]
-        n2 = T - n1
-        slice_total = float(np.sum(mass))
-        if slice_total == 0.0:
-            continue
-        if n1 < 1 or n2 < 1:
-            raise RecommendationError(
-                f"terminal mass {slice_total} on states with an unsampled arm (n1={n1})"
-            )
+    for n1, mass in final.items():
         rows, cols = mass.shape
-        pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], n2)
+        pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], T - n1)
         p_pick2 += float(np.sum(mass * pick2))
         p_pick1 += float(np.sum(mass * (1.0 - pick2)))
-        e_n1 += slice_total * n1
+        e_n1 += float(np.sum(mass)) * n1
     p_error = p_pick2 if inst.best_arm == 1 else p_pick1
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T)
 
@@ -309,9 +273,8 @@ def _evaluate(policy: PolicySpec, inst: BanditInstance, T: int) -> tuple[ExactSu
         summary = _dp_summary(policy, inst, T)
         p_error = summary.p_error
         return summary, math.log(p_error) if p_error > 0.0 else -math.inf
-    x = policy.schedule_fraction()
-    n1, n2 = schedule_counts(x, T, policy.description)  # its errors name the policy
-    logp = static_error_log(x, inst, T)
+    n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
+    logp = _static_error_log(n1, n2, inst)
     p_error = math.exp(logp)
     p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1), e_omega2=n2 / T), logp
@@ -376,15 +339,19 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
     return float(np.logaddexp.reduce(per_s1))
 
 
+def _static_error_log(n1: int, n2: int, inst: BanditInstance) -> float:
+    """log of the exact error probability of ``n1`` and ``n2`` fixed pulls."""
+    if inst.mu1 > inst.mu2:
+        return _error_log_best1(n1, inst.mu1, n2, inst.mu2)
+    return _error_log_best1(n2, inst.mu2, n1, inst.mu1)
+
+
 def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
     """log of the exact error probability of the static(x) schedule."""
     T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("the error probability needs distinct means")
-    n1, n2 = static_counts(x, T, f"static:{x}")
-    if inst.mu1 > inst.mu2:
-        return _error_log_best1(n1, inst.mu1, n2, inst.mu2)
-    return _error_log_best1(n2, inst.mu2, n1, inst.mu1)
+    return _static_error_log(*static_counts(x, T, f"static:{x}"), inst)
 
 
 def static_error_exact(x: float, inst: BanditInstance, T: int) -> float:
@@ -417,6 +384,19 @@ def change_of_measure_slack(
     return ComSlack(math.inf, True, p, q)
 
 
+def inv_g_half(inst: BanditInstance) -> float:
+    """``1/g(1/2, inst)``, the reference level of a rate scan.  Raises
+    DomainError when ``g(1/2)`` is not positive: the means are too close for
+    double precision to resolve an exponent."""
+    g = g_closed(0.5, inst)
+    if not g > 0.0:
+        raise DomainError(
+            f"g(1/2) of the instance ({inst.mu1!r}, {inst.mu2!r}) does not resolve in "
+            f"double precision (got {g!r}); the means are too close"
+        )
+    return 1.0 / g
+
+
 def rate_ratio_scan(
     policy: PolicySpec, inst: BanditInstance, T_grid: list[int]
 ) -> RateScan:
@@ -430,12 +410,13 @@ def rate_ratio_scan(
         raise DomainError("rate scans need distinct means")
     if not T_grid:
         raise ArgumentError("empty budget grid")
+    reference = inv_g_half(inst)
     points = []
     for T in T_grid:
         T = check_budget(T)
         summary, logp = _evaluate(policy, inst, T)
         points.append(RatePoint(T=T, p_error=summary.p_error, ratio=T / -logp))
-    return RateScan(points=tuple(points), inv_g_half=1.0 / g_closed(0.5, inst))
+    return RateScan(points=tuple(points), inv_g_half=reference)
 
 
 def stability_profile(

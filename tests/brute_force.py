@@ -19,7 +19,10 @@ documented splitmix64 stream formula.
 The dict DP is the exact engine's forward pass as it was before layers were
 stored flat and walked in groups of slices: a dict of ``(s1, s2)`` arrays, one
 per ``n1``, with one :func:`plugin_action_grid` call per slice.  The engine
-must yield the same layers byte for byte.
+must yield the same layers of plug-in tracking byte for byte.  The engine
+refuses fixed schedules, so the dict DP, which still runs them (one slice per
+layer), is also the fixed-schedule reference that the binomial log path is
+checked against.
 
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
@@ -114,6 +117,23 @@ def dict_dp_layers(policy: PolicySpec, inst: BanditInstance, T: int):
                 tgt[:, :-1] += pull2 * (1.0 - m2)
         layer = dict(sorted(nxt.items()))
         yield t + 1, layer
+
+
+def dict_dp_summary(
+    policy: PolicySpec, inst: BanditInstance, T: int
+) -> tuple[float, float, float]:
+    """(p_error, p_pick2, e_n1) of the dict DP's last layer, summed slice by
+    slice in ascending ``n1`` with the fair-tie decision mass of each cell."""
+    for _, final in dict_dp_layers(policy, inst, T):
+        pass
+    p_pick1 = p_pick2 = e_n1 = 0.0
+    for n1, mass in final.items():
+        rows, cols = mass.shape
+        pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], T - n1)
+        p_pick2 += float(np.sum(mass * pick2))
+        p_pick1 += float(np.sum(mass * (1.0 - pick2)))
+        e_n1 += float(np.sum(mass)) * n1
+    return (p_pick2 if inst.best_arm == 1 else p_pick1), p_pick2, e_n1
 
 
 def textbook_track_arm1(t: int, n1, s1, s2) -> np.ndarray:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from brute_force import enumerate_summary
+from brute_force import dict_dp_layers, dict_dp_summary, enumerate_summary
 
 from bailab.cli import main
 from bailab.dual import (
@@ -26,7 +26,6 @@ from bailab.dual import (
     taylor_bracket_check,
 )
 from bailab.exact import (
-    _dp_summary,
     dp_layers,
     exact_summary,
     static_error_exact,
@@ -221,12 +220,14 @@ def test_criterion_06_exact_engine_correctness():
     inst = BanditInstance(0.7, 0.3)
     for x in (0.3, 0.5, 0.71):
         for T in (7, 25, 60, 101, 150):
-            dp = _dp_summary(PolicySpec.static(x), inst, T).p_error
+            dp = dict_dp_summary(PolicySpec.static(x), inst, T)[0]
             worst_fast = max(worst_fast, abs(dp - static_error_exact(x, inst, T)))
 
     worst_mass = 0.0
-    for policy in (PolicySpec.uniform(), PolicySpec.plugin_tracking(0.4)):
-        for t, layer in dp_layers(policy, inst, 40):
+    # the library DP runs plug-in tracking only; the dict DP runs the schedule
+    for policy, layers in ((PolicySpec.uniform(), dict_dp_layers),
+                           (PolicySpec.plugin_tracking(0.4), dp_layers)):
+        for t, layer in layers(policy, inst, 40):
             mass = sum(float(np.sum(arr)) for arr in layer.values())
             worst_mass = max(worst_mass, abs(mass - 1.0))
     report(

@@ -57,6 +57,20 @@ class TestRatesCommand:
         assert code == 3
 
 
+# separated means whose g(1/2) rounds to -0.0
+NEAR_DIAGONAL = ["0.30000001,0.3", "0.3,0.30000000000000004"]
+
+
+@pytest.mark.parametrize("mu", NEAR_DIAGONAL)
+@pytest.mark.parametrize("argv", [["rates"], ["scan", "--policy", "uniform", "--T", "10:20:10"]],
+                         ids=["rates", "scan"])
+def test_unresolved_g_half_exits_domain(capsys, argv, mu):
+    code, out, err = run_cli(capsys, *argv, "--mu", mu)
+    assert code == 3 and out == ""
+    assert "g(1/2)" in err and "does not resolve in double precision" in err
+    assert mu.split(",")[0] in err
+
+
 class TestExactCommand:
     def test_csv_row_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "--policy", "uniform",
@@ -115,6 +129,44 @@ class TestExactCommand:
     def test_missing_flags_exit_usage(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--policy", "uniform")
         assert code == 2
+
+    @pytest.mark.parametrize("output_path", [None, "absent"])
+    def test_sweep_config_without_output_path_writes_stdout(
+            self, capsys, tmp_path, monkeypatch, output_path):
+        config = {"instances": [[0.7, 0.3]], "policies": ["uniform"], "budgets": [4, 8]}
+        if output_path is None:
+            config["output_path"] = None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "exact", "--config", str(cfg))
+        assert code == 0
+        assert [row["T"] for row in csv.DictReader(out.splitlines())] == ["4", "8"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
+SWEEP_CONFIG = {"instances": [[0.7, 0.3]], "policies": ["static:0.4"], "budgets": [40],
+                "output_path": None}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("exact", "--policy", "uniform"),
+    ("exact", "--mu", "0.6,0.4"),
+    ("exact", "--T", "12"),
+    ("exact", "--out", "ignored.csv"),
+    ("mc", "--seed", "5"),
+    ("mc", "--seed", "0"),
+    ("mc", "--out", "ignored.csv"),
+])
+def test_flag_next_to_config_exits_usage(capsys, tmp_path, monkeypatch, command, flag, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    monkeypatch.chdir(tmp_path)
+    extra = ["--n", "100"] if command == "mc" else []
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), flag, value, *extra)
+    assert code == 2 and out == ""
+    assert f"{flag} conflicts with --config" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestMcCommand:

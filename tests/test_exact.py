@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from brute_force import dict_dp_layers, enumerate_summary
+from brute_force import dict_dp_layers, dict_dp_summary, enumerate_summary
 
 from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
@@ -24,7 +24,7 @@ from bailab.exact import (
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
-from bailab.policies import PolicySpec, arm2_count
+from bailab.policies import PolicySpec, arm2_count, schedule_counts
 from bailab.rates import BanditInstance, g_closed, kl_bernoulli, pinsker_like_bound_slack
 
 INST = BanditInstance(0.7, 0.3)
@@ -89,21 +89,21 @@ class TestExactSummaryValidation:
 
 
 class TestDpLayers:
+    # the library DP runs plug-in tracking only; the dict DP runs the schedule
     @pytest.mark.parametrize(
-        "policy",
-        [PolicySpec.uniform(), PolicySpec.plugin_tracking(0.4)],
-        ids=lambda p: p.description,
+        "policy, layers",
+        [(PolicySpec.uniform(), dict_dp_layers), (PolicySpec.plugin_tracking(0.4), dp_layers)],
+        ids=["uniform", "plugin:0.4"],
     )
-    def test_probability_conservation_per_layer(self, policy):
-        for t, layer in dp_layers(policy, INST, 30):
+    def test_probability_conservation_per_layer(self, policy, layers):
+        for t, layer in layers(policy, INST, 30):
             mass = sum(float(np.sum(arr)) for arr in layer.values())
             assert mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_deterministic_schedule_occupies_one_slice(self):
-        for t, layer in dp_layers(PolicySpec.static(0.3), INST, 20):
-            assert len(layer) == 1
-            (n1,) = layer.keys()
-            assert n1 == t - arm2_count(0.3, t)
+    def test_fixed_schedule_is_refused(self):
+        for policy in BUILTINS[:5]:
+            with pytest.raises(ArgumentError, match="binomial log path"):
+                next(dp_layers(policy, INST, 20))
 
     def test_repeated_runs_are_bit_identical(self):
         a = exact_summary(PolicySpec.plugin_tracking(0.3), INST, 15)
@@ -139,12 +139,6 @@ class TestDpLayersAgainstDictReference:
         # at T = 130 the middle slices hold up to 66 * 66 > 2**12 cells
         assert (66 * 66) > exact._GROUP_CELLS
         assert_same_layers(PolicySpec.plugin_tracking(0.01), BanditInstance(0.9, 0.1), 130)
-
-    @pytest.mark.parametrize("T", [7, 25, 60])
-    @pytest.mark.parametrize("policy", [PolicySpec.static(0.3), PolicySpec.uniform()],
-                             ids=lambda p: p.description)
-    def test_schedule_layers_are_byte_identical(self, policy, T):
-        assert_same_layers(policy, INST, T)
 
 
 class TestDpCapacity:
@@ -191,12 +185,12 @@ class TestStaticFastPath:
     def test_matches_dp(self, x, T):
         if min(arm2_count(x, T), T - arm2_count(x, T)) < 1:
             pytest.skip("schedule does not cover both arms")
-        dp = _dp_summary(PolicySpec.static(x), INST, T).p_error
+        dp = dict_dp_summary(PolicySpec.static(x), INST, T)[0]
         assert static_error_exact(x, INST, T) == pytest.approx(dp, abs=1e-12)
 
     def test_uniform_dp_equals_fast_path_at_even_and_odd_budgets(self):
         for T in (13, 40):
-            dp = _dp_summary(PolicySpec.uniform(), INST, T).p_error
+            dp = dict_dp_summary(PolicySpec.uniform(), INST, T)[0]
             assert static_error_exact(0.5, INST, T) == pytest.approx(dp, abs=1e-12)
 
     @pytest.mark.parametrize("policy", BUILTINS[:5], ids=lambda p: p.description)
@@ -206,14 +200,25 @@ class TestStaticFastPath:
             raise AssertionError("fixed schedules take the log path")
 
         T = 40
-        dp = _dp_summary(policy, inst, T)
+        p_error, p_pick2, e_n1 = dict_dp_summary(policy, inst, T)
         monkeypatch.setattr(exact, "dp_layers", no_dp)
         s = exact_summary(policy, inst, T)
         n2 = arm2_count(policy.schedule_fraction(), T)
         assert (s.e_n1, s.e_omega2) == (T - n2, n2 / T)
-        assert s.p_error == pytest.approx(dp.p_error, abs=1e-12)
-        assert s.p_pick2 == pytest.approx(dp.p_pick2, abs=1e-12)
-        assert s.e_n1 == pytest.approx(dp.e_n1, abs=1e-12)
+        assert s.p_error == pytest.approx(p_error, abs=1e-12)
+        assert s.p_pick2 == pytest.approx(p_pick2, abs=1e-12)
+        assert s.e_n1 == pytest.approx(e_n1, abs=1e-12)
+
+    def test_exact_summary_validates_a_schedule_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return schedule_counts(*args)
+
+        monkeypatch.setattr(exact, "schedule_counts", counted)
+        exact_summary(PolicySpec.static(0.3), INST, 40)
+        assert calls == [(0.3, 40, "static:0.3")]
 
     def test_complement_symmetry(self):
         # flipping every reward label swaps the arms' roles
@@ -371,6 +376,12 @@ class TestRateRatioScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ArgumentError):
             rate_ratio_scan(PolicySpec.uniform(), INST, [])
+
+    @pytest.mark.parametrize("mu", [(0.30000001, 0.3), (0.3, 0.30000000000000004)], ids=str)
+    def test_unresolved_reference_level_is_a_domain_error(self, mu):
+        # g(1/2) rounds to -0.0 on these separated instances
+        with pytest.raises(DomainError, match=r"g\(1/2\).*does not resolve in double precision"):
+            rate_ratio_scan(PolicySpec.uniform(), BanditInstance(*mu), [10, 20])
 
 
 class TestStabilityProfile:

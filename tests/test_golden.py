@@ -5,6 +5,9 @@ that moves numbers on purpose re-records the file and says which
 commands changed and why:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Re-recording prints each command whose exit code or digest moved (a command
+new to the file counts as moved), one a line, and nothing else.
 """
 
 import contextlib
@@ -69,5 +72,9 @@ def test_stdout_matches_golden(command):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
+    before = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     record = {command: run_command(command) for command in COMMANDS}
     GOLDEN_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    for command, result in record.items():
+        if before.get(command) != result:
+            print(command)
