@@ -32,7 +32,6 @@ from .errors import (
     CapacityError,
     ConstructionError,
     DomainError,
-    RecommendationError,
 )
 from .exact import (
     ComSlack,
@@ -47,13 +46,7 @@ from .exact import (
     static_error_log,
 )
 from .mc import Estimate, simulate_plain, simulate_tilted_static
-from .policies import (
-    PolicySpec,
-    PolicyState,
-    action_distribution,
-    parse_policy,
-    recommend,
-)
+from .policies import PolicySpec, parse_policy
 from .rates import (
     BanditInstance,
     RateProfile,

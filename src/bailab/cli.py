@@ -28,7 +28,7 @@ from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
 from .exact import exact_summary, inv_g_half, rate_ratio_scan, static_error_log
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, parse_policy, policy_label
-from .rates import BanditInstance, g_closed, g_closed_grid, lambda_star, x_star
+from .rates import BanditInstance, g_closed, g_closed_grid, rate_profile, x_star
 from .verification import run_suites
 
 EXIT_OK = 0
@@ -153,15 +153,14 @@ def load_sweep_config(path: str) -> SweepConfig:
 
 def cmd_rates(args) -> int:
     inst = BanditInstance(*args.mu)
-    xs = x_star(inst)
-    at = xs if args.x is None else args.x
+    profile = rate_profile(inst, args.x)
     payload = {
         "mu1": inst.mu1,
         "mu2": inst.mu2,
-        "x": at,
-        "g": g_closed(at, inst),
-        "lambda": lambda_star(at, inst),
-        "x_star": xs,
+        "x": profile.x_star if args.x is None else args.x,
+        "g": profile.g_value,
+        "lambda": profile.lambda_min,
+        "x_star": profile.x_star,
         "inv_g_half": inv_g_half(inst),
     }
     print(_json_dumps(payload))
@@ -262,6 +261,8 @@ def cmd_construct(args) -> int:
 def cmd_demo(args) -> int:
     if not 0.0 < args.grid < 0.4:
         raise ArgumentError(f"--grid must lie in (0, 0.4) to scan two means, got {args.grid!r}")
+    if not 0.0 <= args.min_gap < math.inf:
+        raise ArgumentError(f"--min-gap must lie in [0, inf), got {args.min_gap!r}")
     mu0 = BanditInstance(*args.mu0)
     x_tuned = x_star(mu0)
     if abs(x_tuned - 0.5) < 1e-9:

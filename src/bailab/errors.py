@@ -25,6 +25,3 @@ class ConstructionError(BaiLabError, RuntimeError):
     independent re-verification.
     """
 
-
-class RecommendationError(BaiLabError, ValueError):
-    """A recommendation was requested from a state where an arm has no pulls."""

@@ -1,22 +1,22 @@
-"""Sampling policies over sufficient-statistic states.
+"""Sampling policies and the rules the engines share, over arrays of counts.
 
 Built-in policies: deterministic alternation (``uniform``), the
 largest-remainder schedule of a fixed arm-2 fraction (``static``), the
 schedule tuned to the optimal allocation of a reference instance
 (``oracle_static``), and an adaptive tracking rule with forced
-exploration (``plugin_tracking``).  A policy maps a state to the
-probability of pulling arm 1; the final recommendation picks the larger
-empirical mean and splits exact ties fairly.
+exploration (``plugin_tracking``).  The final recommendation picks the
+larger empirical mean and splits exact ties fairly.
 
-:func:`recommend` is that rule for one state and :func:`pick2_mass` over
-arrays of counts, for the exact engine and Monte Carlo alike; the package
-validates budgets with :func:`check_budget`.  :func:`plugin_actions` is the
-tracking rule over arrays of counts, for the exact engine and Monte Carlo
-alike, and :func:`plugin_action_prob` calls it for one state.  Tracking
-solves for no ``x*``: ``exp(-g)`` is strictly convex in the arm-2 share, so
-arm 1 is pulled iff its slope at the share ``n2/t`` is ``>= 0`` (0 included).
-Equal clamped means pull the arm with fewer pulls, arm 2 on equal counts;
-forcing pulls the arm with fewer pulls, arm 1 on equal counts.
+Each rule has one implementation, used by the exact engine and Monte Carlo
+alike: :func:`pick2_mass` is the fair-tie decision, :func:`schedule_counts`
+the pull counts of a fixed schedule, and :func:`plugin_actions` the tracking
+rule; the package validates budgets with :func:`check_budget`.
+:func:`plugin_action_prob` and :func:`plugin_action_grid` call the tracking
+rule for one state and one ``n1`` slice.  Tracking solves for no ``x*``:
+``exp(-g)`` is strictly convex in the arm-2 share, so arm 1 is pulled iff
+its slope at the share ``n2/t`` is ``>= 0`` (0 included).  Equal clamped
+means pull the arm with fewer pulls, arm 2 on equal counts; forcing pulls
+the arm with fewer pulls, arm 1 on equal counts.
 """
 
 from __future__ import annotations
@@ -26,50 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, RecommendationError
+from .errors import ArgumentError
 # x_star_grid is unused here; it stays a module attribute for benchmark tracing
 from .rates import BanditInstance, exp_neg_g_slope, x_star, x_star_grid  # noqa: F401
 
 __all__ = [
-    "PolicyState",
     "PolicySpec",
-    "action_distribution",
     "plugin_action_prob",
     "plugin_actions",
     "plugin_action_grid",
-    "recommend",
     "pick2_mass",
     "check_budget",
-    "pulls_arm2_at",
     "arm2_count",
     "covering_budget",
     "schedule_counts",
-    "schedule_pulls_arm1",
     "parse_policy",
     "policy_label",
 ]
 
 POLICY_KINDS = ("uniform", "static", "oracle_static", "plugin_tracking")
-
-
-@dataclass(frozen=True)
-class PolicyState:
-    """Sufficient statistic after ``t`` pulls: arm-1 pulls and both success counts."""
-
-    t: int
-    n1: int
-    s1: int
-    s2: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.s1 <= self.n1 <= self.t and 0 <= self.s2 <= self.t - self.n1):
-            raise ArgumentError(
-                f"inconsistent state: t={self.t}, n1={self.n1}, s1={self.s1}, s2={self.s2}"
-            )
-
-    @property
-    def n2(self) -> int:
-        return self.t - self.n1
 
 
 @dataclass(frozen=True)
@@ -138,11 +113,6 @@ def check_budget(T: int) -> int:
     return int(T)
 
 
-def pulls_arm2_at(x: float, t: int) -> bool:
-    """Largest-remainder schedule: arm 2 at round t iff floor((t+1)x) ticks up."""
-    return math.floor((t + 1) * x) > math.floor(t * x)
-
-
 def arm2_count(x: float, T: int) -> int:
     """Total arm-2 pulls of the largest-remainder schedule over T rounds."""
     return math.floor(T * x)
@@ -177,11 +147,6 @@ def schedule_counts(x: float, T: int, label: str) -> tuple[int, int]:
             f"the smallest budget that samples both arms is T={covering_budget(x)}"
         )
     return T - n2, n2
-
-
-def schedule_pulls_arm1(policy: PolicySpec, t: int) -> bool:
-    """Round-t action of a deterministic-schedule policy."""
-    return not pulls_arm2_at(policy.schedule_fraction(), t)
 
 
 def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> float:
@@ -239,35 +204,9 @@ def plugin_action_grid(
     return plugin_actions(t, n1, np.arange(n_s1)[:, None], np.arange(n_s2)[None, :], force_rate)
 
 
-def action_distribution(policy: PolicySpec, state: PolicyState) -> float:
-    """Probability of pulling arm 1 in the given state."""
-    if policy.deterministic_schedule:
-        return 1.0 if schedule_pulls_arm1(policy, state.t) else 0.0
-    return plugin_action_prob(state.t, state.n1, state.s1, state.s2, policy.force_rate)
-
-
-def recommend(state: PolicyState) -> tuple[float, float]:
-    """Decision distribution over the arms: larger empirical mean wins.
-
-    Means are compared by exact integer cross-multiplication; an exact tie
-    returns the fair split.  Both arms must have been sampled.
-    """
-    n2 = state.n2
-    if state.n1 < 1 or n2 < 1:
-        raise RecommendationError(
-            f"cannot recommend with pull counts n1={state.n1}, n2={n2}"
-        )
-    lhs = state.s1 * n2
-    rhs = state.s2 * state.n1
-    if lhs > rhs:
-        return (1.0, 0.0)
-    if lhs < rhs:
-        return (0.0, 1.0)
-    return (0.5, 0.5)
-
-
 def pick2_mass(s1, n1, s2, n2) -> np.ndarray:
-    """Vectorized :func:`recommend`: mass of picking arm 2, by int64 cross-multiplication.
+    """The fair-tie decision over count arrays: mass of picking arm 2, by int64
+    cross-multiplication of the empirical means.
 
     1 where ``s2/n2 > s1/n1``, 1/2 on an exact tie, else 0.  This is the error
     mass when arm 1 is best; one minus it is the error mass when arm 2 is best.

@@ -377,7 +377,10 @@ def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
 
 
 def _random_policy(rng) -> tuple[PolicySpec, int]:
-    """A random built-in policy and a budget cap suited to its DP cost."""
+    """A random built-in policy and the largest budget to draw for it: 24 for
+    plug-in tracking, whose exact DP grows with the budget, and 60 for a fixed
+    schedule, which takes the binomial log path at any budget; the caps keep
+    each seed's draws as they are."""
     kind = rng.integers(0, 4)
     if kind == 0:
         return PolicySpec.uniform(), 60

@@ -1,11 +1,14 @@
 """Independent brute-force oracles for the exact and Monte Carlo engines.
 
 The enumeration walks the full trajectory tree (actions and rewards),
-weighting each path by its probability and replaying the policy through
-its public interface.  It shares no code with the dynamic program it
-checks.  The path weights are summed with ``math.fsum``: a running float
-sum over the tens of thousands of leaves at T=12 drifts by ~1e-12, the
-size of the tolerance the comparison uses.
+weighting each path by its probability.  It replays a fixed schedule by the
+per-round floor rule, tracking through :func:`plugin_action_prob`, and
+decides by comparing the empirical means as exact rationals, so it shares
+no code with the dynamic program it checks, with the fair-tie rule
+:func:`pick2_mass` or with the count rule :func:`arm2_count`.  The path
+weights are summed with ``math.fsum``: a running float sum over the tens of
+thousands of leaves at T=12 drifts by ~1e-12, the size of the tolerance the
+comparison uses.
 
 The textbook tracking rule solves for the optimal allocation ``x*`` of the
 plug-in instance by bisection and compares the arm-1 share with
@@ -13,16 +16,17 @@ plug-in instance by bisection and compares the arm-1 share with
 share, must make the same decision.
 
 The scalar replay runs one Monte Carlo replication of a policy draw by
-draw, through the same public interface, with each draw computed from the
-documented splitmix64 stream formula.
+draw, with the same per-state actions and rational decision, each draw
+computed from the documented splitmix64 stream formula.
 
 The dict DP is the exact engine's forward pass as it was before layers were
 stored flat and walked in groups of slices: a dict of ``(s1, s2)`` arrays, one
-per ``n1``, with one :func:`plugin_action_grid` call per slice.  The engine
-must yield the same layers of plug-in tracking byte for byte.  The engine
-refuses fixed schedules, so the dict DP, which still runs them (one slice per
-layer), is also the fixed-schedule reference that the binomial log path is
-checked against.
+per ``n1``, with one :func:`plugin_action_grid` call per slice, schedules
+replayed by the floor rule, and the last layer decided by :func:`pick2_mass`.
+The engine must yield the same layers of plug-in tracking byte for byte.  The
+engine refuses fixed schedules, so the dict DP, which still runs them (one
+slice per layer), is also the fixed-schedule reference that the binomial log
+path is checked against.
 
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
@@ -32,14 +36,35 @@ the success counts, and ``np.mean``/``np.var`` over the whole array.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import binom
 
 from bailab.mc import _mix64
-from bailab.policies import (PolicySpec, PolicyState, action_distribution, arm2_count,
-                             pick2_mass, plugin_action_grid, recommend, schedule_pulls_arm1)
+from bailab.policies import (PolicySpec, arm2_count, pick2_mass, plugin_action_grid,
+                             plugin_action_prob)
 from bailab.rates import BanditInstance, lambda_star, x_star_grid
+
+
+def schedule_pulls_arm1(x: float, t: int) -> bool:
+    """Largest-remainder rule, round by round: arm 1 at round ``t`` iff
+    ``floor((t+1)·x) == floor(t·x)``."""
+    return math.floor((t + 1) * x) == math.floor(t * x)
+
+
+def state_action(policy: PolicySpec, t: int, n1: int, s1: int, s2: int) -> float:
+    """Probability that ``policy`` pulls arm 1 in state ``(t, n1, s1, s2)``."""
+    if policy.deterministic_schedule:
+        return 1.0 if schedule_pulls_arm1(policy.schedule_fraction(), t) else 0.0
+    return plugin_action_prob(t, n1, s1, s2, policy.force_rate)
+
+
+def rational_pick2(s1: int, n1: int, s2: int, n2: int) -> float:
+    """Mass of picking arm 2: 1 if ``s2/n2 > s1/n1`` as exact rationals,
+    1/2 on a tie, else 0."""
+    m1, m2 = Fraction(s1, n1), Fraction(s2, n2)
+    return 1.0 if m2 > m1 else 0.5 if m2 == m1 else 0.0
 
 
 def enumerate_summary(
@@ -54,15 +79,15 @@ def enumerate_summary(
 
     def walk(t: int, n1: int, s1: int, s2: int, prob: float) -> None:
         if t == T:
-            d1, d2 = recommend(PolicyState(T, n1, s1, s2))
-            terms[0].append(prob * (d2 if best == 1 else d1))
+            d2 = rational_pick2(s1, n1, s2, T - n1)
+            terms[0].append(prob * (d2 if best == 1 else 1.0 - d2))
             terms[1].append(prob * d2)
             terms[2].append(prob * n1)
             return
         state = (t, n1, s1, s2)
         p1 = actions.get(state)
         if p1 is None:
-            p1 = actions[state] = action_distribution(policy, PolicyState(*state))
+            p1 = actions[state] = state_action(policy, *state)
         if p1 > 0.0:
             walk(t + 1, n1 + 1, s1 + 1, s2, prob * p1 * m1)
             walk(t + 1, n1 + 1, s1, s2, prob * p1 * (1.0 - m1))
@@ -77,7 +102,7 @@ def enumerate_summary(
 
 def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):
     if policy.deterministic_schedule:
-        return 1.0 if schedule_pulls_arm1(policy, t) else 0.0
+        return state_action(policy, t, n1, 0, 0)
     return plugin_action_grid(t, n1, shape[0], shape[1], policy.force_rate)
 
 
@@ -163,14 +188,14 @@ def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, re
     draw ``2t`` for the action and draw ``2t+1`` for the reward."""
     n1 = s1 = s2 = 0
     for t in range(T):
-        p1 = action_distribution(policy, PolicyState(t, n1, s1, s2))
+        p1 = state_action(policy, t, n1, s1, s2)
         reward = stream_draw(seed, rep, 2 * t + 1)
         if stream_draw(seed, rep, 2 * t) < p1:
             n1 += 1
             s1 += reward < inst.mu1
         else:
             s2 += reward < inst.mu2
-    return recommend(PolicyState(T, n1, s1, s2))[1]
+    return rational_pick2(s1, n1, s2, T - n1)
 
 
 def stream_uniforms(seed: int, n: int, k: int) -> np.ndarray:

@@ -300,6 +300,18 @@ class TestDemoCommand:
         assert code == 2 and out == ""
         assert "(0, 0.4)" in err
 
+    @pytest.mark.parametrize("min_gap", ["nan", "inf", "-inf", "-0.001"])
+    def test_min_gap_outside_its_range_exits_usage(self, capsys, min_gap):
+        # the '=' form: argparse reads a bare "-inf" as an option
+        code, out, err = run_cli(capsys, "demo", "--mu0", "0.9,0.5", f"--min-gap={min_gap}")
+        assert code == 2 and out == ""
+        assert "[0, inf)" in err
+
+    def test_zero_min_gap_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", "0.1",
+                               "--min-gap", "0")
+        assert code == 0 and json.loads(out)["confirmed"] is True
+
     @pytest.mark.parametrize("grid, plant, first", [
         # one band: the diagonal's larger value is no instance
         (0.05, {(3, 3): 2.0, (5, 2): 1.0, (2, 7): 1.0, (2, 9): 1.0}, (2, 7)),

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from brute_force import textbook_track_arm1
+from brute_force import rational_pick2, schedule_pulls_arm1, textbook_track_arm1
 
-from bailab.errors import ArgumentError, RecommendationError
+from bailab.errors import ArgumentError
 from bailab.policies import (
     PolicySpec,
-    PolicyState,
-    action_distribution,
     arm2_count,
     check_budget,
     covering_budget,
@@ -19,33 +17,15 @@ from bailab.policies import (
     plugin_action_prob,
     plugin_actions,
     policy_label,
-    pulls_arm2_at,
-    recommend,
-    schedule_pulls_arm1,
 )
 from bailab.rates import BanditInstance, x_star
 
 
 def roll_schedule(policy, T):
-    """Arms pulled by a deterministic-schedule policy, 1-indexed arms."""
-    arms = []
-    for t in range(T):
-        arms.append(1 if schedule_pulls_arm1(policy, t) else 2)
-    return arms
-
-
-class TestPolicyState:
-    def test_valid_state(self):
-        s = PolicyState(t=5, n1=3, s1=2, s2=1)
-        assert s.n2 == 2
-
-    @pytest.mark.parametrize(
-        "t,n1,s1,s2",
-        [(2, 3, 0, 0), (3, 2, 3, 0), (3, 2, 0, 2), (1, -1, 0, 0), (2, 1, -1, 0)],
-    )
-    def test_invalid_states_rejected(self, t, n1, s1, s2):
-        with pytest.raises(ArgumentError):
-            PolicyState(t=t, n1=n1, s1=s1, s2=s2)
+    """Arms pulled by a deterministic-schedule policy under the per-round
+    largest-remainder rule, 1-indexed arms."""
+    x = policy.schedule_fraction()
+    return [1 if schedule_pulls_arm1(x, t) else 2 for t in range(T)]
 
 
 class TestPolicySpec:
@@ -107,7 +87,7 @@ class TestSchedules:
             T = int(rng.integers(1, 400))
             n2 = arm2_count(x, T)
             assert abs(n2 - x * T) < 1.0
-            assert n2 == sum(pulls_arm2_at(x, t) for t in range(T))
+            assert n2 == sum(not schedule_pulls_arm1(x, t) for t in range(T))
 
     def test_covering_budget_is_the_first_budget_pulling_both_arms(self):
         rng = np.random.default_rng(5)
@@ -130,11 +110,10 @@ class TestPluginTracking:
         assert plugin_action_prob(1, 1, 1, 0, 0.3) == 0.0
 
     def test_full_forcing_degenerates_to_alternation(self):
-        policy = PolicySpec.plugin_tracking(1.0)
         rng = np.random.default_rng(5)
         n1 = s1 = s2 = 0
         for t in range(40):
-            p1 = action_distribution(policy, PolicyState(t, n1, s1, s2))
+            p1 = plugin_action_prob(t, n1, s1, s2, 1.0)
             assert p1 in (0.0, 1.0)
             assert p1 == (1.0 if t % 2 == 0 else 0.0)
             if p1 == 1.0:
@@ -213,28 +192,21 @@ class TestPluginTracking:
 
     @pytest.mark.parametrize("state", [(3, 0, 0, 0), (3, 3, 1, 0)])
     def test_unreachable_states_name_the_limit(self, state):
-        policy = PolicySpec.plugin_tracking(0.5)
         with pytest.raises(ArgumentError, match="after round 2 both arms have at least one pull"):
-            action_distribution(policy, PolicyState(*state))
+            plugin_action_prob(*state, 0.5)
 
 
 class TestRecommend:
+    # pick2_mass(s1, n1, s2, n2) is the mass of recommending arm 2
     def test_clear_winner(self):
-        assert recommend(PolicyState(2, 1, 1, 0)) == (1.0, 0.0)
+        assert pick2_mass(1, 1, 0, 1) == 0.0
 
     def test_exact_tie_splits_fairly(self):
-        assert recommend(PolicyState(4, 2, 1, 1)) == (0.5, 0.5)
+        assert pick2_mass(1, 2, 1, 2) == 0.5
 
     def test_fraction_comparison_is_exact(self):
         # 1/3 vs 1/2 resolved by integer cross-multiplication
-        assert recommend(PolicyState(5, 3, 1, 1)) == (0.0, 1.0)
-
-    def test_unsampled_arm_rejected(self):
-        with pytest.raises(RecommendationError):
-            recommend(PolicyState(3, 3, 2, 0))
-        with pytest.raises(RecommendationError):
-            recommend(PolicyState(3, 0, 0, 1))
-
+        assert pick2_mass(1, 3, 1, 2) == 1.0
 
     def test_pick2_mass_matches_recommend_on_every_state(self):
         states = [
@@ -247,11 +219,12 @@ class TestRecommend:
         T, n1, s1, s2 = (np.array(column) for column in zip(*states))
         mass = pick2_mass(s1, n1, s2, T - n1)
         assert np.any(mass == 0.5)  # ties are among the states
-        for k, state in enumerate(states):
-            d1, d2 = recommend(PolicyState(*state))
+        for k, (T, n1, s1, s2) in enumerate(states):
+            d2 = rational_pick2(s1, n1, s2, T - n1)
             assert mass[k] == d2  # error mass when arm 1 is best
-            assert 1.0 - mass[k] == d1  # error mass when arm 2 is best
-            assert pick2_mass(state[2], state[1], state[3], state[0] - state[1]) == d2
+            # error mass when arm 2 is best: the arm-1 decision, arms swapped
+            assert 1.0 - mass[k] == rational_pick2(s2, T - n1, s1, n1)
+            assert pick2_mass(s1, n1, s2, T - n1) == d2
 
 
 class TestCheckBudget:
