@@ -9,19 +9,25 @@ without importing ``scipy.stats``.
 
 The DP runs plug-in tracking, and only it, over sufficient-statistic states
 ``(n1, s1, s2)`` with ``n2 = t - n1`` implied.  Tracking pulls arm 1, then
-arm 2, so layers 0-2 are closed forms and every later layer t spans the
-slices ``n1 = 1 .. t-1``: each layer's state count is known before the pass
-starts.  From layer 2 on a layer is one flat float64 array holding slice
-``n1``'s ``(n1+1) x (t-n1+1)`` cells ``(s1, s2)`` in row-major order after
-the slices below it, a fixed lexicographic ``(n1, s1, s2)`` order.
+arm 2, so layers 0-2 are closed forms.  Every later layer t holds the slices
+``n1 = lo .. hi`` that carry mass; the all-zero slices at both ends are
+dropped.  Arm 1 moves mass from slice ``n1`` to ``n1+1`` and arm 2 keeps it
+in ``n1``, so layer t+1 is built over slices ``lo .. hi+1`` and then trimmed.
+Which slices carry mass depends on the policy, not on the means (every
+reward sequence has positive probability).  From layer 2 on a layer is one
+flat float64 array holding slice ``n1``'s ``(n1+1) x (t-n1+1)`` cells
+``(s1, s2)`` in row-major order after the kept slices below it, a fixed
+lexicographic ``(n1, s1, s2)`` order.
 
 A step walks the layer in groups of consecutive whole slices holding at
 least ``_GROUP_CELLS`` cells (a larger slice is a group of its own, and the
 last group may hold fewer), with one call of the tracking kernel per group.
 Each cell of the next layer starts from 0.0 and receives its contributions
 in one order: arm-1 success, arm-1 failure, arm-2 success, arm-2 failure,
-so repeated runs are bit-identical.  :func:`dp_layers` yields each layer as a dict of 2-D views;
-its storage is overwritten when the iterator advances.
+so repeated runs are bit-identical.  A dropped slice holds only 0.0 and
+would add only +0.0, so dropping it moves no bit.  :func:`dp_layers` yields
+each layer as a dict of 2-D views; its storage is overwritten when the
+iterator advances.
 """
 
 from __future__ import annotations
@@ -135,7 +141,8 @@ def _slice_sizes(t: int, lo: int, hi: int) -> np.ndarray:
 
 def _check_capacity(T: int, limit: int) -> None:
     """Raise CapacityError at the first layer t = 1 .. T whose slices
-    ``n1 = 1 .. max(1, t-1)`` hold more than ``limit`` states."""
+    ``n1 = 1 .. max(1, t-1)`` hold more than ``limit`` states.  The kept
+    band is known only as the pass runs; this closed-form count bounds it."""
     for t in range(1, T + 1):
         states = int(np.sum(_slice_sizes(t, 1, max(1, t - 1))))
         if states > limit:
@@ -175,27 +182,32 @@ def _group_counts(t: int, n1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return n1, s1, s2
 
 
-def _next_layer(mass: np.ndarray, t: int, force_rate: float, inst: BanditInstance) -> np.ndarray:
-    """Layer ``t + 1`` (slices 1 .. t) from layer ``t >= 2`` (slices 1 .. t-1),
-    both flat; ``mass`` is overwritten."""
+def _next_layer(
+    mass: np.ndarray, t: int, lo: int, hi: int, force_rate: float, inst: BanditInstance
+) -> tuple[np.ndarray, int, int]:
+    """Layer ``t + 1`` from layer ``t >= 2``, whose slices ``lo .. hi`` are
+    ``mass``, both flat; ``mass`` is overwritten.  Returns ``(nxt, lo, hi)``:
+    layer t+1 is built over slices ``lo .. hi+1`` and its all-zero end slices
+    are dropped."""
     m1, m2 = inst.mu1, inst.mu2
-    sizes = _slice_sizes(t, 1, t - 1)
+    sizes = _slice_sizes(t, lo, hi)
     starts = (np.cumsum(sizes) - sizes).tolist()
-    nsizes = _slice_sizes(t + 1, 1, t)
+    nsizes = _slice_sizes(t + 1, lo, hi + 1)
     nstarts = (np.cumsum(nsizes) - nsizes).tolist()
     nxt = np.zeros(int(np.sum(nsizes)))
     sizes = sizes.tolist()
     for first, stop in _groups(sizes):
         a = starts[first]
         pull2 = mass[a:starts[stop - 1] + sizes[stop - 1]]
-        pull1 = plugin_actions(t, *_group_counts(t, np.arange(1 + first, 1 + stop)), force_rate)
+        pull1 = plugin_actions(t, *_group_counts(t, np.arange(lo + first, lo + stop)), force_rate)
         # in place: the action buffer becomes pull1, the group's mass pull2
         np.multiply(pull2, pull1, out=pull1)
         np.subtract(pull2, pull1, out=pull2)
         win1, lose1 = pull1 * m1, pull1 * (1.0 - m1)
         win2, lose2 = pull2 * m2, pull2 * (1.0 - m2)
         for i in range(first, stop):
-            rows, cols = i + 2, t - i  # slice n1 = i + 1
+            n1 = lo + i
+            rows, cols = n1 + 1, t - n1 + 1
             o, n = starts[i] - a, sizes[i]
             # arm 1: slice n1 + 1, whose rows are one longer; a success is one row down
             s = nstarts[i + 1]
@@ -206,14 +218,22 @@ def _next_layer(mass: np.ndarray, t: int, force_rate: float, inst: BanditInstanc
             tgt = nxt[s:s + rows * (cols + 1)].reshape(rows, cols + 1)
             np.add(tgt[:, 1:], win2[o:o + n].reshape(rows, cols), out=tgt[:, 1:])
             np.add(tgt[:, :-1], lose2[o:o + n].reshape(rows, cols), out=tgt[:, :-1])
-    return nxt
+    nsizes = nsizes.tolist()
+    first, last = 0, len(nsizes) - 1
+    # the layer's mass sums to 1, so some slice is non-zero and both walks stop
+    while not nxt[nstarts[first]:nstarts[first] + nsizes[first]].any():
+        first += 1
+    while not nxt[nstarts[last]:nstarts[last] + nsizes[last]].any():
+        last -= 1
+    return nxt[nstarts[first]:nstarts[last] + nsizes[last]], lo + first, lo + last
 
 
-def _slices(mass: np.ndarray, t: int) -> dict[int, np.ndarray]:
-    """``{n1: (s1, s2) view}`` of flat layer ``t >= 2``, ``n1 = 1 .. t-1`` ascending."""
+def _slices(mass: np.ndarray, t: int, lo: int, hi: int) -> dict[int, np.ndarray]:
+    """``{n1: (s1, s2) view}`` of flat layer ``t >= 2``, whose slices are
+    ``n1 = lo .. hi`` ascending."""
     layer = {}
     start = 0
-    for n1, size in enumerate(_slice_sizes(t, 1, t - 1).tolist(), start=1):
+    for n1, size in enumerate(_slice_sizes(t, lo, hi).tolist(), start=lo):
         layer[n1] = mass[start:start + size].reshape(n1 + 1, t - n1 + 1)
         start += size
     return layer
@@ -226,12 +246,13 @@ def dp_layers(
 
     A layer maps each ``n1`` to a 2-D ``(s1, s2)`` array: ``{0: [[1]]}``,
     ``{1: [[1-mu1], [mu1]]}``, ``{1: outer([1-mu1, mu1], [1-mu2, mu2])}``,
-    then ``n1 = 1 .. t-1`` at layer t.  From layer 2 on the arrays are views
-    of flat storage, overwritten when the iterator advances: consume each
-    layer first if its values must be kept.  Before layer 0, raises
-    ArgumentError on a fixed schedule (its exact path is the binomial log
-    path) and CapacityError on a budget whose largest layer is over the
-    state limit.
+    then at layer t the slices ``n1 = lo .. hi`` that carry mass (the
+    all-zero slices at both ends are dropped).  From layer 2 on the arrays
+    are views of flat storage, overwritten when the iterator advances:
+    consume each layer first if its values must be kept.  Before layer 0,
+    raises ArgumentError on a fixed schedule (its exact path is the binomial
+    log path) and CapacityError on a budget whose largest untrimmed layer
+    (slices ``n1 = 1 .. t-1``) is over the state limit.
     """
     T = check_budget(T)
     if policy.deterministic_schedule:
@@ -244,15 +265,16 @@ def dp_layers(
     yield 0, {0: np.ones((1, 1))}
     yield 1, {1: np.array([[1.0 - m1], [m1]])}
     mass = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).ravel()
-    yield 2, _slices(mass, 2)
+    lo = hi = 1
+    yield 2, _slices(mass, 2, lo, hi)
     for t in range(2, T):
-        mass = _next_layer(mass, t, policy.force_rate, inst)
-        yield t + 1, _slices(mass, t + 1)
+        mass, lo, hi = _next_layer(mass, t, lo, hi, policy.force_rate, inst)
+        yield t + 1, _slices(mass, t + 1, lo, hi)
 
 
 def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
-    """:func:`exact_summary` of plug-in tracking by the forward DP, summed in
-    ascending ``n1``; every terminal slice has ``1 <= n1 <= T-1``."""
+    """:func:`exact_summary` of plug-in tracking by the forward DP, summed over
+    the kept terminal slices in ascending ``n1``; each has ``1 <= n1 <= T-1``."""
     for _, final in dp_layers(policy, inst, T):
         pass  # the last layer yielded is round T's
     p_pick1 = p_pick2 = e_n1 = 0.0

@@ -434,12 +434,26 @@ SUITES = {
 
 
 def run_suites(names: list[str], samples: int, seed: int) -> list[PropertyResult]:
-    """Run the named suites; ``all`` expands to every suite in order."""
+    """Run the named suites; ``all`` expands to every suite in order.
+
+    A suite that raises becomes one failed result whose witness names the
+    suite, its seed, its sample count and the exception; the other suites
+    still run.
+    """
     if samples < 1:
         raise ArgumentError(f"verify needs at least 1 sample, got {samples}")
     if names == ["all"]:
         names = list(SUITES)
     results = []
     for offset, name in enumerate(names):
-        results.extend(SUITES[name](samples, seed + offset))
+        suite_seed = seed + offset
+        try:
+            results.extend(SUITES[name](samples, suite_seed))
+        except Exception as exc:
+            results.append(PropertyResult(
+                name=f"suite {name} raised", samples=samples, worst=math.nan,
+                bound=math.nan, passed=False,
+                witness={"suite": name, "seed": suite_seed, "samples": samples,
+                         "error": f"{type(exc).__name__}: {exc}"},
+            ))
     return results

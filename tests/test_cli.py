@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bailab
+from bailab import verification
 from bailab.cli import main
 from bailab.exact import exact_summary
 from bailab.policies import PolicySpec, parse_policy
@@ -271,6 +272,23 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "dual", "--samples", "60",
                                "--seed", "3")
         assert code == 0
+
+    def test_a_suite_that_raises_is_a_reported_fail(self, capsys, monkeypatch):
+        def boom(samples, seed):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(verification.SUITES, "rates", boom)
+        code, out, err = run_cli(capsys, "verify", "all", "--samples", "3", "--seed", "11")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "FAIL suite rates raised: worst=NaN bound=NaN samples=3"
+        # the next suite, dual, still runs: its first property is the KL identity
+        assert lines[1].startswith("PASS KL vs Bregman identity:")
+        witness = json.loads(out.split("failing witnesses:\n", 1)[1])
+        assert witness["property"] == "suite rates raised"
+        assert witness["witness"] == {"suite": "rates", "seed": 11, "samples": 3,
+                                      "error": "ZeroDivisionError: float division by zero"}
 
 
 class TestDemoCommand:

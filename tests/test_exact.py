@@ -112,15 +112,22 @@ class TestDpLayers:
 
 
 def assert_same_layers(policy, inst, T):
-    """Every layer of ``dp_layers`` equals the dict DP's, byte for byte."""
+    """Every layer of ``dp_layers`` equals the dict DP's on the slices it keeps,
+    byte for byte; the kept slices are one range with non-zero end slices,
+    and every reference slice outside it is exactly 0.0."""
     last = None
     for (t, layer), (t_ref, ref) in zip(dp_layers(policy, inst, T),
                                         dict_dp_layers(policy, inst, T)):
         assert t == t_ref
-        assert list(layer) == list(ref)
+        keys = list(layer)
+        assert keys == list(range(keys[0], keys[-1] + 1))
+        assert layer[keys[0]].any() and layer[keys[-1]].any(), t
         for n1, arr in layer.items():
             assert arr.dtype == ref[n1].dtype and arr.shape == ref[n1].shape
             assert arr.tobytes() == ref[n1].tobytes(), (t, n1)
+        for n1, arr in ref.items():
+            if n1 not in layer:
+                assert not arr.any(), (t, n1)
         last = t
     assert last == T
 
@@ -141,15 +148,42 @@ class TestDpLayersAgainstDictReference:
         assert_same_layers(PolicySpec.plugin_tracking(0.01), BanditInstance(0.9, 0.1), 130)
 
 
+class TestDpSameBits:
+    @pytest.mark.parametrize("T", [3, 4, 7, 20, 48])
+    @pytest.mark.parametrize("mu", [(0.6, 0.4), (0.9, 0.5), (0.3, 0.55), (0.2, 0.01)],
+                             ids=str)
+    @pytest.mark.parametrize("force_rate", [0.5, 0.2, 0.01, 1.0])
+    def test_summary_equals_the_untrimmed_dict_dp(self, force_rate, mu, T):
+        policy, inst = PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu)
+        s = _dp_summary(policy, inst, T)
+        assert (s.p_error, s.p_pick2, s.e_n1) == dict_dp_summary(policy, inst, T)
+
+
+class TestDpBand:
+    """The kept slices depend on the policy, not on the means: the last layer
+    keeps 6,765 of 20,727 states at T = 48 and 63,725 of 176,649 at T = 100."""
+
+    @pytest.mark.parametrize("mu", [(0.6, 0.4), (0.9, 0.5), (0.2, 0.01)], ids=str)
+    @pytest.mark.parametrize("force_rate", [0.01, 0.2, 0.5])
+    @pytest.mark.parametrize("T, lo, hi, states", [(48, 19, 29, 6_765), (100, 38, 62, 63_725)])
+    def test_last_layer_band(self, force_rate, mu, T, lo, hi, states):
+        for t, layer in dp_layers(PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu), T):
+            pass
+        assert t == T
+        assert list(layer) == list(range(lo, hi + 1))
+        assert sum(a.size for a in layer.values()) == states
+
+
 class TestDpCapacity:
-    """Each layer's state count is known in advance, so the limit is checked
-    before layer 0; layer 20 of tracking holds 1729 states, layer 21 1980."""
+    """The limit is checked before layer 0 on each layer's closed-form,
+    untrimmed state count (slices n1 = 1 .. t-1); layer 20 of tracking
+    counts 1729 states, layer 21 1980."""
 
     def test_budget_at_the_limit_runs(self, monkeypatch):
         monkeypatch.setenv("BAI_MAX_STATES", "1729")
-        states = [sum(a.size for a in layer.values())
-                  for _, layer in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20)]
-        assert states[-1] == 1729
+        layers = [t for t, _ in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20)]
+        assert layers == list(range(21))
+        assert exact._slice_sizes(20, 1, 19).sum() == 1729
 
     def test_over_the_limit_raises_before_layer_0(self, monkeypatch):
         monkeypatch.setenv("BAI_MAX_STATES", "1729")
@@ -160,8 +194,9 @@ class TestDpCapacity:
 
 class TestDpMemory:
     def test_peak_is_two_layers_and_bounded_temporaries(self):
-        # layer 100 of tracking holds 176,649 states; the current and next
-        # layers take 16 B per state of it, group temporaries stay bounded
+        # layer 100 of tracking keeps 63,725 states (176,649 untrimmed); the
+        # current and next layers take 16 B per state of it, group temporaries
+        # stay bounded
         policy = PolicySpec.plugin_tracking(0.5)
         inst = BanditInstance(0.6, 0.4)
         _dp_summary(policy, inst, 10)  # warm caches outside the measurement
@@ -171,7 +206,7 @@ class TestDpMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 176_649 + 2**20
+        assert peak <= 24 * 63_725 + 2**20
 
 
 class TestStaticFastPath:
