@@ -3,9 +3,13 @@ schedules and a forward dynamic program for plug-in tracking.
 
 The log path works entirely in the log domain and therefore survives
 budgets deep into the underflow range of plain probabilities.  Its
-binomial log-pmf is ``scipy.special``'s ``gammaln``/``xlogy``/``xlog1py``
-in the grouping of ``scipy.stats.binom.logpmf``, so it has the same bits
-without importing ``scipy.stats``.
+binomial log-pmf has the bits of ``scipy.stats.binom.logpmf`` without
+importing ``scipy.stats``: the same ``scipy.special`` functions in the same
+grouping, with each logarithm taken once.  One call builds one table of
+``max(n1, n2) + 1`` log-factorials that both arms read, takes ``log p`` and
+``log1p(-p)`` once per arm, and adds the half-mass of a tie by ``logaddexp``
+only in the cells that tie; the docstrings of :func:`_binom_logpmf` and
+:func:`_error_log_best1` say why each gives the same bits.
 
 The DP runs plug-in tracking, and only it, over sufficient-statistic states
 ``(n1, s1, s2)`` with ``n2 = t - n1`` implied.  Tracking pulls arm 1, then
@@ -64,8 +68,9 @@ __all__ = [
 ]
 
 # State budget: ~T^3/6 DP states per layer cap adaptive budgets near T=150,
-# and a fixed schedule's binomial tables (n + 1 entries per arm) near
-# T=1.2e6 at x = 1/2.  Override with the BAI_MAX_STATES environment variable.
+# and a fixed schedule's binomial tables (max(n1, n2) + 1 log-factorials,
+# n + 1 log-pmf entries per arm) near T=1.2e6 at x = 1/2.  Override with the
+# BAI_MAX_STATES environment variable.
 DEFAULT_MAX_STATES = 600_000
 
 MAX_STATES_ENV = "BAI_MAX_STATES"
@@ -316,11 +321,12 @@ def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSumm
 
 
 def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
-    """:func:`schedule_counts`, raising CapacityError when an arm's binomial
-    table of ``n + 1`` entries is over the state limit.
+    """:func:`schedule_counts`, raising CapacityError when a binomial table
+    of ``max(n1, n2) + 1`` entries is over the state limit.
 
-    The log path and static Monte Carlo each build one such table per arm;
-    both call this before building either.
+    The log path builds one log-factorial table that long and a log-pmf
+    table of ``n + 1`` entries per arm; static Monte Carlo builds one table
+    per arm.  Both call this before building any.
     """
     n1, n2 = schedule_counts(x, T, label)
     length = max(n1, n2) + 1
@@ -333,10 +339,36 @@ def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
     return n1, n2
 
 
-def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """log P[Binomial(n, p) = k], grouped as ``scipy.stats.binom.logpmf`` groups it."""
-    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+def _log_factorials(m: int) -> np.ndarray:
+    """``log k!`` for k = 0 .. m, as ``gammaln(k + 1)``."""
+    return gammaln(np.arange(1.0, m + 2.0))
+
+
+def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P[Binomial(n, p) = k] for k = 0 .. n, from the table ``lf`` of
+    :func:`_log_factorials` (``n + 1`` entries or more), with the bits of
+    ``scipy.stats.binom.logpmf``.
+
+    That function computes ``gammaln(n+1) - (gammaln(k+1) + gammaln(n-k+1))``,
+    adds ``xlogy(k, p)`` and then ``xlog1py(n-k, -p)``.  The same grouping
+    here reads ``gammaln(n+1)`` as ``lf[n]``, ``gammaln(k+1)`` and
+    ``gammaln(n-k+1)`` as ``lf`` forwards and backwards, and multiplies
+    ``log p = xlogy(1.0, p)`` and ``log1p(-p) = xlog1py(1.0, -p)``, taken
+    once, by the counts: ``xlogy`` and ``xlog1py`` are ``x * log(y)`` and
+    ``x * log1p(y)`` for ``x != 0``.
+    At ``x == 0`` they give +0.0 where the product gives -0.0; that happens
+    at ``k = 0``, whose ``combiln`` is ``lf[n] - (0.0 + lf[n]) = +0.0``, and
+    at ``k = n``, after a non-zero ``n·log p``; adding either zero to those
+    gives the same bits.
+    """
+    counts = np.arange(n + 1.0)  # k, and reversed n - k
+    out = np.add(lf[:n + 1], lf[n::-1])
+    np.subtract(lf[n], out, out=out)
+    term = np.multiply(counts, xlogy(1.0, p))
+    out += term
+    np.multiply(counts[::-1], xlog1py(1.0, -p), out=term)
+    out += term
+    return out
 
 
 def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
@@ -344,20 +376,28 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
 
     Accumulates entirely in the log domain (upper-tail log-cumsums of the
     arm-2 mass), so the result is meaningful far below the smallest
-    positive double.
+    positive double.  Success count ``s1`` loses to every ``s2`` above
+    ``tie_at = s1·n2 // n1`` and ties at ``tie_at`` when ``n1`` divides
+    ``s1·n2``, that is when ``s1`` is a multiple of ``n1 / gcd(n1, n2)``.
+    Only those cells add half the tie's mass by ``logaddexp``; the others
+    take the strict tail as it is, the same bits as ``logaddexp(tail, -inf)``,
+    which is ``tail + log1p(0.0)``: no tail is -0.0, since no log-pmf is and
+    a sum that cancels rounds to +0.0.
     """
-    s1 = np.arange(n1 + 1)
-    lb1 = _binom_logpmf(s1, n1, m1)
-    lb2 = _binom_logpmf(np.arange(n2 + 1), n2, m2)
+    lf = _log_factorials(max(n1, n2))
+    lb1 = _binom_logpmf(lf, n1, m1)
+    lb2 = _binom_logpmf(lf, n2, m2)
+    del lf  # freed before the tail's arrays are built
     logtail = np.empty(n2 + 2)
     logtail[n2 + 1] = -np.inf
     logtail[: n2 + 1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
-    crossings = s1 * n2
-    strict_from = crossings // n1 + 1
-    tie_at = crossings // n1
-    tie_mask = crossings % n1 == 0
-    tie_terms = np.where(tie_mask, lb2[tie_at] + math.log(0.5), -np.inf)
-    per_s1 = lb1 + np.logaddexp(logtail[strict_from], tie_terms)
+    tie_at = np.arange(n1 + 1)
+    tie_at *= n2
+    tie_at //= n1
+    per_s1 = logtail[tie_at + 1]
+    ties = slice(None, None, n1 // math.gcd(n1, n2))
+    per_s1[ties] = np.logaddexp(per_s1[ties], lb2[tie_at[ties]] + math.log(0.5))
+    per_s1 += lb1
     return float(np.logaddexp.reduce(per_s1))
 
 

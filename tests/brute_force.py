@@ -28,6 +28,13 @@ engine refuses fixed schedules, so the dict DP, which still runs them (one
 slice per layer), is also the fixed-schedule reference that the binomial log
 path is checked against.
 
+The static log-path reference is the binomial log path as it was before it
+shared one log-factorial table between the arms, took each logarithm once and
+ran ``logaddexp`` on the tie cells only: a fresh ``gammaln``/``xlogy``/
+``xlog1py`` pass per arm, grouped as ``scipy.stats.binom.logpmf`` groups it,
+and an elementwise ``logaddexp`` over every cell.  The engine must give the
+same bits.
+
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
 the success counts, and ``np.mean``/``np.var`` over the whole array.
@@ -39,6 +46,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
 from bailab.mc import _mix64
@@ -98,6 +106,41 @@ def enumerate_summary(
     walk(0, 0, 0, 0, 1.0)
     p_error, p_pick2, e_n1 = (math.fsum(column) for column in terms)
     return p_error, p_pick2, e_n1
+
+
+def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P[Binomial(n, p) = k], grouped as ``scipy.stats.binom.logpmf`` groups it."""
+    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
+    """log P[recommend arm 2] for independent binomial counts, arm 1 best.
+
+    Accumulates entirely in the log domain (upper-tail log-cumsums of the
+    arm-2 mass), so the result is meaningful far below the smallest
+    positive double.
+    """
+    s1 = np.arange(n1 + 1)
+    lb1 = _binom_logpmf(s1, n1, m1)
+    lb2 = _binom_logpmf(np.arange(n2 + 1), n2, m2)
+    logtail = np.empty(n2 + 2)
+    logtail[n2 + 1] = -np.inf
+    logtail[: n2 + 1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
+    crossings = s1 * n2
+    strict_from = crossings // n1 + 1
+    tie_at = crossings // n1
+    tie_mask = crossings % n1 == 0
+    tie_terms = np.where(tie_mask, lb2[tie_at] + math.log(0.5), -np.inf)
+    per_s1 = lb1 + np.logaddexp(logtail[strict_from], tie_terms)
+    return float(np.logaddexp.reduce(per_s1))
+
+
+def static_error_log_reference(n1: int, n2: int, inst: BanditInstance) -> float:
+    """log of the exact error probability of ``n1`` and ``n2`` fixed pulls."""
+    if inst.mu1 > inst.mu2:
+        return _error_log_best1(n1, inst.mu1, n2, inst.mu2)
+    return _error_log_best1(n2, inst.mu2, n1, inst.mu1)
 
 
 def _slice_action(policy: PolicySpec, t: int, n1: int, shape: tuple[int, int]):

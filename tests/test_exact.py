@@ -1,19 +1,26 @@
 """Tests for the exact DP engine and the binomial fast path."""
 
+import importlib.util
+import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from brute_force import dict_dp_layers, dict_dp_summary, enumerate_summary
+from brute_force import (dict_dp_layers, dict_dp_summary, enumerate_summary,
+                         static_error_log_reference)
 
 from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
     _binom_logpmf,
     _dp_summary,
+    _log_factorials,
+    _static_error_log,
     change_of_measure_slack,
     dp_layers,
     exact_summary,
@@ -298,7 +305,48 @@ class TestBinomialLogPmf:
     @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
     def test_equals_scipy_stats_bit_for_bit(self, n, p):
         k = np.arange(n + 1)
-        assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+        assert np.array_equal(_binom_logpmf(_log_factorials(n), n, p), binom.logpmf(k, n, p))
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+class TestStaticErrorLogReference:
+    """The log path gives the bits of its reference: three gammaln passes
+    per arm, a fresh logarithm per element, and logaddexp over every cell."""
+
+    COUNTS = [(1, 1), (1, 2), (2, 1), (3, 3),
+              (40, 40), (1000, 1000), (40, 20), (1000, 500), (20, 40), (500, 1000),
+              (59_999, 60_000), (60_000, 59_999), (7, 60_000), (60_000, 7), (1, 60_000)]
+    # each pair of 1e-9, 1 - 1e-9 and 1/2, either arm best, and a pair whose
+    # numpy log(0.806) and log1p(-0.16) differ from scipy's in the last bit
+    EDGE_MEANS = list(itertools.permutations([1e-9, 1.0 - 1e-9, 0.5], 2)) + [
+        (0.806, 0.16), (0.16, 0.806)]
+
+    @pytest.mark.parametrize("mu1, mu2", EDGE_MEANS)
+    @pytest.mark.parametrize("n1, n2", COUNTS)
+    def test_fixed_grid(self, n1, n2, mu1, mu2):
+        inst = BanditInstance(mu1, mu2)
+        assert _static_error_log(n1, n2, inst) == static_error_log_reference(n1, n2, inst)
+
+    @pytest.mark.parametrize("mu", _WORKLOADS.SCHEDULE_POOL)
+    def test_benchmark_scan_at_x_star(self, mu):
+        inst = BanditInstance(*(float(v) for v in mu.split(",")))
+        x = PolicySpec.oracle_static(inst).schedule_fraction()
+        first, last, step = (int(v) for v in _WORKLOADS.SCAN_GRID.split(":"))
+        for T in range(first, last + 1, step):
+            n1, n2 = static_counts(x, T, f"oracle:{mu}")
+            assert _static_error_log(n1, n2, inst) == static_error_log_reference(n1, n2, inst), T
 
 
 class TestBinomialTableLimit:
