@@ -114,10 +114,10 @@ def _check_target(a: float) -> float:
     return float(a)
 
 
-def find_halfdisk_delta(alpha: float, x_tilde: float, resolution: float = 1e-6) -> float:
+def find_halfdisk_delta(alpha: float, x_tilde: float) -> float:
     """Radius of a half-disk on which the dual dominance inequality holds.
 
-    Returns the largest ``delta`` found at the given resolution such that
+    Returns the largest ``delta`` found to within 1e-6 such that
     ``phi''`` stays strictly inside the band
     ``(phi''(alpha)/(4 x_tilde^2), phi''(alpha)/(4 (1-x_tilde)^2))``
     on ``[alpha - delta, alpha + delta]``.  On any interval inside that
@@ -143,14 +143,14 @@ def find_halfdisk_delta(alpha: float, x_tilde: float, resolution: float = 1e-6) 
         hi *= 2.0
         if hi > 2.0**40:
             return lo
-    while hi - lo > resolution:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
         else:
             hi = mid
     if lo <= 0.0:
-        # band narrower than the resolution; fall back to geometric shrink
+        # band narrower than 1e-6; fall back to geometric shrink
         delta = hi
         while delta > 0.0 and not ok(delta):
             delta *= 0.5
@@ -310,7 +310,7 @@ def asymmetry_gap(inst: BanditInstance, delta: float) -> AsymmetryGap:
         )
     if not delta > 0.0:
         raise ArgumentError(f"delta must be positive, got {delta!r}")
-    xs = x_star(inst, tol=1e-12)
+    xs = x_star(inst)
     if delta > min(xs, 1.0 - xs) + 1e-12:
         raise ArgumentError(
             f"delta={delta} exceeds min(x*, 1-x*)={min(xs, 1.0 - xs)} for {inst}"

@@ -17,6 +17,9 @@ arm 2, so layers 0-2 are closed forms.  Every later layer t holds the slices
 ``n1 = lo .. hi`` that carry mass; the all-zero slices at both ends are
 dropped.  Arm 1 moves mass from slice ``n1`` to ``n1+1`` and arm 2 keeps it
 in ``n1``, so layer t+1 is built over slices ``lo .. hi+1`` and then trimmed.
+The state limit applies to that count, checked before the layer is
+allocated: no layer over the limit is built, but an over-limit budget fails
+only once the pass reaches the first layer that needs too many states.
 Which slices carry mass depends on the policy, not on the means (every
 reward sequence has positive probability).  From layer 2 on a layer is one
 flat float64 array holding slice ``n1``'s ``(n1+1) x (t-n1+1)`` cells
@@ -67,10 +70,12 @@ __all__ = [
     "stability_profile",
 ]
 
-# State budget: ~T^3/6 DP states per layer cap adaptive budgets near T=150,
-# and a fixed schedule's binomial tables (max(n1, n2) + 1 log-factorials,
-# n + 1 log-pmf entries per arm) near T=1.2e6 at x = 1/2.  Override with the
-# BAI_MAX_STATES environment variable.
+# State limit: no engine allocates more states than this.  Tracking builds
+# each layer over the band of slices that carry mass (at most 569,560 states
+# up to T = 200), which caps adaptive budgets at T = 203; a fixed schedule's
+# binomial tables (max(n1, n2) + 1 log-factorials, n + 1 log-pmf entries per
+# arm) cap it near T = 1.2e6 at x = 1/2.  Override with the BAI_MAX_STATES
+# environment variable.
 DEFAULT_MAX_STATES = 600_000
 
 MAX_STATES_ENV = "BAI_MAX_STATES"
@@ -87,6 +92,15 @@ def _max_states() -> int:
     if value < 1:
         raise ArgumentError(f"{MAX_STATES_ENV} must be positive, got {value}")
     return value
+
+
+def _check_states(count: int, limit: int, need: str) -> None:
+    """Raise CapacityError when ``count`` states are over ``limit``; ``need``
+    opens the message, which ends with the limit and how to raise it."""
+    if count > limit:
+        raise CapacityError(
+            f"{need}, over the limit of {limit}; set {MAX_STATES_ENV} to raise it"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,19 +158,6 @@ def _slice_sizes(t: int, lo: int, hi: int) -> np.ndarray:
     return (n1 + 1) * (t - n1 + 1)
 
 
-def _check_capacity(T: int, limit: int) -> None:
-    """Raise CapacityError at the first layer t = 1 .. T whose slices
-    ``n1 = 1 .. max(1, t-1)`` hold more than ``limit`` states.  The kept
-    band is known only as the pass runs; this closed-form count bounds it."""
-    for t in range(1, T + 1):
-        states = int(np.sum(_slice_sizes(t, 1, max(1, t - 1))))
-        if states > limit:
-            raise CapacityError(
-                f"layer {t} needs {states} states, over the limit of {limit}; "
-                f"set {MAX_STATES_ENV} to raise it"
-            )
-
-
 def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:
     """``[first, stop)`` slice indices of consecutive groups of at least
     :data:`_GROUP_CELLS` cells (the last may hold fewer); a slice that large
@@ -188,18 +189,21 @@ def _group_counts(t: int, n1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _next_layer(
-    mass: np.ndarray, t: int, lo: int, hi: int, force_rate: float, inst: BanditInstance
+    mass: np.ndarray, t: int, lo: int, hi: int, force_rate: float, inst: BanditInstance,
+    limit: int,
 ) -> tuple[np.ndarray, int, int]:
     """Layer ``t + 1`` from layer ``t >= 2``, whose slices ``lo .. hi`` are
     ``mass``, both flat; ``mass`` is overwritten.  Returns ``(nxt, lo, hi)``:
-    layer t+1 is built over slices ``lo .. hi+1`` and its all-zero end slices
-    are dropped."""
+    layer t+1 is built over slices ``lo .. hi+1``, unless that count is over
+    ``limit`` (CapacityError), and its all-zero end slices are dropped."""
     m1, m2 = inst.mu1, inst.mu2
     sizes = _slice_sizes(t, lo, hi)
     starts = (np.cumsum(sizes) - sizes).tolist()
     nsizes = _slice_sizes(t + 1, lo, hi + 1)
     nstarts = (np.cumsum(nsizes) - nsizes).tolist()
-    nxt = np.zeros(int(np.sum(nsizes)))
+    states = int(np.sum(nsizes))
+    _check_states(states, limit, f"layer {t + 1} needs {states} states")
+    nxt = np.zeros(states)
     sizes = sizes.tolist()
     for first, stop in _groups(sizes):
         a = starts[first]
@@ -254,10 +258,11 @@ def dp_layers(
     then at layer t the slices ``n1 = lo .. hi`` that carry mass (the
     all-zero slices at both ends are dropped).  From layer 2 on the arrays
     are views of flat storage, overwritten when the iterator advances:
-    consume each layer first if its values must be kept.  Before layer 0,
-    raises ArgumentError on a fixed schedule (its exact path is the binomial
-    log path) and CapacityError on a budget whose largest untrimmed layer
-    (slices ``n1 = 1 .. t-1``) is over the state limit.
+    consume each layer first if its values must be kept.  Raises
+    ArgumentError at once on a fixed schedule (its exact path is the binomial
+    log path), and CapacityError in place of the first layer whose count
+    (2 and 4 states at layers 1 and 2, then slices ``lo .. hi+1`` before
+    trimming) is over the state limit: no such layer is allocated.
     """
     T = check_budget(T)
     if policy.deterministic_schedule:
@@ -265,15 +270,17 @@ def dp_layers(
             f"dp_layers evaluates plug-in tracking only; the fixed schedule "
             f"{policy.description} takes the binomial log path (static_error_log)"
         )
-    _check_capacity(T, _max_states())
+    limit = _max_states()
     m1, m2 = inst.mu1, inst.mu2
     yield 0, {0: np.ones((1, 1))}
+    _check_states(2, limit, "layer 1 needs 2 states")
     yield 1, {1: np.array([[1.0 - m1], [m1]])}
+    _check_states(4, limit, "layer 2 needs 4 states")
     mass = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).ravel()
     lo = hi = 1
     yield 2, _slices(mass, 2, lo, hi)
     for t in range(2, T):
-        mass, lo, hi = _next_layer(mass, t, lo, hi, policy.force_rate, inst)
+        mass, lo, hi = _next_layer(mass, t, lo, hi, policy.force_rate, inst, limit)
         yield t + 1, _slices(mass, t + 1, lo, hi)
 
 
@@ -330,12 +337,7 @@ def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
     """
     n1, n2 = schedule_counts(x, T, label)
     length = max(n1, n2) + 1
-    limit = _max_states()
-    if length > limit:
-        raise CapacityError(
-            f"T={T} needs a binomial table of {length} entries, over the limit of {limit}; "
-            f"set {MAX_STATES_ENV} to raise it"
-        )
+    _check_states(length, _max_states(), f"T={T} needs a binomial table of {length} entries")
     return n1, n2
 
 

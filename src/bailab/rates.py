@@ -56,15 +56,9 @@ def _check_allocation(x: float) -> float:
     return x
 
 
-def _check_tol(tol: float) -> float:
-    if not tol > 0.0:
-        raise ArgumentError(f"tolerance must be positive, got {tol!r}")
-    return float(tol)
-
-
-def _bisect_iterations(tol: float) -> int:
-    # halvings of a unit bracket needed to reach width <= tol
-    return max(1, math.ceil(-math.log2(min(tol, 0.5))))
+# Bisection steps of x*: halvings of [0, 1] to a bracket of width 2**-34,
+# below 1e-10.
+_X_STAR_STEPS = 34
 
 
 @dataclass(frozen=True)
@@ -213,7 +207,7 @@ def exp_neg_g_slope(m1, m2, y):
     return slope + m1 ** (1.0 - y) * m2 ** y * np.log(m2 / m1)
 
 
-def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
+def x_star_grid(mu1, mu2) -> np.ndarray:
     """Vectorized :func:`x_star` over arrays of means.
 
     Every pair must be separated.  Runs a fixed number of bisection steps
@@ -221,7 +215,6 @@ def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
     bit-identical outputs whether evaluated here or through the scalar
     wrapper.
     """
-    _check_tol(tol)
     m1 = np.asarray(mu1, dtype=float)
     m2 = np.asarray(mu2, dtype=float)
     if np.any(m1 == m2):
@@ -229,7 +222,7 @@ def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
     shape = np.broadcast_shapes(m1.shape, m2.shape)
     lo = np.zeros(shape)
     hi = np.ones(shape)
-    for _ in range(_bisect_iterations(tol)):
+    for _ in range(_X_STAR_STEPS):
         mid = 0.5 * (lo + hi)
         go_right = exp_neg_g_slope(m1, m2, mid) < 0.0
         lo = np.where(go_right, mid, lo)
@@ -237,7 +230,7 @@ def x_star_grid(mu1, mu2, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def x_star(inst: BanditInstance, tol: float = 1e-10) -> float:
+def x_star(inst: BanditInstance) -> float:
     """Unique maximizer of ``g(., inst)`` over (0, 1).
 
     Located by bisection on the analytic x-derivative of the closed form,
@@ -246,7 +239,7 @@ def x_star(inst: BanditInstance, tol: float = 1e-10) -> float:
     """
     if not inst.is_separated:
         raise DomainError("x_star needs distinct means: g is identically zero")
-    out = x_star_grid(np.array([inst.mu1]), np.array([inst.mu2]), tol)
+    out = x_star_grid(np.array([inst.mu1]), np.array([inst.mu2]))
     return float(out[0])
 
 
@@ -272,12 +265,12 @@ def pinsker_like_bound_slack(p: float, q: float) -> float:
     return kl_bernoulli(p, q) - (p * math.log(1.0 / q) - _LOG2)
 
 
-def rate_profile(inst: BanditInstance, x: float | None = None, tol: float = 1e-10) -> RateProfile:
+def rate_profile(inst: BanditInstance, x: float | None = None) -> RateProfile:
     """Bundle g, the inner minimizer, and the optimal allocation.
 
     When ``x`` is omitted the profile is evaluated at the optimum itself.
     """
-    xs = x_star(inst, tol)
+    xs = x_star(inst)
     at = xs if x is None else _check_allocation(x)
     return RateProfile(
         g_value=g_closed(at, inst),

@@ -339,10 +339,9 @@ def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
         gap.update(res.gap, **where)
         f_value.update(res.f_value, **where)
         f_prime.update(res.f_prime, **where)
-        # independent recomputation of the two stationarity expressions
-        xs12 = rates.x_star(inst, tol=1e-12)
-        tail = (1.0 - m1) ** (1.0 - xs12) * (1.0 - m2) ** xs12
-        head = m1 ** (1.0 - xs12) * m2 ** xs12
+        # the two stationarity expressions, recomputed outside asymmetry_gap
+        tail = (1.0 - m1) ** (1.0 - xs) * (1.0 - m2) ** xs
+        head = m1 ** (1.0 - xs) * m2 ** xs
         m_first = tail / math.log(m1 / m2)
         m_second = head / math.log((1.0 - m2) / (1.0 - m1))
         m_agree.update(abs(m_first - m_second), **where)
@@ -436,12 +435,15 @@ SUITES = {
 def run_suites(names: list[str], samples: int, seed: int) -> list[PropertyResult]:
     """Run the named suites; ``all`` expands to every suite in order.
 
-    A suite that raises becomes one failed result whose witness names the
+    Raises ArgumentError on fewer than 1 sample or a negative seed.  A
+    suite that raises becomes one failed result whose witness names the
     suite, its seed, its sample count and the exception; the other suites
     still run.
     """
     if samples < 1:
         raise ArgumentError(f"verify needs at least 1 sample, got {samples}")
+    if seed < 0:
+        raise ArgumentError(f"verify needs a seed of at least 0, got {seed}")
     if names == ["all"]:
         names = list(SUITES)
     results = []

@@ -94,11 +94,21 @@ class TestExactCommand:
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_capacity_exit_code(self, capsys):
+    def test_capacity_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("BAI_MAX_STATES", "594")
         code, _, err = run_cli(capsys, "exact", "--policy", "plugin:0.5",
                                "--mu", "0.7,0.3", "--T", "200")
         assert code == 4
+        assert "layer 20 needs 595 states" in err
         assert "BAI_MAX_STATES" in err
+
+    def test_kept_band_under_the_limit_runs(self, capsys):
+        # its untrimmed layers pass the default limit from layer 152 on
+        code, out, _ = run_cli(capsys, "exact", "--policy", "plugin:0.01",
+                               "--mu", "0.9,0.5", "--T", "160")
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["T"] == "160"
 
     def test_fixed_schedule_capacity_is_the_binomial_table(self, capsys):
         # the log path's limit: far past T = 1547, where the uniform DP stopped
@@ -267,6 +277,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "PASS" not in out
         assert "at least 1 sample" in err
+
+    @pytest.mark.parametrize("suite", ["rates", "all"])
+    def test_negative_seed_exits_usage(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", suite, "--samples", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed of at least 0, got -1" in err
 
     def test_dual_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dual", "--samples", "60",

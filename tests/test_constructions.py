@@ -13,7 +13,7 @@ from bailab.constructions import (
     construct_dual_instance,
     find_halfdisk_delta,
 )
-from bailab.dual import mean_to_natural, phi_second
+from bailab.dual import NaturalInstance, dual_rate_objects, mean_to_natural, phi_second
 from bailab.errors import ArgumentError
 from bailab.rates import BanditInstance, g_closed, lambda_star, x_star
 
@@ -198,9 +198,11 @@ class TestAsymmetryGap:
         assert res.m_value >= 0.0
 
     def test_stationarity_expressions_agree_independently(self):
-        # recompute both forms from scratch at an independently located optimum
+        # recompute both forms from scratch at the optimum of the dual closed
+        # form, located without the bisection that asymmetry_gap uses
         for m1, m2 in [(0.9, 0.5), (0.8, 0.35), (0.97, 0.2)]:
-            xs = x_star(BanditInstance(m1, m2), tol=1e-12)
+            nat = NaturalInstance.from_means(BanditInstance(m1, m2))
+            xs = dual_rate_objects(0.5, nat).x_star_dual
             m_first = (1 - m1) ** (1 - xs) * (1 - m2) ** xs / math.log(m1 / m2)
             m_second = m1 ** (1 - xs) * m2**xs / math.log((1 - m2) / (1 - m1))
             assert abs(m_first - m_second) <= 1e-9

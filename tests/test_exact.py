@@ -182,21 +182,41 @@ class TestDpBand:
 
 
 class TestDpCapacity:
-    """The limit is checked before layer 0 on each layer's closed-form,
-    untrimmed state count (slices n1 = 1 .. t-1); layer 20 of tracking
-    counts 1729 states, layer 21 1980."""
+    """The limit is checked on the count each layer allocates: 2 and 4 states
+    at layers 1 and 2, then slices ``lo .. hi+1`` before trimming.  Up to
+    T = 20, tracking on INST allocates at most 595 states, at layer 20."""
 
     def test_budget_at_the_limit_runs(self, monkeypatch):
-        monkeypatch.setenv("BAI_MAX_STATES", "1729")
+        monkeypatch.setenv("BAI_MAX_STATES", "595")
         layers = [t for t, _ in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20)]
         assert layers == list(range(21))
-        assert exact._slice_sizes(20, 1, 19).sum() == 1729
 
-    def test_over_the_limit_raises_before_layer_0(self, monkeypatch):
-        monkeypatch.setenv("BAI_MAX_STATES", "1729")
-        layers = dp_layers(PolicySpec.plugin_tracking(0.5), INST, 21)
-        with pytest.raises(CapacityError, match="layer 21 needs 1980 states, over the limit of 1729"):
-            next(layers)
+    @pytest.mark.parametrize("limit, layer, states", [(594, 20, 595), (3, 2, 4)])
+    def test_over_the_limit_raises_at_that_layer(self, monkeypatch, limit, layer, states):
+        monkeypatch.setenv("BAI_MAX_STATES", str(limit))
+        need = f"layer {layer} needs {states} states, over the limit of {limit};"
+        layers = []
+        with pytest.raises(CapacityError, match=need):
+            for t, _ in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20):
+                layers.append(t)
+        assert layers == list(range(layer))
+
+    def test_over_the_limit_layer_is_not_built(self, monkeypatch):
+        # the pass to T = 100 allocates at most 64,844 states, at layer 99; one
+        # state less stops it there, before that layer's storage exists
+        limit = 64_843
+        policy = PolicySpec.plugin_tracking(0.5)
+        inst = BanditInstance(0.6, 0.4)
+        _dp_summary(policy, inst, 10)  # warm caches outside the measurement
+        monkeypatch.setenv("BAI_MAX_STATES", str(limit))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="layer 99 needs 64844 states"):
+                _dp_summary(policy, inst, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * limit + 2**20
 
 
 class TestDpMemory:

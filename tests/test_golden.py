@@ -52,6 +52,9 @@ COMMANDS = [
     "exact --policy plugin:0.5 --mu 0.6,0.4 --T 48",
     "exact --policy plugin:0.2 --mu 0.4,0.6 --T 40",
     "exact --policy plugin:0.01 --mu 0.9,0.1 --T 130",
+    # a budget whose untrimmed layers pass the state limit while the kept
+    # band (at most 278,036 states) fits under it
+    "exact --policy plugin:0.01 --mu 0.9,0.5 --T 160",
     # the binomial log path's edges: arm 2 best with a tie cell at every
     # budget, and an error probability of 4.7e-302
     "scan --policy static:0.5 --mu 0.3,0.7 --T 3:60",
