@@ -35,6 +35,10 @@ so repeated runs are bit-identical.  A dropped slice holds only 0.0 and
 would add only +0.0, so dropping it moves no bit.  :func:`dp_layers` yields
 each layer as a dict of 2-D views; its storage is overwritten when the
 iterator advances.
+
+Layer t of a pass is the terminal layer of budget t, bit for bit, so one
+pass to the largest budget serves a list of budgets: :func:`_evaluate`,
+behind every exact entry point, walks the DP once per instance.
 """
 
 from __future__ import annotations
@@ -284,13 +288,12 @@ def dp_layers(
         yield t + 1, _slices(mass, t + 1, lo, hi)
 
 
-def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
-    """:func:`exact_summary` of plug-in tracking by the forward DP, summed over
-    the kept terminal slices in ascending ``n1``; each has ``1 <= n1 <= T-1``."""
-    for _, final in dp_layers(policy, inst, T):
-        pass  # the last layer yielded is round T's
+def _dp_summary(layer: dict[int, np.ndarray], inst: BanditInstance, T: int) -> ExactSummary:
+    """:func:`exact_summary` of plug-in tracking from ``layer``, the DP's layer
+    ``T``, summed over its kept slices in ascending ``n1``; each has
+    ``1 <= n1 <= T-1``."""
     p_pick1 = p_pick2 = e_n1 = 0.0
-    for n1, mass in final.items():
+    for n1, mass in layer.items():
         rows, cols = mass.shape
         pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], T - n1)
         p_pick2 += float(np.sum(mass * pick2))
@@ -300,18 +303,32 @@ def _dp_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummar
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T)
 
 
-def _evaluate(policy: PolicySpec, inst: BanditInstance, T: int) -> tuple[ExactSummary, float]:
-    """The summary and ``log p_error``: fixed schedules on the log path, adaptive
-    policies on the DP.  The one engine choice in this module."""
-    if not policy.deterministic_schedule:
-        summary = _dp_summary(policy, inst, T)
-        p_error = summary.p_error
-        return summary, math.log(p_error) if p_error > 0.0 else -math.inf
+def _log_path(policy: PolicySpec, inst: BanditInstance, T: int) -> tuple[ExactSummary, float]:
+    """The summary and ``log p_error`` of a fixed schedule on the binomial log path."""
     n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
     logp = _static_error_log(n1, n2, inst)
     p_error = math.exp(logp)
     p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1), e_omega2=n2 / T), logp
+
+
+def _evaluate(
+    policy: PolicySpec, inst: BanditInstance, budgets: list[int]
+) -> list[tuple[ExactSummary, float]]:
+    """The summary and ``log p_error`` of each budget, in the order given with
+    duplicates kept, after checking the instance and every budget.  Fixed
+    schedules take the log path per budget; plug-in tracking takes one DP pass
+    to the largest budget, whose layer t is budget t's terminal layer, bit for
+    bit.  The one engine choice in this module."""
+    if not inst.is_separated:
+        raise DomainError("exact evaluation needs distinct means to define an error")
+    budgets = [check_budget(T) for T in budgets]
+    if policy.deterministic_schedule:
+        return [_log_path(policy, inst, T) for T in budgets]
+    layers = dp_layers(policy, inst, max(budgets)) if budgets else ()
+    found = {t: _dp_summary(layer, inst, t) for t, layer in layers if t in budgets}
+    return [(s, math.log(s.p_error) if s.p_error > 0.0 else -math.inf)
+            for s in (found[T] for T in budgets)]
 
 
 def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
@@ -321,10 +338,7 @@ def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSumm
     pull counts; adaptive policies take the DP.  Deterministic given its
     arguments: both engines fix their order of summation.
     """
-    T = check_budget(T)
-    if not inst.is_separated:
-        raise DomainError("exact_summary needs distinct means to define an error")
-    return _evaluate(policy, inst, T)[0]
+    return _evaluate(policy, inst, [T])[0][0]
 
 
 def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
@@ -467,20 +481,17 @@ def rate_ratio_scan(
     """Exact error series with the normalized ratio ``T / log(1/p)``.
 
     Deterministic schedules use the log-domain fast path, so the ratio
-    stays finite even where the probability itself underflows.  The
-    reference level ``1/g(1/2, inst)`` is attached for comparison.
+    stays finite even where the probability itself underflows.  Plug-in
+    tracking takes one DP pass to the largest budget for the whole grid.
+    The reference level ``1/g(1/2, inst)`` is attached for comparison.
     """
-    if not inst.is_separated:
-        raise DomainError("rate scans need distinct means")
-    if not T_grid:
+    evaluated = _evaluate(policy, inst, T_grid)
+    if not evaluated:
         raise ArgumentError("empty budget grid")
     reference = inv_g_half(inst)
-    points = []
-    for T in T_grid:
-        T = check_budget(T)
-        summary, logp = _evaluate(policy, inst, T)
-        points.append(RatePoint(T=T, p_error=summary.p_error, ratio=T / -logp))
-    return RateScan(points=tuple(points), inv_g_half=reference)
+    points = tuple(RatePoint(T=T, p_error=summary.p_error, ratio=T / -logp)
+                   for T, (summary, logp) in zip(map(int, T_grid), evaluated))
+    return RateScan(points=points, inv_g_half=reference)
 
 
 def stability_profile(
@@ -491,6 +502,8 @@ def stability_profile(
     For every gap the policy is evaluated under both orientations of the
     split instance; inspecting the matrix along growing budgets and
     shrinking gaps exhibits the double limit that stability asks about.
+    Each instance is evaluated once for all budgets: plug-in tracking takes
+    one DP pass per instance, two per gap.
     """
     if math.isnan(a) or not 0.0 < a < 1.0:
         raise ArgumentError(f"a must lie strictly inside (0, 1), got {a!r}")
@@ -505,8 +518,8 @@ def stability_profile(
             raise ArgumentError(f"gap {gap} pushes the means out of (0, 1) around a={a}")
         upper = BanditInstance(hi, lo)
         lower = BanditInstance(lo, hi)
-        rows_a.append(tuple(exact_summary(policy, upper, T).e_omega2 for T in budgets))
-        rows_b.append(tuple(exact_summary(policy, lower, T).e_omega2 for T in budgets))
+        rows_a.append(tuple(s.e_omega2 for s, _ in _evaluate(policy, upper, budgets)))
+        rows_b.append(tuple(s.e_omega2 for s, _ in _evaluate(policy, lower, budgets)))
     return StabilityProfile(
         a=a,
         gaps=tuple(float(g) for g in gaps),

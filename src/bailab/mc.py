@@ -15,7 +15,7 @@ stream is ``mix64(state + (k+1) * GAMMA)`` mapped to [0, 1) through the
 top 53 bits; round ``t`` of an adaptive replay reads draw ``2t`` for the
 action and ``2t+1`` for the reward.  Streams therefore depend only on
 ``(seed, i, k)``, never on execution order, and estimates are
-bit-reproducible.
+bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 
 Replications run in fixed blocks of 2**16, in index order, and the
 results do not depend on the block size.  A plain replication's error
@@ -170,13 +170,16 @@ def _static_sampler(seed: int, n1: int, p1: float, n2: int, p2: float):
     return successes
 
 
-def _check_args(inst: BanditInstance, T: int, n: int) -> tuple[int, int]:
+def _check_args(inst: BanditInstance, T: int, n: int, seed: int) -> tuple[int, int, int]:
     if not inst.is_separated:
         raise DomainError("simulation needs distinct means to define an error")
     T = check_budget(T)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ArgumentError(f"replication count must be a positive integer, got {n!r}")
-    return T, int(n)
+    # mix64 reads the seed modulo 2**64, so a seed outside would alias one inside
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ArgumentError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return T, int(n), int(seed)
 
 
 def simulate_plain(
@@ -191,7 +194,7 @@ def simulate_plain(
     block by block and only the running total is kept, so memory does not
     grow with ``n``.
     """
-    T, n = _check_args(inst, T, n)
+    T, n, seed = _check_args(inst, T, n, seed)
     if policy.deterministic_schedule:
         # counts are schedule-determined; two binomial draws per stream
         n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
@@ -241,7 +244,7 @@ def simulate_tilted_static(
     reported raw (noise can push them above 1).  The weighted values of
     all replications are held at once, 8 bytes each, for the variance.
     """
-    T, n = _check_args(inst, T, n)
+    T, n, seed = _check_args(inst, T, n, seed)
     n1, n2 = static_counts(x, T, f"static:{x}")
     lam = lambda_star(x, inst)
     m1, m2 = inst.mu1, inst.mu2

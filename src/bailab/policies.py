@@ -55,7 +55,6 @@ class PolicySpec:
     x: float | None = None
     ref: BanditInstance | None = None
     force_rate: float | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
@@ -71,8 +70,6 @@ class PolicySpec:
             fr = self.force_rate
             if fr is None or math.isnan(fr) or not 0.0 < fr <= 1.0:
                 raise ArgumentError(f"plugin_tracking needs force_rate in (0, 1], got {fr!r}")
-        if not self.description:
-            object.__setattr__(self, "description", policy_label(self))
 
     @classmethod
     def uniform(cls) -> "PolicySpec":
@@ -89,6 +86,11 @@ class PolicySpec:
     @classmethod
     def plugin_tracking(cls, force_rate: float) -> "PolicySpec":
         return cls(kind="plugin_tracking", force_rate=float(force_rate))
+
+    @property
+    def description(self) -> str:
+        """The policy's one label, :func:`policy_label`."""
+        return policy_label(self)
 
     @property
     def deterministic_schedule(self) -> bool:

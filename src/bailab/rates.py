@@ -15,12 +15,14 @@ the home of the checked logit pair :func:`mean_to_natural` /
 
 Allocations are plain floats in [0, 1] (fraction of the budget on
 arm 2); instances are :class:`BanditInstance` pairs of means strictly
-inside (0, 1).  All logs are natural, so rates are in nats per round.
+inside (0, 1), none below the smallest normal double.  All logs are
+natural, so rates are in nats per round.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,18 @@ def _check_allocation(x: float) -> float:
     return x
 
 
+def _check_mean(m: float, name: str) -> float:
+    """``m`` if it lies strictly inside (0, 1) and is not subnormal: a mean below
+    the smallest normal double overflows the ratio of means in
+    :func:`exp_neg_g_slope`."""
+    if math.isnan(m) or not 0.0 < m < 1.0:
+        raise DomainError(f"{name} must lie strictly inside (0, 1), got {m!r}")
+    if m < sys.float_info.min:
+        raise DomainError(f"{name} must be at least the smallest normal double "
+                          f"{sys.float_info.min!r}, got {m!r}")
+    return m
+
+
 # Bisection steps of x*: halvings of [0, 1] to a bracket of width 2**-34,
 # below 1e-10.
 _X_STAR_STEPS = 34
@@ -63,7 +77,8 @@ _X_STAR_STEPS = 34
 
 @dataclass(frozen=True)
 class BanditInstance:
-    """A pair of Bernoulli mean rewards, each strictly inside (0, 1)."""
+    """A pair of Bernoulli mean rewards, each strictly inside (0, 1) and not
+    below the smallest normal double."""
 
     mu1: float
     mu2: float
@@ -73,10 +88,7 @@ class BanditInstance:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float, np.floating)):
                 raise DomainError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
-            if math.isnan(v) or not 0.0 < v < 1.0:
-                raise DomainError(f"{name} must lie strictly inside (0, 1), got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _check_mean(float(v), name))
 
     @property
     def is_separated(self) -> bool:
@@ -167,10 +179,8 @@ def g_closed_grid(x: float, mu1s, mu2s) -> np.ndarray:
     ``math.log``, whose last bit numpy's ``log`` does not always match.
     """
     x = _check_allocation(x)
-    mu1s, mu2s = [float(m) for m in mu1s], [float(m) for m in mu2s]
-    for m in mu1s + mu2s:
-        if not 0.0 < m < 1.0:
-            raise DomainError(f"means must lie strictly inside (0, 1), got {m!r}")
+    mu1s = [_check_mean(float(m), "means") for m in mu1s]
+    mu2s = [_check_mean(float(m), "means") for m in mu2s]
     if x == 0.0 or x == 1.0:
         return np.zeros((len(mu1s), len(mu2s)))
     tail1 = np.array([(1.0 - m) ** (1.0 - x) for m in mu1s])

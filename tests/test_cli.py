@@ -57,6 +57,11 @@ class TestRatesCommand:
         code, _, err = run_cli(capsys, "rates", "--mu", "1.5,0.3")
         assert code == 3
 
+    def test_subnormal_mean_exits_domain(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--mu", "1e-320,0.5")
+        assert code == 3 and out == ""
+        assert "mu1 must be at least the smallest normal double 2.2250738585072014e-308" in err
+
 
 # separated means whose g(1/2) rounds to -0.0
 NEAR_DIAGONAL = ["0.30000001,0.3", "0.3,0.30000000000000004"]
@@ -199,6 +204,14 @@ class TestMcCommand:
                                "--mu", "0.7,0.3", "--T", "20", "--n", "100",
                                "--tilted")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["18446744073709551621", "-18446744073709551611", "-1"])
+    @pytest.mark.parametrize("tilted", [[], ["--tilted"]], ids=["plain", "tilted"])
+    def test_seed_outside_64_bits_exits_usage(self, capsys, seed, tilted):
+        code, out, err = run_cli(capsys, "mc", "--policy", "uniform", "--mu", "0.7,0.3",
+                                 "--T", "10", "--n", "10", "--seed", seed, *tilted)
+        assert code == 2 and out == ""
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in err
 
     def test_plain_row(self, capsys):
         code, out, _ = run_cli(capsys, "mc", "--policy", "uniform",

@@ -18,7 +18,6 @@ from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
     _binom_logpmf,
-    _dp_summary,
     _log_factorials,
     _static_error_log,
     change_of_measure_slack,
@@ -162,7 +161,7 @@ class TestDpSameBits:
     @pytest.mark.parametrize("force_rate", [0.5, 0.2, 0.01, 1.0])
     def test_summary_equals_the_untrimmed_dict_dp(self, force_rate, mu, T):
         policy, inst = PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu)
-        s = _dp_summary(policy, inst, T)
+        s = exact_summary(policy, inst, T)
         assert (s.p_error, s.p_pick2, s.e_n1) == dict_dp_summary(policy, inst, T)
 
 
@@ -207,12 +206,12 @@ class TestDpCapacity:
         limit = 64_843
         policy = PolicySpec.plugin_tracking(0.5)
         inst = BanditInstance(0.6, 0.4)
-        _dp_summary(policy, inst, 10)  # warm caches outside the measurement
+        exact_summary(policy, inst, 10)  # warm caches outside the measurement
         monkeypatch.setenv("BAI_MAX_STATES", str(limit))
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="layer 99 needs 64844 states"):
-                _dp_summary(policy, inst, 100)
+                exact_summary(policy, inst, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,10 +225,10 @@ class TestDpMemory:
         # stay bounded
         policy = PolicySpec.plugin_tracking(0.5)
         inst = BanditInstance(0.6, 0.4)
-        _dp_summary(policy, inst, 10)  # warm caches outside the measurement
+        exact_summary(policy, inst, 10)  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            _dp_summary(policy, inst, 100)
+            exact_summary(policy, inst, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,3 +517,61 @@ class TestStabilityProfile:
             stability_profile(PolicySpec.uniform(), 0.05, [0.2], [4])
         with pytest.raises(ArgumentError):
             stability_profile(PolicySpec.uniform(), 0.5, [-0.1], [4])
+
+
+class TestOnePassPerInstance:
+    """Plug-in scans and profiles walk the DP once per instance: layer t of the
+    pass to the largest budget is the terminal layer of budget t."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(policy, inst, T):
+            calls.append((inst, T))
+            return dp_layers(policy, inst, T)
+
+        monkeypatch.setattr(exact, "dp_layers", counted)
+        return calls
+
+    @pytest.mark.parametrize("mu, budgets", [((0.6, 0.4), [10, 20, 30, 40]),
+                                             ((0.3, 0.7), [40, 20, 40, 3])], ids=str)
+    def test_scan_equals_each_budget_in_one_pass(self, passes, mu, budgets):
+        policy, inst = PolicySpec.plugin_tracking(0.2), BanditInstance(*mu)
+        scan = rate_ratio_scan(policy, inst, budgets)
+        assert passes == [(inst, max(budgets))]
+        for point, T in zip(scan.points, budgets):
+            p_error = exact_summary(policy, inst, T).p_error
+            assert (point.T, point.p_error, point.ratio) == (T, p_error, T / -math.log(p_error))
+
+    def test_profile_equals_each_budget_in_one_pass_per_instance(self, passes):
+        policy, gaps, budgets = PolicySpec.plugin_tracking(0.25), [0.3, 0.1], [24, 8, 16]
+        prof = stability_profile(policy, 0.5, gaps, budgets)
+        assert [T for _, T in passes] == [24] * 2 * len(gaps)
+        for gap, row_a, row_b in zip(gaps, prof.omega2_a, prof.omega2_b):
+            upper = BanditInstance(0.5 + 0.5 * gap, 0.5 - 0.5 * gap)
+            assert row_a == tuple(exact_summary(policy, upper, T).e_omega2 for T in budgets)
+            assert row_b == tuple(exact_summary(policy, upper.swapped(), T).e_omega2
+                                  for T in budgets)
+
+    def test_empty_budget_list_gives_empty_rows_without_a_pass(self, passes):
+        prof = stability_profile(PolicySpec.plugin_tracking(0.5), 0.5, [0.2, 0.1], [])
+        assert prof.budgets == () and prof.omega2_a == prof.omega2_b == ((), ())
+        assert passes == []
+
+    def test_budgets_are_checked_before_the_pass(self, passes):
+        with pytest.raises(ArgumentError, match="budget must be at least 2, got 1"):
+            rate_ratio_scan(PolicySpec.plugin_tracking(0.5), INST, [20, 1])
+        assert passes == []
+
+    @pytest.mark.parametrize("budgets", [[25], [10, 25, 12], [25, 10]], ids=str)
+    def test_sweep_over_the_limit_names_the_single_budget_layer(self, monkeypatch, budgets):
+        # tracking on INST allocates 595 states at layer 20 (TestDpCapacity)
+        monkeypatch.setenv("BAI_MAX_STATES", "594")
+        need = "layer 20 needs 595 states, over the limit of 594;"
+        with pytest.raises(CapacityError, match=need):
+            exact_summary(PolicySpec.plugin_tracking(0.5), INST, 25)
+        with pytest.raises(CapacityError, match=need):
+            rate_ratio_scan(PolicySpec.plugin_tracking(0.5), INST, budgets)
+        with pytest.raises(CapacityError, match=need):
+            stability_profile(PolicySpec.plugin_tracking(0.5), 0.5, [0.4], budgets)

@@ -59,6 +59,10 @@ COMMANDS = [
     # budget, and an error probability of 4.7e-302
     "scan --policy static:0.5 --mu 0.3,0.7 --T 3:60",
     "exact --policy static:0.25 --mu 0.999999999,0.5 --T 4000",
+    # plug-in scans: one DP pass serves every budget of the grid, also with
+    # arm 2 best, unsorted budgets and a duplicate
+    "scan --policy plugin:0.2 --mu 0.6,0.4 --T 10:60:10",
+    "scan --policy plugin:0.5 --mu 0.3,0.7 --T 40,20,40",
 ]
 
 

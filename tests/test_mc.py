@@ -185,6 +185,21 @@ class TestSimulatePlain:
             simulate_plain(PolicySpec.static(0.01), INST, 10, 100, 0)
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64) + 5, True, 1.0])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ArgumentError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_plain(PolicySpec.uniform(), INST, 10, 10, seed)
+        with pytest.raises(ArgumentError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_tilted_static(0.5, INST, 10, 10, seed)
+
+    def test_seed_range_edges_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            est = simulate_plain(PolicySpec.plugin_tracking(0.5), INST, 10, 10, seed)
+            assert est.seed == seed and type(est.seed) is int
+            assert simulate_tilted_static(0.5, INST, 10, 10, seed).seed == seed
+
+
 class TestSimulateTiltedStatic:
     def test_agrees_with_exact_fast_path(self):
         exact_p = static_error_exact(0.5, INST, 100)

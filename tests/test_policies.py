@@ -43,6 +43,16 @@ class TestPolicySpec:
         with pytest.raises(ArgumentError):
             PolicySpec(kind="bandit")
 
+    def test_description_is_the_read_only_policy_label(self):
+        for policy in (PolicySpec.uniform(), PolicySpec.static(0.3),
+                       PolicySpec.oracle_static(BanditInstance(0.9, 0.5)),
+                       PolicySpec.plugin_tracking(0.2)):
+            assert policy.description == policy_label(policy)
+            with pytest.raises(AttributeError):
+                policy.description = "other"
+        with pytest.raises(TypeError):
+            PolicySpec(kind="uniform", description="other")
+
     def test_schedule_fraction(self):
         assert PolicySpec.uniform().schedule_fraction() == 0.5
         assert PolicySpec.static(0.3).schedule_fraction() == 0.3

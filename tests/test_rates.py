@@ -1,6 +1,7 @@
 """Tests for the primal rate machinery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,22 @@ class TestBanditInstance:
             BanditInstance(mu, 0.5)
         with pytest.raises(DomainError):
             BanditInstance(0.5, mu)
+
+    @pytest.mark.parametrize("mu", [1e-320, 5e-324, sys.float_info.min / 2])
+    def test_rejects_subnormal_means(self, mu):
+        limit = "smallest normal double 2.2250738585072014e-308"
+        with pytest.raises(DomainError, match=f"mu1 must be at least the {limit}, got {mu!r}"):
+            BanditInstance(mu, 0.5)
+        with pytest.raises(DomainError, match=f"mu2 must be at least the {limit}"):
+            BanditInstance(0.5, mu)
+        with pytest.raises(DomainError, match=limit):
+            g_closed_grid(0.5, [mu], [0.5])
+
+    def test_accepts_the_smallest_normal_mean(self):
+        # RuntimeWarnings are errors here, so the slope does not overflow
+        inst = BanditInstance(sys.float_info.min, 0.5)
+        assert inst.mu1 == 2.2250738585072014e-308
+        assert x_star(inst) == pytest.approx(0.99022, abs=1e-5)
 
     def test_diagonal_has_no_best_arm(self):
         inst = BanditInstance(0.4, 0.4)
