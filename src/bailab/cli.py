@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
-from .exact import exact_summary, inv_g_half, rate_ratio_scan, static_error_log
+from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate_ratio_scan,
+                    static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, parse_policy, policy_label
 from .rates import BanditInstance, g_closed, g_closed_grid, rate_profile, x_star
@@ -261,6 +262,13 @@ def cmd_construct(args) -> int:
 def cmd_demo(args) -> int:
     if not 0.0 < args.grid < 0.4:
         raise ArgumentError(f"--grid must lie in (0, 0.4) to scan two means, got {args.grid!r}")
+    # the grid holds round(1/grid) - 1 means per side; 1/grid overflows below ~5.6e-309
+    side = 1.0 / args.grid
+    steps = int(round(side)) - 1 if math.isfinite(side) else math.inf
+    limit = _max_states()
+    if steps > limit:
+        raise ArgumentError(f"--grid {args.grid!r} needs {steps} means per side, over the "
+                            f"state limit of {limit}; set {MAX_STATES_ENV} to raise it")
     if not 0.0 <= args.min_gap < math.inf:
         raise ArgumentError(f"--min-gap must lie in [0, inf), got {args.min_gap!r}")
     mu0 = BanditInstance(*args.mu0)
@@ -289,7 +297,6 @@ def cmd_demo(args) -> int:
     # cell in row-major order wins, as in a scan that keeps a strict maximum
     best_grid = None
     best_grid_gap = -math.inf
-    steps = int(round(1.0 / args.grid)) - 1
     values = [args.grid * k for k in range(1, steps + 1)]
     for start in range(0, steps, _DEMO_GRID_ROWS):
         rows = values[start:start + _DEMO_GRID_ROWS]

@@ -5,11 +5,14 @@ The log path works entirely in the log domain and therefore survives
 budgets deep into the underflow range of plain probabilities.  Its
 binomial log-pmf has the bits of ``scipy.stats.binom.logpmf`` without
 importing ``scipy.stats``: the same ``scipy.special`` functions in the same
-grouping, with each logarithm taken once.  One call builds one table of
-``max(n1, n2) + 1`` log-factorials that both arms read, takes ``log p`` and
-``log1p(-p)`` once per arm, and adds the half-mass of a tie by ``logaddexp``
-only in the cells that tie; the docstrings of :func:`_binom_logpmf` and
-:func:`_error_log_best1` say why each gives the same bits.
+grouping, with each logarithm taken once.  One list of budgets builds one
+table of log-factorials, as long as its longest budget's ``max(n1, n2) + 1``,
+that both arms of every budget read (``gammaln`` works elementwise, so a
+prefix of a long table has the bits of a short one).  Each budget takes
+``log p`` and ``log1p(-p)`` once per arm, and adds the half-mass of a tie by
+``logaddexp`` only in the cells that tie; the docstrings of
+:func:`_binom_logpmf` and :func:`_error_log_best1` say why each gives the
+same bits.
 
 The DP runs plug-in tracking, and only it, over sufficient-statistic states
 ``(n1, s1, s2)`` with ``n2 = t - n1`` implied.  Tracking pulls arm 1, then
@@ -303,13 +306,23 @@ def _dp_summary(layer: dict[int, np.ndarray], inst: BanditInstance, T: int) -> E
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T)
 
 
-def _log_path(policy: PolicySpec, inst: BanditInstance, T: int) -> tuple[ExactSummary, float]:
-    """The summary and ``log p_error`` of a fixed schedule on the binomial log path."""
-    n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
-    logp = _static_error_log(n1, n2, inst)
-    p_error = math.exp(logp)
-    p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
-    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1), e_omega2=n2 / T), logp
+def _log_paths(
+    policy: PolicySpec, inst: BanditInstance, budgets: list[int]
+) -> list[tuple[ExactSummary, float]]:
+    """The summary and ``log p_error`` of a fixed schedule at each budget on the
+    binomial log path.  Every budget's counts are checked first; one table of
+    log-factorials, as long as the longest budget needs, then serves them all."""
+    x = policy.schedule_fraction()
+    counts = [static_counts(x, T, policy.description) for T in budgets]
+    lf = _log_factorials(max((max(c) for c in counts), default=0))
+    out = []
+    for T, (n1, n2) in zip(budgets, counts):
+        logp = _static_error_log(n1, n2, inst, lf)
+        p_error = math.exp(logp)
+        p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
+        out.append((ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1),
+                                 e_omega2=n2 / T), logp))
+    return out
 
 
 def _evaluate(
@@ -317,14 +330,15 @@ def _evaluate(
 ) -> list[tuple[ExactSummary, float]]:
     """The summary and ``log p_error`` of each budget, in the order given with
     duplicates kept, after checking the instance and every budget.  Fixed
-    schedules take the log path per budget; plug-in tracking takes one DP pass
-    to the largest budget, whose layer t is budget t's terminal layer, bit for
-    bit.  The one engine choice in this module."""
+    schedules take the log path per budget, all budgets reading one
+    log-factorial table; plug-in tracking takes one DP pass to the largest
+    budget, whose layer t is budget t's terminal layer, bit for bit.  The one
+    engine choice in this module."""
     if not inst.is_separated:
         raise DomainError("exact evaluation needs distinct means to define an error")
     budgets = [check_budget(T) for T in budgets]
     if policy.deterministic_schedule:
-        return [_log_path(policy, inst, T) for T in budgets]
+        return _log_paths(policy, inst, budgets)
     layers = dp_layers(policy, inst, max(budgets)) if budgets else ()
     found = {t: _dp_summary(layer, inst, t) for t, layer in layers if t in budgets}
     return [(s, math.log(s.p_error) if s.p_error > 0.0 else -math.inf)
@@ -387,8 +401,9 @@ def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
     return out
 
 
-def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
-    """log P[recommend arm 2] for independent binomial counts, arm 1 best.
+def _error_log_best1(n1: int, m1: float, n2: int, m2: float, lf: np.ndarray) -> float:
+    """log P[recommend arm 2] for independent binomial counts, arm 1 best, read
+    from the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more).
 
     Accumulates entirely in the log domain (upper-tail log-cumsums of the
     arm-2 mass), so the result is meaningful far below the smallest
@@ -400,10 +415,8 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
     which is ``tail + log1p(0.0)``: no tail is -0.0, since no log-pmf is and
     a sum that cancels rounds to +0.0.
     """
-    lf = _log_factorials(max(n1, n2))
     lb1 = _binom_logpmf(lf, n1, m1)
     lb2 = _binom_logpmf(lf, n2, m2)
-    del lf  # freed before the tail's arrays are built
     logtail = np.empty(n2 + 2)
     logtail[n2 + 1] = -np.inf
     logtail[: n2 + 1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
@@ -417,11 +430,12 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float) -> float:
     return float(np.logaddexp.reduce(per_s1))
 
 
-def _static_error_log(n1: int, n2: int, inst: BanditInstance) -> float:
-    """log of the exact error probability of ``n1`` and ``n2`` fixed pulls."""
+def _static_error_log(n1: int, n2: int, inst: BanditInstance, lf: np.ndarray) -> float:
+    """log of the exact error probability of ``n1`` and ``n2`` fixed pulls, from
+    the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more)."""
     if inst.mu1 > inst.mu2:
-        return _error_log_best1(n1, inst.mu1, n2, inst.mu2)
-    return _error_log_best1(n2, inst.mu2, n1, inst.mu1)
+        return _error_log_best1(n1, inst.mu1, n2, inst.mu2, lf)
+    return _error_log_best1(n2, inst.mu2, n1, inst.mu1, lf)
 
 
 def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
@@ -429,7 +443,8 @@ def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
     T = check_budget(T)
     if not inst.is_separated:
         raise DomainError("the error probability needs distinct means")
-    return _static_error_log(*static_counts(x, T, f"static:{x}"), inst)
+    n1, n2 = static_counts(x, T, f"static:{x}")
+    return _static_error_log(n1, n2, inst, _log_factorials(max(n1, n2)))
 
 
 def static_error_exact(x: float, inst: BanditInstance, T: int) -> float:

@@ -21,8 +21,12 @@ Replications run in fixed blocks of 2**16, in index order, and the
 results do not depend on the block size.  A plain replication's error
 mass is 0, 1/2 or 1, so the running total of the block sums is exact and
 equals numpy's pairwise sum over all replications; plain estimates keep
-no per-replication array.  The tilted estimator writes every block into
-one array of weighted values and takes ``np.mean``/``np.var`` over it.
+no per-replication array.  The tilted estimator reads each replication's
+log weight from two per-count tables, one entry per success count of each
+arm, and writes every block into one array of weighted values.  Its mean
+and variance are ``np.mean`` and ``np.var(ddof=1)`` over that array, taken
+step by step with numpy's own reductions: the deviations are squared in
+place, so the array is the only per-replication storage, 8 bytes each.
 
 Static schedules draw each success count by inverse CDF: for the 53-bit
 draw ``b`` (uniform ``b * 2**-53``), the smallest k with
@@ -241,8 +245,12 @@ def simulate_tilted_static(
     event; each replication is weighted by the exact likelihood ratio,
     assembled in the log domain.  The standard error comes from the
     sample variance of the weighted indicators, and estimates are
-    reported raw (noise can push them above 1).  The weighted values of
-    all replications are held at once, 8 bytes each, for the variance.
+    reported raw (noise can push them above 1).  The log weight of a
+    replication is ``w1[s1] + w2[s2]``, where ``w1[k] = k·log(m1/lam) +
+    (n1-k)·log((1-m1)/(1-lam))`` is tabled once for ``k = 0 .. n1``, and
+    ``w2`` likewise: the same operations, in the same order, as forming it
+    per replication.  The weighted values of all replications are held at
+    once, 8 bytes each, and the variance squares their deviations in place.
     """
     T, n, seed = _check_args(inst, T, n, seed)
     n1, n2 = static_counts(x, T, f"static:{x}")
@@ -250,17 +258,23 @@ def simulate_tilted_static(
     m1, m2 = inst.mu1, inst.mu2
     hit1, miss1 = math.log(m1 / lam), math.log((1.0 - m1) / (1.0 - lam))
     hit2, miss2 = math.log(m2 / lam), math.log((1.0 - m2) / (1.0 - lam))
+    # log-likelihood ratio of each success count, one table per arm
+    k1, k2 = np.arange(n1 + 1), np.arange(n2 + 1)
+    w1 = k1 * hit1 + (n1 - k1) * miss1
+    w2 = k2 * hit2 + (n2 - k2) * miss2
     successes = _static_sampler(seed, n1, lam, n2, lam)
     values = np.empty(n)
     for block in _blocks(n):
         s1, s2 = successes(block)
-        log_w = s1 * hit1 + (n1 - s1) * miss1
-        log_w += s2 * hit2 + (n2 - s2) * miss2
+        log_w = w1[s1] + w2[s2]
         pick2 = pick2_mass(s1, n1, s2, n2)
         values[block] = np.exp(log_w) * (pick2 if inst.best_arm == 1 else 1.0 - pick2)
-    mean = float(np.mean(values))
+    # np.mean and np.var(ddof=1) step by step, the deviations squared in place
+    mean = float(np.add.reduce(values)) / n
     if n > 1:
-        std_err = math.sqrt(float(np.var(values, ddof=1)) / n)
+        values -= mean
+        values *= values
+        std_err = math.sqrt(float(np.add.reduce(values)) / (n - 1) / n)
     else:
         std_err = 0.0
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="tilted")

@@ -7,7 +7,8 @@ mixture of Bernoulli KL divergences.  This module holds closed forms
 only: ``g``, its inner minimizer, the slope of ``exp(-g)`` that the
 optimal allocation and the tracking rule both test, and the elementary
 inequalities the rest of the package builds on.  The optimal allocation
-:func:`x_star` is a bisection on that slope.  The iterative oracles that
+:func:`x_star` is a bisection on that slope, kept in Python floats with the
+bits of its array form :func:`x_star_grid`.  The iterative oracles that
 check these closed forms live in :mod:`bailab.verification`.  This is also
 the home of the checked logit pair :func:`mean_to_natural` /
 :func:`natural_to_mean` (log-odds and logistic map), which
@@ -220,10 +221,9 @@ def exp_neg_g_slope(m1, m2, y):
 def x_star_grid(mu1, mu2) -> np.ndarray:
     """Vectorized :func:`x_star` over arrays of means.
 
-    Every pair must be separated.  Runs a fixed number of bisection steps
-    on the x-derivative of the closed form, so equal inputs produce
-    bit-identical outputs whether evaluated here or through the scalar
-    wrapper.
+    Every pair must be separated.  Runs the same fixed number of bisection
+    steps on the x-derivative of the closed form, through
+    :func:`exp_neg_g_slope`, so each pair gives the bits of :func:`x_star`.
     """
     m1 = np.asarray(mu1, dtype=float)
     m2 = np.asarray(mu2, dtype=float)
@@ -246,11 +246,33 @@ def x_star(inst: BanditInstance) -> float:
     Located by bisection on the analytic x-derivative of the closed form,
     which is strictly decreasing, so the bracket always contains the
     optimum.  Requires distinct means.
+
+    Bit for bit the result of :func:`x_star_grid` on the pair, at a fraction
+    of its cost: the bracket is kept in Python floats, and the only numpy
+    calls are one ``np.log`` of both log-ratios before the loop and one
+    ``np.power`` per step, over the four bases ``[1-m1, 1-m2, m1, m2]`` with
+    a full exponent array ``[1-y, y, 1-y, y]``.  numpy's ``log`` and
+    ``power`` can differ from ``math.log`` and ``**`` in the last bit, so
+    both stay numpy calls on arrays, whose results do not depend on the
+    array's length; a float or broadcast exponent of 0.5 would be taken as
+    ``sqrt`` (see :func:`exp_neg_g_slope`).  The slope is formed with
+    :func:`exp_neg_g_slope`'s grouping, and the midpoints, products, sums
+    and comparisons are IEEE operations, the same in Python as in numpy.
     """
     if not inst.is_separated:
         raise DomainError("x_star needs distinct means: g is identically zero")
-    out = x_star_grid(np.array([inst.mu1]), np.array([inst.mu2]))
-    return float(out[0])
+    m1, m2 = inst.mu1, inst.mu2
+    bases = np.array([1.0 - m1, 1.0 - m2, m1, m2])
+    log_tail, log_head = np.log(np.array([(1.0 - m2) / (1.0 - m1), m2 / m1])).tolist()
+    lo, hi = 0.0, 1.0
+    for _ in range(_X_STAR_STEPS):
+        mid = 0.5 * (lo + hi)
+        a, b, c, d = np.power(bases, np.array([1.0 - mid, mid, 1.0 - mid, mid])).tolist()
+        if (a * b) * log_tail + (c * d) * log_head < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def stationarity_residual(x: float, inst: BanditInstance) -> float:

@@ -37,7 +37,8 @@ same bits.
 
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
-the success counts, and ``np.mean``/``np.var`` over the whole array.
+the success counts, each tilted replication's log weight formed from its own
+counts, and ``np.mean``/``np.var`` over the whole array.
 """
 
 from __future__ import annotations

@@ -348,6 +348,23 @@ class TestDemoCommand:
         assert code == 2 and out == ""
         assert "(0, 0.4)" in err
 
+    @pytest.mark.parametrize("grid, limit, steps", [
+        # 1/grid overflows, a side of ~1e9 means, and a side one over a set limit
+        ("1e-320", "600000", "inf"), ("1e-9", "600000", "999999999"), ("0.05", "18", "19")])
+    def test_grid_side_over_the_state_limit_exits_usage(self, capsys, monkeypatch, grid, limit,
+                                                        steps):
+        monkeypatch.setenv("BAI_MAX_STATES", limit)
+        code, out, err = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", grid)
+        assert code == 2 and out == ""
+        assert f"needs {steps} means per side, over the state limit of {limit};" in err
+        assert "Traceback" not in err
+
+    def test_grid_side_at_the_state_limit_runs(self, capsys, monkeypatch):
+        # 19 means per side; T = 30 keeps the confirmation's tables under 19 entries
+        monkeypatch.setenv("BAI_MAX_STATES", "19")
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", "0.05", "--T", "30")
+        assert code == 0 and json.loads(out)["confirmed"] is True
+
     @pytest.mark.parametrize("min_gap", ["nan", "inf", "-inf", "-0.001"])
     def test_min_gap_outside_its_range_exits_usage(self, capsys, min_gap):
         # the '=' form: argparse reads a bare "-inf" as an option

@@ -356,16 +356,20 @@ class TestStaticErrorLogReference:
     @pytest.mark.parametrize("n1, n2", COUNTS)
     def test_fixed_grid(self, n1, n2, mu1, mu2):
         inst = BanditInstance(mu1, mu2)
-        assert _static_error_log(n1, n2, inst) == static_error_log_reference(n1, n2, inst)
+        lf = _log_factorials(max(n1, n2))
+        assert _static_error_log(n1, n2, inst, lf) == static_error_log_reference(n1, n2, inst)
 
     @pytest.mark.parametrize("mu", _WORKLOADS.SCHEDULE_POOL)
     def test_benchmark_scan_at_x_star(self, mu):
         inst = BanditInstance(*(float(v) for v in mu.split(",")))
         x = PolicySpec.oracle_static(inst).schedule_fraction()
         first, last, step = (int(v) for v in _WORKLOADS.SCAN_GRID.split(":"))
-        for T in range(first, last + 1, step):
-            n1, n2 = static_counts(x, T, f"oracle:{mu}")
-            assert _static_error_log(n1, n2, inst) == static_error_log_reference(n1, n2, inst), T
+        counts = [static_counts(x, T, f"oracle:{mu}") for T in range(first, last + 1, step)]
+        # one table for the longest budget, as a scan shares it
+        lf = _log_factorials(max(max(c) for c in counts))
+        for n1, n2 in counts:
+            assert (_static_error_log(n1, n2, inst, lf)
+                    == static_error_log_reference(n1, n2, inst)), (n1, n2)
 
 
 class TestBinomialTableLimit:
@@ -478,6 +482,27 @@ class TestRateRatioScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ArgumentError):
             rate_ratio_scan(PolicySpec.uniform(), INST, [])
+
+    @pytest.mark.parametrize("policy, mu, budgets", [
+        (PolicySpec.static(0.3), (0.6, 0.4), [400, 7, 120, 7, 4, 5000]),
+        (PolicySpec.static(0.7), (0.35, 0.8), [90, 3000, 90, 11]),
+        (PolicySpec.uniform(), (0.7, 0.45), [1000, 10, 400, 10, 2]),
+    ], ids=["unsorted_duplicates", "arm2_best", "n1_eq_n2_every_cell_ties"])
+    def test_fixed_schedule_equals_each_budget_from_one_table(self, monkeypatch, policy, mu,
+                                                              budgets):
+        tables = []
+
+        def counted(m):
+            tables.append(m)
+            return _log_factorials(m)
+
+        monkeypatch.setattr(exact, "_log_factorials", counted)
+        inst, x = BanditInstance(*mu), policy.schedule_fraction()
+        scan = rate_ratio_scan(policy, inst, budgets)
+        assert tables == [max(max(static_counts(x, T, "")) for T in budgets)]
+        for point, T in zip(scan.points, budgets):
+            logp = static_error_log(x, inst, T)
+            assert (point.T, point.p_error, point.ratio) == (T, math.exp(logp), T / -logp)
 
     @pytest.mark.parametrize("mu", [(0.30000001, 0.3), (0.3, 0.30000000000000004)], ids=str)
     def test_unresolved_reference_level_is_a_domain_error(self, mu):

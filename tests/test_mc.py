@@ -109,6 +109,16 @@ class TestBlockEdges:
         est = simulate_tilted_static(0.3, inst, 60, n, EDGE_SEED)
         assert (est.mean, est.std_err) == static_mc_reference(u1, u2, 0.3, inst, 60, tilted=True)
 
+    @pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("x, mu, T", [(0.5, (0.7, 0.45), 200), (0.62, (0.35, 0.6), 333)],
+                             ids=["arm1_best", "arm2_best"])
+    def test_tilted_estimate_equals_the_per_replication_reference(self, edge_uniforms, n, x,
+                                                                  mu, T):
+        inst = BanditInstance(*mu)
+        u1, u2 = (u[:n] for u in edge_uniforms)
+        est = simulate_tilted_static(x, inst, T, n, EDGE_SEED)
+        assert (est.mean, est.std_err) == static_mc_reference(u1, u2, x, inst, T, tilted=True)
+
     def test_adaptive_estimate_equals_the_whole_array_replay(self):
         policy, inst, T, n = PolicySpec.plugin_tracking(0.5), INST, 4, BLOCK + 3
         errors = _replay_adaptive(policy, inst, T, 8, np.arange(n, dtype=np.uint64))
@@ -129,7 +139,7 @@ class TestMemory:
     def test_tilted_holds_one_value_per_replication(self):
         n = 10**6
         peak = _peak_traced_bytes(lambda: simulate_tilted_static(0.5, INST, 200, n, 1))
-        assert peak <= 24 * n + 8 * 2**20
+        assert peak <= 8 * n + 8 * 2**20
 
     def test_plain_static_memory_does_not_grow_with_n(self):
         def peak(n):

@@ -333,15 +333,25 @@ class TestXStar:
             x_star_grid(np.array([0.3, 0.4]), np.array([0.5, 0.4]))
 
     def test_grid_matches_scalar_bitwise(self):
+        # x_star bisects in Python floats and x_star_grid in arrays; both take
+        # numpy's log and power, so the scalar must give the grid's bits
         rng = np.random.default_rng(41)
-        m1 = rng.uniform(0.05, 0.95, 64)
-        m2 = rng.uniform(0.05, 0.95, 64)
-        keep = np.abs(m1 - m2) > 1e-3
-        m1, m2 = m1[keep], m2[keep]
-        grid = x_star_grid(m1, m2)
-        for a, b, g in zip(m1, m2, grid):
-            assert x_star(BanditInstance(a, b)) == g
-
+        uniform = rng.uniform(0.0, 1.0, (8100, 2))
+        a = rng.uniform(0.0, 1.0, 6000)
+        gap = rng.choice([-1.0, 1.0], 6000) * 10.0 ** rng.uniform(-16.0, -3.0, 6000)
+        near_diagonal = np.column_stack([a, a + gap])
+        near_zero = 10.0 ** rng.uniform(-300.0, -280.0, (3000, 2))
+        near_zero[::2, 1] = rng.uniform(0.0, 1.0, 1500)
+        near_one = 1.0 - 10.0 ** rng.uniform(-16.0, -10.0, (3000, 2))
+        near_one[::2, 1] = rng.uniform(0.0, 1.0, 1500)
+        pairs = np.concatenate([uniform, near_diagonal, near_zero, near_one])
+        keep = ((pairs > sys.float_info.min) & (pairs < 1.0)).all(axis=1)
+        keep &= pairs[:, 0] != pairs[:, 1]
+        m1, m2 = pairs[keep].T
+        assert m1.size >= 20_000
+        grid = x_star_grid(m1, m2).tolist()
+        scalar = [x_star(BanditInstance(a, b)) for a, b in zip(m1.tolist(), m2.tolist())]
+        assert scalar == grid
 
 class TestStationarityResidual:
     def test_zero_within_contract(self):
