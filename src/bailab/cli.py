@@ -42,7 +42,7 @@ EXIT_RESOLUTION = 5
 EXACT_HEADER = ["policy", "mu1", "mu2", "T", "p_error", "p_pick2", "e_n1", "e_omega2"]
 MC_HEADER = ["method", "policy", "mu1", "mu2", "T", "n", "seed", "estimate", "std_err"]
 SCAN_HEADER = ["T", "p_error", "ratio", "inv_g_half"]
-_DEMO_GRID_ROWS = 256  # rows of the demo grid evaluated at once
+_DEMO_GRID_CELLS = 2**16  # cells of the demo grid evaluated at once
 
 
 def _fmt(value) -> str:
@@ -293,13 +293,15 @@ def cmd_demo(args) -> int:
             best_cert, best_cert_gap = cert, gap
 
     # grid scan for the largest rate gap at the requested resolution, a band of
-    # rows at a time so memory stays linear in the grid side; the first largest
-    # cell in row-major order wins, as in a scan that keeps a strict maximum
+    # whole rows at a time: as many as fit in _DEMO_GRID_CELLS cells, and at least
+    # one; the first largest cell in row-major order wins, as in a scan that keeps
+    # a strict maximum
     best_grid = None
     best_grid_gap = -math.inf
     values = [args.grid * k for k in range(1, steps + 1)]
-    for start in range(0, steps, _DEMO_GRID_ROWS):
-        rows = values[start:start + _DEMO_GRID_ROWS]
+    band_rows = max(1, _DEMO_GRID_CELLS // steps)
+    for start in range(0, steps, band_rows):
+        rows = values[start:start + band_rows]
         gaps = g_closed_grid(0.5, rows, values) - g_closed_grid(x_tuned, rows, values)
         band = np.arange(len(rows))
         gaps[band, start + band] = -math.inf  # equal means have no best arm

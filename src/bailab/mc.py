@@ -17,16 +17,21 @@ action and ``2t+1`` for the reward.  Streams therefore depend only on
 ``(seed, i, k)``, never on execution order, and estimates are
 bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 
-Replications run in fixed blocks of 2**16, in index order, and the
-results do not depend on the block size.  A plain replication's error
-mass is 0, 1/2 or 1, so the running total of the block sums is exact and
-equals numpy's pairwise sum over all replications; plain estimates keep
-no per-replication array.  The tilted estimator reads each replication's
-log weight from two per-count tables, one entry per success count of each
-arm, and writes every block into one array of weighted values.  Its mean
-and variance are ``np.mean`` and ``np.var(ddof=1)`` over that array, taken
-step by step with numpy's own reductions: the deviations are squared in
-place, so the array is the only per-replication storage, 8 bytes each.
+Replications run in fixed blocks of 2**16, in index order.  A static
+schedule's blocks run in buffers allocated once per call, ``min(n, 2**16)``
+long: the stream states, both draws' splitmix64 mixes, the inverse-CDF
+sampler and the fair-tie masses all work in place, so no block allocates
+and memory does not grow with ``n``.  A plain replication's error mass is
+0, 1/2 or 1, so each block adds its wins plus half its ties exactly, and
+the running total equals numpy's pairwise sum over all replications: plain
+estimates do not depend on the block size.  The tilted estimator reads each
+replication's log weight from two per-count tables, one entry per success
+count of each arm, and keeps three numbers per block: the sum of its
+weighted values, the sum of their squared deviations from the block mean,
+and its length.  The blocks combine by the exact split of the sample
+variance (Chan, Golub & LeVeque 1983); for ``n <= 2**16`` that is
+``np.mean`` and ``np.var(ddof=1)`` over all replications, bit for bit, and
+above it the grouping of the sums can move the last bits.
 
 Static schedules draw each success count by inverse CDF: for the 53-bit
 draw ``b`` (uniform ``b * 2**-53``), the smallest k with
@@ -86,9 +91,9 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array, in place; returns ``z``."""
-    tmp = np.empty_like(z)
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, in place, with ``tmp`` (uint64, the
+    shape of ``z``) as scratch; returns ``z``."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
@@ -104,22 +109,28 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK, n))
 
 
-def _stream_states(seed: int, reps: np.ndarray) -> np.ndarray:
-    """Initial state ``mix64(mix64(seed) XOR i)`` of every stream ``i`` in ``reps``."""
-    return _mix64_np(reps ^ np.uint64(_mix64(seed)))
+def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Initial state ``mix64(mix64(seed) XOR i)`` of every stream ``i`` in ``reps``,
+    written to ``out``; ``tmp`` is scratch (all uint64 of one shape)."""
+    np.bitwise_xor(reps, np.uint64(_mix64(seed)), out=out)
+    return _mix64_np(out, tmp)
 
 
-def _draw_bits(states: np.ndarray, draw_index: int) -> np.ndarray:
-    """Draw ``draw_index`` of every stream as its top 53 bits ``b`` (int64); the
-    uniform is ``b * 2**-53``."""
-    out = _mix64_np(states + np.uint64(((draw_index + 1) * _GAMMA) & _MASK64))
-    out >>= np.uint64(11)
-    return out.view(np.int64)
+def _draw_bits(states: np.ndarray, draw_index: int, scratch: np.ndarray) -> np.ndarray:
+    """Draw ``draw_index`` of every stream as its top 53 bits ``b`` (an int64 view of
+    ``scratch[0]``); the uniform is ``b * 2**-53``.  ``scratch`` is uint64 of shape
+    ``(2, states.size)``; row 1 is free again on return."""
+    bits, tmp = scratch
+    np.add(states, np.uint64(((draw_index + 1) * _GAMMA) & _MASK64), out=bits)
+    _mix64_np(bits, tmp)
+    bits >>= np.uint64(11)
+    return bits.view(np.int64)
 
 
-def _uniforms(states: np.ndarray, draw_index: int) -> np.ndarray:
-    """Draw ``draw_index`` of every stream, as uniforms in [0, 1)."""
-    return _draw_bits(states, draw_index).astype(np.float64) * _U53
+def _uniforms(states: np.ndarray, draw_index: int, scratch: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Draw ``draw_index`` of every stream, as uniforms in [0, 1) written to ``out``."""
+    return np.multiply(_draw_bits(states, draw_index, scratch), _U53, out=out)
 
 
 def _binom_cdf(n: int, p: float) -> np.ndarray:
@@ -140,38 +151,62 @@ def _inverse_cdf_sampler(cdf: np.ndarray):
     lies inside a bucket, a draw's answer is the bucket's first candidate, plus one
     if the draw is above that candidate's threshold.  Draws in buckets that hold
     more thresholds fall back to ``searchsorted``.
+
+    The sampler ``sample(bits, out, bucket, above)`` writes the answers for the
+    int64 draws ``bits`` to ``out`` (int64) and returns it; ``bucket`` (int64) and
+    ``above`` (bool) are scratch of the same shape.  Bucket indices lie in
+    [0, 2**12) by construction, so the table lookups use ``mode="clip"``, which
+    never clips them and skips the checked path's copy of the output.
     """
     thr = np.floor(cdf * 2.0**53).astype(np.int64)
     lo = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
     first = np.searchsorted(thr, lo)
     step = thr[first]
     crowded = np.searchsorted(thr, lo + ((1 << _BUCKET_SHIFT) - 1)) - first > 1
-    first[crowded] = -1  # sends the draws of crowded buckets to searchsorted
+    first[crowded] = -2  # stays negative after the +1, which marks the draw for searchsorted
 
-    def sample(bits: np.ndarray) -> np.ndarray:
-        bucket = bits >> _BUCKET_SHIFT
-        k = first[bucket]
-        spill = np.flatnonzero(k < 0)
-        k += bits > step[bucket]
+    def sample(bits: np.ndarray, out: np.ndarray, bucket: np.ndarray,
+               above: np.ndarray) -> np.ndarray:
+        np.right_shift(bits, _BUCKET_SHIFT, out=bucket)
+        np.take(step, bucket, out=out, mode="clip")
+        np.greater(bits, out, out=above)
+        np.take(first, bucket, out=out, mode="clip")
+        out += above
+        spill = np.flatnonzero(np.less(out, 0, out=above))
         if spill.size:
-            k[spill] = np.searchsorted(thr, bits[spill])
-        return k
+            out[spill] = np.searchsorted(thr, bits[spill])
+        return out
 
     return sample
 
 
-def _static_sampler(seed: int, n1: int, p1: float, n2: int, p2: float):
-    """Function of a block of replications giving their success counts ``(s1, s2)``
-    of ``n1`` pulls at ``p1`` and ``n2`` at ``p2``: draw 0 of a stream gives ``s1``,
-    draw 1 gives ``s2``."""
+def _static_blocks(seed: int, n: int, n1: int, p1: float, n2: int, p2: float):
+    """Success counts ``(s1, s2)`` of replications 0 .. n-1, ``n1`` pulls at ``p1``
+    and ``n2`` at ``p2``, block by block in index order: draw 0 of a stream gives
+    ``s1``, draw 1 gives ``s2``.
+
+    Every buffer is allocated once, ``min(n, _BLOCK)`` long, and each block runs in
+    place.  The yielded int64 arrays are views of those buffers: the caller may
+    overwrite them, and the next block does.
+    """
     sample1 = _inverse_cdf_sampler(_binom_cdf(n1, p1))
     sample2 = _inverse_cdf_sampler(_binom_cdf(n2, p2))
-
-    def successes(block: slice) -> tuple[np.ndarray, np.ndarray]:
-        states = _stream_states(seed, np.arange(block.start, block.stop, dtype=np.uint64))
-        return sample1(_draw_bits(states, 0)), sample2(_draw_bits(states, 1))
-
-    return successes
+    size = min(n, _BLOCK)
+    reps, states = np.arange(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    scratch = np.empty((2, size), dtype=np.uint64)
+    s1, s2 = np.empty((2, size), dtype=np.int64)
+    above = np.empty(size, dtype=bool)
+    for start in range(0, n, size):
+        if n - start < size:  # the last block is shorter
+            m = n - start
+            reps, states, scratch, s1, s2, above = (
+                reps[:m], states[:m], scratch[:, :m], s1[:m], s2[:m], above[:m])
+        _stream_states(seed, reps, states, scratch[1])
+        bucket = scratch[1].view(np.int64)
+        sample1(_draw_bits(states, 0, scratch), s1, bucket, above)
+        sample2(_draw_bits(states, 1, scratch), s2, bucket, above)
+        yield s1, s2
+        reps += np.uint64(size)
 
 
 def _check_args(inst: BanditInstance, T: int, n: int, seed: int) -> tuple[int, int, int]:
@@ -199,21 +234,20 @@ def simulate_plain(
     grow with ``n``.
     """
     T, n, seed = _check_args(inst, T, n, seed)
+    # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
+    # partial sum below 2**53 is exact, and the total divided by n is np.mean over
+    # all replications, bit for bit
+    pick2 = 0.0
     if policy.deterministic_schedule:
         # counts are schedule-determined; two binomial draws per stream
         n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
-        successes = _static_sampler(seed, n1, inst.mu1, n2, inst.mu2)
-
-        def block_pick2(block: slice) -> np.ndarray:
-            s1, s2 = successes(block)
-            return pick2_mass(s1, n1, s2, n2)
+        mass = np.empty(min(n, _BLOCK))
+        for s1, s2 in _static_blocks(seed, n, n1, inst.mu1, n2, inst.mu2):
+            pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, n2, out=mass[:s1.size])))
     else:
-        def block_pick2(block: slice) -> np.ndarray:
+        for block in _blocks(n):
             reps = np.arange(block.start, block.stop, dtype=np.uint64)
-            return _replay_adaptive(policy, inst, T, seed, reps)
-    # masses lie in {0, 1/2, 1}, so every partial sum below 2**53 is exact and
-    # the total divided by n is np.mean over all replications, bit for bit
-    pick2 = sum(float(np.sum(block_pick2(block))) for block in _blocks(n))
+            pick2 += float(np.sum(_replay_adaptive(policy, inst, T, seed, reps)))
     mean = (pick2 if inst.best_arm == 1 else n - pick2) / n
     std_err = math.sqrt(mean * (1.0 - mean) / n)
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="plain")
@@ -223,12 +257,14 @@ def _replay_adaptive(
     policy: PolicySpec, inst: BanditInstance, T: int, seed: int, reps: np.ndarray
 ) -> np.ndarray:
     """Arm-2 decision mass of every adaptive replication in ``reps``, advanced together."""
-    states = _stream_states(seed, reps)
+    scratch = np.empty((2, reps.size), dtype=np.uint64)
+    u = np.empty(reps.size)
+    states = _stream_states(seed, reps, np.empty_like(reps), scratch[1])
     n1, s1, s2 = np.zeros((3, reps.size), dtype=np.int64)
     for t in range(T):
         p1 = plugin_actions(t, n1, s1, s2, policy.force_rate)
-        pull1 = _uniforms(states, 2 * t) < p1
-        success = _uniforms(states, 2 * t + 1) < np.where(pull1, inst.mu1, inst.mu2)
+        pull1 = _uniforms(states, 2 * t, scratch, u) < p1
+        success = _uniforms(states, 2 * t + 1, scratch, u) < np.where(pull1, inst.mu1, inst.mu2)
         n1 += pull1
         s1 += pull1 & success
         s2 += ~pull1 & success
@@ -249,8 +285,17 @@ def simulate_tilted_static(
     replication is ``w1[s1] + w2[s2]``, where ``w1[k] = k·log(m1/lam) +
     (n1-k)·log((1-m1)/(1-lam))`` is tabled once for ``k = 0 .. n1``, and
     ``w2`` likewise: the same operations, in the same order, as forming it
-    per replication.  The weighted values of all replications are held at
-    once, 8 bytes each, and the variance squares their deviations in place.
+    per replication.
+
+    Memory does not grow with ``n``: block ``b`` of ``m_b`` replications keeps
+    only its sum ``sum_b`` of weighted values ``v`` and ``dev_b = Σ(v −
+    sum_b/m_b)²``, both numpy's pairwise reductions over the block.  The blocks
+    combine exactly as the sample variance splits (Chan, Golub & LeVeque 1983):
+    ``mean = Σ sum_b / n`` and ``M2 = Σ [dev_b + m_b·(sum_b/m_b − mean)²]``,
+    each sum running in block order, and ``std_err = sqrt(M2/(n−1)/n)``.  For
+    ``n <= 2**16`` this is ``np.mean`` and ``np.var(ddof=1)`` over all the
+    values, bit for bit; above that the sums are grouped by block and may
+    differ from them in the last bits.
     """
     T, n, seed = _check_args(inst, T, n, seed)
     n1, n2 = static_counts(x, T, f"static:{x}")
@@ -262,19 +307,27 @@ def simulate_tilted_static(
     k1, k2 = np.arange(n1 + 1), np.arange(n2 + 1)
     w1 = k1 * hit1 + (n1 - k1) * miss1
     w2 = k2 * hit2 + (n2 - k2) * miss2
-    successes = _static_sampler(seed, n1, lam, n2, lam)
-    values = np.empty(n)
-    for block in _blocks(n):
-        s1, s2 = successes(block)
-        log_w = w1[s1] + w2[s2]
-        pick2 = pick2_mass(s1, n1, s2, n2)
-        values[block] = np.exp(log_w) * (pick2 if inst.best_arm == 1 else 1.0 - pick2)
-    # np.mean and np.var(ddof=1) step by step, the deviations squared in place
-    mean = float(np.add.reduce(values)) / n
-    if n > 1:
-        values -= mean
-        values *= values
-        std_err = math.sqrt(float(np.add.reduce(values)) / (n - 1) / n)
-    else:
-        std_err = 0.0
+    values, mass = np.empty((2, min(n, _BLOCK)))
+    total, blocks = 0.0, []
+    for s1, s2 in _static_blocks(seed, n, n1, lam, n2, lam):
+        m = s1.size
+        v, error = values[:m], mass[:m]
+        # success counts lie in [0, n1] and [0, n2], so the lookups skip the check
+        np.take(w1, s1, out=v, mode="clip")
+        v += np.take(w2, s2, out=error, mode="clip")
+        np.exp(v, out=v)
+        pick2_mass(s1, n1, s2, n2, out=error)
+        if inst.best_arm == 2:
+            np.subtract(1.0, error, out=error)
+        v *= error
+        block_sum = float(np.add.reduce(v))
+        v -= block_sum / m
+        v *= v
+        blocks.append((block_sum, float(np.add.reduce(v)), m))
+        total += block_sum
+    mean = total / n
+    m2 = 0.0
+    for block_sum, dev, m in blocks:
+        m2 += dev + m * (block_sum / m - mean) ** 2
+    std_err = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="tilted")

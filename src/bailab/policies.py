@@ -206,16 +206,29 @@ def plugin_action_grid(
     return plugin_actions(t, n1, np.arange(n_s1)[:, None], np.arange(n_s2)[None, :], force_rate)
 
 
-def pick2_mass(s1, n1, s2, n2) -> np.ndarray:
+def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     """The fair-tie decision over count arrays: mass of picking arm 2, by int64
     cross-multiplication of the empirical means.
 
     1 where ``s2/n2 > s1/n1``, 1/2 on an exact tie, else 0.  This is the error
     mass when arm 1 is best; one minus it is the error mass when arm 2 is best.
+
+    Without ``out`` the counts broadcast against each other and are left as
+    they are.  With ``out``, a float64 array that receives the masses, ``s1``
+    and ``s2`` must be int64 arrays of its shape, which serve as scratch: the
+    same comparisons run in place, their counts are overwritten, and nothing
+    is allocated.
     """
-    lhs = np.asarray(s1, dtype=np.int64) * n2
-    rhs = np.asarray(s2, dtype=np.int64) * n1
-    return (rhs > lhs) + 0.5 * (rhs == lhs)
+    if out is None:
+        lhs = np.asarray(s1, dtype=np.int64) * n2
+        rhs = np.asarray(s2, dtype=np.int64) * n1
+        return (rhs > lhs) + 0.5 * (rhs == lhs)
+    s1 *= n2
+    s2 *= n1
+    np.equal(s2, s1, out=out)
+    out *= 0.5
+    out += np.greater(s2, s1, out=s1)
+    return out
 
 
 def parse_policy(text: str) -> PolicySpec:

@@ -38,12 +38,16 @@ same bits.
 The static Monte Carlo reference holds every replication at once: one
 ``stream_draw`` per draw, ``searchsorted`` in ``scipy.stats.binom.cdf`` for
 the success counts, each tilted replication's log weight formed from its own
-counts, and ``np.mean``/``np.var`` over the whole array.
+counts, and ``np.mean``/``np.var`` over the whole array.  The blocked-moments
+reference combines the same whole array's values block by block, as the
+tilted estimator sums them; the two agree bit for bit up to one block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -259,8 +263,20 @@ def static_mc_reference(
     u1, u2, x: float, inst: BanditInstance, T: int, tilted: bool
 ) -> tuple[float, float]:
     """``(mean, std_err)`` of plain or tilted static(x) Monte Carlo whose
-    replications read the uniforms ``u1`` (draw 0) and ``u2`` (draw 1)."""
+    replications read the uniforms ``u1`` (draw 0) and ``u2`` (draw 1), with
+    ``np.mean``/``np.var(ddof=1)`` over all replications at once."""
     n = len(u1)
+    errors = static_mc_values(u1, u2, x, inst, T, tilted)
+    if not tilted:
+        mean = float(np.mean(errors))
+        return mean, math.sqrt(mean * (1.0 - mean) / n)
+    std_err = math.sqrt(float(np.var(errors, ddof=1)) / n) if n > 1 else 0.0
+    return float(np.mean(errors)), std_err
+
+
+def static_mc_values(u1, u2, x: float, inst: BanditInstance, T: int, tilted: bool) -> np.ndarray:
+    """The value of every replication of static(x) Monte Carlo: its error mass,
+    times its likelihood ratio when ``tilted``, formed from its own counts."""
     n2 = arm2_count(x, T)
     n1 = T - n2
     m1, m2 = inst.mu1, inst.mu2
@@ -269,10 +285,23 @@ def static_mc_reference(
     pick2 = pick2_mass(s1, n1, s2, n2)
     errors = pick2 if inst.best_arm == 1 else 1.0 - pick2
     if not tilted:
-        mean = float(np.mean(errors))
-        return mean, math.sqrt(mean * (1.0 - mean) / n)
+        return errors
     log_w = s1 * math.log(m1 / lam) + (n1 - s1) * math.log((1.0 - m1) / (1.0 - lam))
     log_w += s2 * math.log(m2 / lam) + (n2 - s2) * math.log((1.0 - m2) / (1.0 - lam))
-    values = np.exp(log_w) * errors
-    std_err = math.sqrt(float(np.var(values, ddof=1)) / n) if n > 1 else 0.0
-    return float(np.mean(values)), std_err
+    return np.exp(log_w) * errors
+
+
+def blocked_moments(values: np.ndarray, block: int = 2**16) -> tuple[float, float]:
+    """``(mean, std_err)`` of ``values`` from the moments of consecutive blocks
+    of ``block`` values (Chan, Golub & LeVeque 1983): block ``b`` of ``m_b``
+    values gives ``sum_b = np.sum`` and ``dev_b = np.sum((v - sum_b/m_b)**2)``;
+    ``mean = Σ sum_b / n`` and ``M2 = Σ [dev_b + m_b·(sum_b/m_b − mean)²]``, each
+    sum taken left to right in block order, and ``std_err = sqrt(M2/(n−1)/n)``."""
+    n = len(values)
+    parts = [values[start:start + block] for start in range(0, n, block)]
+    sums = [float(np.sum(part)) for part in parts]
+    devs = [float(np.sum((part - total / len(part)) ** 2)) for part, total in zip(parts, sums)]
+    mean = functools.reduce(operator.add, sums, 0.0) / n
+    m2 = functools.reduce(operator.add, (dev + len(part) * (total / len(part) - mean) ** 2
+                                         for part, total, dev in zip(parts, sums, devs)), 0.0)
+    return mean, math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,20 @@ class TestDemoCommand:
         i, j = first
         assert json.loads(out)["grid_best"] == {"mu1": grid * (i + 1), "mu2": grid * (j + 1),
                                                 "rate_gap": 1.0}
+
+    def test_grid_scan_memory_is_bounded_by_its_band(self, capsys):
+        # 999 means per side scan in bands of 65 rows (64,935 cells); measured
+        # 5.6 MiB at peak
+        argv = ["demo", "--mu0", "0.9,0.5", "--grid", "0.001"]
+        assert main(argv) == 0  # first call outside the trace: imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 128 * 2**16
 
     def test_symmetric_reference_has_no_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.3")
