@@ -4,10 +4,13 @@ schedules and a forward dynamic program for plug-in tracking.
 The log path works entirely in the log domain and therefore survives
 budgets deep into the underflow range of plain probabilities.  Its
 binomial log-pmf has the bits of ``scipy.stats.binom.logpmf`` without
-importing ``scipy.stats``: the same ``scipy.special`` functions in the same
-grouping, with each logarithm taken once.  One list of budgets builds one
+importing scipy: it runs, in the same grouping, the Cephes routines
+(Moshier 1989) behind scipy's ``gammaln`` and ``xlog1py``, and takes each
+logarithm once.  Their logarithms are libm's, through ``math.log``, as
+Cephes' are; numpy's vectorised ``np.log`` differs from libm in the last bit
+on some integers, so it cannot replace them.  One list of budgets builds one
 table of log-factorials, as long as its longest budget's ``max(n1, n2) + 1``,
-that both arms of every budget read (``gammaln`` works elementwise, so a
+that both arms of every budget read (the table is built elementwise, so a
 prefix of a long table has the bits of a short one).  Each budget takes
 ``log p`` and ``log1p(-p)`` once per arm, and adds the half-mass of a tie by
 ``logaddexp`` only in the cells that tie; the docstrings of
@@ -52,7 +55,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import ArgumentError, CapacityError, DomainError
 # plugin_action_grid is unused here; it stays a module attribute for benchmark tracing
@@ -369,9 +371,73 @@ def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
     return n1, n2
 
 
+# Cephes lgam (Moshier 1989), the routine behind scipy.special.gammaln:
+# log(sqrt(2*pi)) and the Stirling-series coefficients below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+# Cephes log1p, the routine behind scipy.special.xlog1py: the interval where it
+# runs its rational function, and that function's numerator and denominator
+_SQRTH, _SQRT2 = 0.70710678118654752440, 1.41421356237309504880
+_LOG1P_P = (4.5270000862445199635215E-5, 4.9854102823193375972212E-1, 6.5787325942061044846969E0,
+            2.9911919328553073277375E1, 6.0949667980987787057556E1, 5.7112963590585538103336E1,
+            2.0039553499201281259648E1)
+_LOG1P_Q = (1.0, 1.5062909083469192043167E1, 8.3047565967967209469464E1, 2.2176239823732856465394E2,
+            3.0909872225312059774938E2, 2.1642788614495947685003E2, 6.0118660497603843919306E1)
+
+
+def _polevl(x, coefs):
+    """The polynomial with coefficients ``coefs`` (highest degree first) at ``x``,
+    by Horner's rule as Cephes ``polevl`` runs it; a leading 1.0 gives ``p1evl``,
+    since ``1.0 * x`` is exact."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """``log Γ(x)`` at a 1-D array of positive integers ``x`` (float64),
+    elementwise, with the bits of Cephes ``lgam`` and so of
+    ``scipy.special.gammaln``.
+
+    Below 13 Cephes takes the log of the product ``(x-1)!``, exact there.
+    From 13 on it takes ``q = (x - 0.5)·log(x) - x + log(sqrt(2π))`` and adds
+    ``polevl(1/x², A)/x`` below 1000, the three-term series in ``1/x²`` over
+    ``x`` up to 1e8, and nothing above.  Each log is libm's, via ``math.log``;
+    numpy's ``np.log`` would move the last bit of some entries.  The arithmetic
+    around the logs runs in numpy, in Cephes' order, one rounding per step.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    log_x = np.fromiter(map(math.log, x), np.float64, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    out = np.where(x > 1e8, q, q + np.where(x >= 1000.0, series, _polevl(p, _LGAM_A) / x))
+    small = x < 13.0
+    out[small] = [math.log(math.factorial(int(k) - 1)) for k in x[small]]
+    return out
+
+
+def _log1p(x: float) -> float:
+    """``log(1 + x)`` with the bits of Cephes ``log1p``, and so of
+    ``scipy.special.xlog1py(1.0, x)``: libm's log of ``1 + x`` outside
+    [sqrt(1/2), sqrt(2)], a rational function of ``x`` inside.  ``math.log1p``
+    is libm's own routine and differs from Cephes in the last bit on some ``x``."""
+    z = 1.0 + x
+    if z < _SQRTH or z > _SQRT2:
+        return math.log(z)
+    z = x * x
+    z = -0.5 * z + x * (z * _polevl(x, _LOG1P_P) / _polevl(x, _LOG1P_Q))
+    return x + z
+
+
 def _log_factorials(m: int) -> np.ndarray:
-    """``log k!`` for k = 0 .. m, as ``gammaln(k + 1)``."""
-    return gammaln(np.arange(1.0, m + 2.0))
+    """``log k!`` for k = 0 .. m, as :func:`_lgam` at k + 1, which keeps the bits
+    of ``scipy.special.gammaln(k + 1)``: its logs are libm's (``math.log``),
+    as Cephes' are, where ``np.log`` would move the last bit of some entries."""
+    return _lgam(np.arange(1.0, m + 2.0))
 
 
 def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -383,9 +449,10 @@ def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
     adds ``xlogy(k, p)`` and then ``xlog1py(n-k, -p)``.  The same grouping
     here reads ``gammaln(n+1)`` as ``lf[n]``, ``gammaln(k+1)`` and
     ``gammaln(n-k+1)`` as ``lf`` forwards and backwards, and multiplies
-    ``log p = xlogy(1.0, p)`` and ``log1p(-p) = xlog1py(1.0, -p)``, taken
-    once, by the counts: ``xlogy`` and ``xlog1py`` are ``x * log(y)`` and
-    ``x * log1p(y)`` for ``x != 0``.
+    ``log p`` and ``log1p(-p)``, taken once, by the counts: ``xlogy`` and
+    ``xlog1py`` are ``x * log(y)`` and ``x * log1p(y)`` for ``x != 0``, with
+    libm's ``log`` (here ``math.log``) and Cephes' ``log1p`` (here
+    :func:`_log1p`).
     At ``x == 0`` they give +0.0 where the product gives -0.0; that happens
     at ``k = 0``, whose ``combiln`` is ``lf[n] - (0.0 + lf[n]) = +0.0``, and
     at ``k = n``, after a non-zero ``n·log p``; adding either zero to those
@@ -394,9 +461,9 @@ def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
     counts = np.arange(n + 1.0)  # k, and reversed n - k
     out = np.add(lf[:n + 1], lf[n::-1])
     np.subtract(lf[n], out, out=out)
-    term = np.multiply(counts, xlogy(1.0, p))
+    term = np.multiply(counts, math.log(p))
     out += term
-    np.multiply(counts[::-1], xlog1py(1.0, -p), out=term)
+    np.multiply(counts[::-1], _log1p(-p), out=term)
     out += term
     return out
 

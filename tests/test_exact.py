@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
 from brute_force import (dict_dp_layers, dict_dp_summary, enumerate_summary,
@@ -18,6 +19,8 @@ from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
     _binom_logpmf,
+    _lgam,
+    _log1p,
     _log_factorials,
     _static_error_log,
     change_of_measure_slack,
@@ -325,6 +328,50 @@ class TestBinomialLogPmf:
     def test_equals_scipy_stats_bit_for_bit(self, n, p):
         k = np.arange(n + 1)
         assert np.array_equal(_binom_logpmf(_log_factorials(n), n, p), binom.logpmf(k, n, p))
+
+
+class TestCephesReplicas:
+    """The log path's replicas of Cephes ``lgam`` and ``log1p``, and its
+    ``math.log``, have the bits of the scipy functions that run them."""
+
+    def test_log_factorials_equal_gammaln_to_the_state_limit_and_past_it(self):
+        m = 1_200_001
+        assert np.array_equal(_log_factorials(m), gammaln(np.arange(1.0, m + 2.0)))
+
+    def test_lgam_at_its_branch_edges(self):
+        # below 13 the exact product, the A[] polynomial below 1000, the
+        # three-term series up to 1e8, and no correction above
+        x = np.array([1.0, 2.0, 12.0, 13.0, 999.0, 1000.0, 1e8 - 1, 1e8, 1e8 + 1, 2.0**53])
+        assert np.array_equal(_lgam(x), gammaln(x))
+
+    @staticmethod
+    def sample_means() -> np.ndarray:
+        """A seeded sample of p spread over [1e-300, 1 - 1e-16], with the 64
+        doubles on each side of the edge where ``log1p(-p)`` changes branch."""
+        rng = np.random.default_rng(20231)
+        edge = 1.0 - 0.70710678118654752440  # 1 - p = sqrt(1/2)
+        near_edge = edge + np.arange(-64, 65) * np.spacing(edge)
+        p = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 50_000),
+                            rng.uniform(0.0, 1.0, 50_000),
+                            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 10_000),
+                            near_edge, [1e-300, 1.0 - 1e-16]])
+        return p[(p >= 1e-300) & (p <= 1.0 - 1e-16)]
+
+    def test_log1p_equals_xlog1py(self):
+        p = self.sample_means()
+        assert p.size >= 100_000
+        ours = np.array([_log1p(-v) for v in p.tolist()])
+        assert np.array_equal(ours, xlog1py(1.0, -p))
+
+    def test_log1p_at_the_upper_branch_edge(self):
+        # 1 + x = sqrt(2), reached only by positive x
+        edge = 1.41421356237309504880 - 1.0
+        x = edge + np.arange(-64, 65) * np.spacing(edge)
+        assert np.array_equal(np.array([_log1p(v) for v in x.tolist()]), xlog1py(1.0, x))
+
+    def test_math_log_equals_xlogy(self):
+        p = self.sample_means()
+        assert np.array_equal(np.array([math.log(v) for v in p.tolist()]), xlogy(1.0, p))
 
 
 def _benchmark_workloads():

@@ -11,13 +11,14 @@ from brute_force import (blocked_moments, replay_pick2, static_mc_reference, sta
                          static_successes, stream_draw, stream_uniforms)
 
 from bailab.errors import ArgumentError, DomainError
-from bailab.exact import exact_summary, static_error_exact
+from bailab.exact import _log_factorials, exact_summary, static_error_exact
 from bailab.mc import (
     Estimate,
     _binom_cdf,
     _inverse_cdf_sampler,
     _mix64,
     _replay_adaptive,
+    _static_blocks,
     _stream_states,
     _uniforms,
     simulate_plain,
@@ -57,20 +58,62 @@ class TestStreams:
         assert _mix64(1) != _mix64(2)
 
 
+def binom_cdf(n: int, p: float) -> np.ndarray:
+    """The sampler's CDF of Binomial(n, p), from its own log-factorial table."""
+    return _binom_cdf(_log_factorials(n), n, p)
+
+
 class TestBinomialCdf:
-    """The inverse-CDF sampler's table equals ``scipy.stats.binom.cdf``, which
-    calls the same ufunc, so static draws stay what they were."""
+    """The inverse-CDF sampler's table is within a stated absolute bound of
+    ``scipy.stats.binom.cdf`` (Boost's incomplete beta), whose bits no sum of
+    pmf terms reproduces (measured on these cases: at most 1.7e-13 up to
+    n = 2001 and 7.1e-11 at n = 1e5).  ``TestStaticDraws`` pins the draws themselves."""
+
+    @staticmethod
+    def bound(n: int) -> float:
+        return 1e-12 if n <= 2001 else 1e-10
 
     @pytest.mark.parametrize("n", [1, 7, 40, 900, 100_000])
     @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
-    def test_equals_scipy_stats_bit_for_bit(self, n, p):
-        assert np.array_equal(_binom_cdf(n, p), binom.cdf(np.arange(n + 1), n, p))
+    def test_within_bound_of_scipy_stats(self, n, p):
+        cdf = binom_cdf(n, p)
+        assert np.max(np.abs(cdf - binom.cdf(np.arange(n + 1), n, p))) <= self.bound(n)
+        assert cdf[n] == 1.0 and np.all(np.diff(cdf) >= 0.0)
 
-    def test_equals_scipy_stats_at_an_oracle_tilt(self):
+    def test_within_bound_of_scipy_stats_at_an_oracle_tilt(self):
         x = PolicySpec.oracle_static(BanditInstance(0.9, 0.5)).schedule_fraction()
         lam = lambda_star(x, INST)
         for n in schedule_counts(x, 2001, "oracle"):
-            assert np.array_equal(_binom_cdf(n, lam), binom.cdf(np.arange(n + 1), n, lam))
+            error = np.max(np.abs(binom_cdf(n, lam) - binom.cdf(np.arange(n + 1), n, lam)))
+            assert error <= self.bound(n)
+
+
+class TestStaticDraws:
+    """Static success counts are those of ``searchsorted`` in
+    ``scipy.stats.binom.cdf``, stream for stream: the sampler's CDF moves no
+    draw of these streams, plain at the instance's means and tilted at an
+    oracle schedule's tilt."""
+
+    STREAMS = 2**18
+
+    def assert_same_draws(self, seed, n1, p1, n2, p2):
+        counts = [(s1.copy(), s2.copy())
+                  for s1, s2 in _static_blocks(seed, self.STREAMS, n1, p1, n2, p2)]
+        reps = np.arange(self.STREAMS, dtype=np.uint64)
+        expected = static_successes(batch_uniforms(seed, reps, 0), batch_uniforms(seed, reps, 1),
+                                    n1, n2, p1, p2)
+        for got, want in zip((np.concatenate(c) for c in zip(*counts)), expected):
+            assert np.array_equal(got, want)
+
+    def test_static_at_the_means(self):
+        n1, n2 = schedule_counts(0.4, 40, "static:0.4")
+        self.assert_same_draws(31, n1, INST.mu1, n2, INST.mu2)
+
+    def test_oracle_tilt(self):
+        x = PolicySpec.oracle_static(BanditInstance(0.9, 0.5)).schedule_fraction()
+        lam = lambda_star(x, INST)
+        n1, n2 = schedule_counts(x, 1000, "oracle")
+        self.assert_same_draws(32, n1, lam, n2, lam)
 
 
 class TestInverseCdfSampler:
@@ -80,7 +123,7 @@ class TestInverseCdfSampler:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 900, 100_000])
     @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
     def test_equals_searchsorted_at_every_edge(self, n, p):
-        cdf = _binom_cdf(n, p)
+        cdf = binom_cdf(n, p)
         thr = np.floor(cdf * 2.0**53).astype(np.int64)
         edges = np.arange(1, 2**12, dtype=np.int64) << 41
         bits = np.concatenate([[0, 2**53 - 1], edges - 1, edges, thr - 1, thr, thr + 1])
