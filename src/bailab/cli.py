@@ -26,9 +26,9 @@ from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
 from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate_ratio_scan,
-                    static_error_log)
+                    static_counts, static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
-from .policies import PolicySpec, parse_policy, policy_label
+from .policies import PolicySpec, check_budget, parse_policy, policy_label
 from .rates import BanditInstance, g_closed, g_closed_grid, rate_profile, x_star
 from .verification import run_suites
 
@@ -224,12 +224,7 @@ def cmd_exact(args) -> int:
 
 def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
             tilted: bool) -> list:
-    if tilted:
-        if not policy.deterministic_schedule:
-            raise ArgumentError("tilted estimation is only defined for static schedules")
-        est = simulate_tilted_static(policy.schedule_fraction(), inst, T, n, seed)
-    else:
-        est = simulate_plain(policy, inst, T, n, seed)
+    est = (simulate_tilted_static if tilted else simulate_plain)(policy, inst, T, n, seed)
     return [est.method, policy_label(policy), inst.mu1, inst.mu2, T, n, est.seed,
             est.mean, est.std_err]
 
@@ -271,6 +266,7 @@ def cmd_demo(args) -> int:
                             f"state limit of {limit}; set {MAX_STATES_ENV} to raise it")
     if not 0.0 <= args.min_gap < math.inf:
         raise ArgumentError(f"--min-gap must lie in [0, inf), got {args.min_gap!r}")
+    check_budget(args.T)
     mu0 = BanditInstance(*args.mu0)
     x_tuned = x_star(mu0)
     if abs(x_tuned - 0.5) < 1e-9:
@@ -279,6 +275,9 @@ def cmd_demo(args) -> int:
             "message": "policy coincides with uniform; no witness exists",
         }))
         return EXIT_OK
+    # both schedules of the exact confirmation, checked before any search
+    for schedule in (PolicySpec.static(x_tuned), PolicySpec.uniform()):
+        static_counts(schedule, args.T)
 
     # certified witness, independent of the grid resolution
     best_cert = None

@@ -114,12 +114,15 @@ def _check_states(count: int, limit: int, need: str) -> None:
 
 @dataclass(frozen=True)
 class ExactSummary:
-    """Exact evaluation of one policy/instance/budget triple."""
+    """Exact evaluation of one policy/instance/budget triple.  ``log_p_error`` is
+    the log path's own value for a fixed schedule, finite where ``p_error``
+    underflows, and ``math.log(p_error)`` for tracking (-inf at 0)."""
 
     p_error: float
     p_pick2: float
     e_n1: float
     e_omega2: float
+    log_p_error: float
 
 
 class ComSlack(NamedTuple):
@@ -305,59 +308,50 @@ def _dp_summary(layer: dict[int, np.ndarray], inst: BanditInstance, T: int) -> E
         p_pick1 += float(np.sum(mass * (1.0 - pick2)))
         e_n1 += float(np.sum(mass)) * n1
     p_error = p_pick2 if inst.best_arm == 1 else p_pick1
-    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T)
+    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T,
+                        log_p_error=math.log(p_error) if p_error > 0.0 else -math.inf)
 
 
-def _log_paths(
-    policy: PolicySpec, inst: BanditInstance, budgets: list[int]
-) -> list[tuple[ExactSummary, float]]:
-    """The summary and ``log p_error`` of a fixed schedule at each budget on the
-    binomial log path.  Every budget's counts are checked first; one table of
-    log-factorials, as long as the longest budget needs, then serves them all."""
-    x = policy.schedule_fraction()
-    counts = [static_counts(x, T, policy.description) for T in budgets]
-    lf = _log_factorials(max((max(c) for c in counts), default=0))
-    out = []
-    for T, (n1, n2) in zip(budgets, counts):
-        logp = _static_error_log(n1, n2, inst, lf)
-        p_error = math.exp(logp)
-        p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
-        out.append((ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1),
-                                 e_omega2=n2 / T), logp))
-    return out
+def _log_summary(n1: int, n2: int, inst: BanditInstance, lf: np.ndarray) -> ExactSummary:
+    """:func:`exact_summary` of ``n1`` and ``n2`` fixed pulls on the binomial log
+    path, from the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more)."""
+    logp = _static_error_log(n1, n2, inst, lf)
+    p_error = math.exp(logp)
+    p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
+    return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1),
+                        e_omega2=n2 / (n1 + n2), log_p_error=logp)
 
 
-def _evaluate(
-    policy: PolicySpec, inst: BanditInstance, budgets: list[int]
-) -> list[tuple[ExactSummary, float]]:
-    """The summary and ``log p_error`` of each budget, in the order given with
-    duplicates kept, after checking the instance and every budget.  Fixed
-    schedules take the log path per budget, all budgets reading one
-    log-factorial table; plug-in tracking takes one DP pass to the largest
-    budget, whose layer t is budget t's terminal layer, bit for bit.  The one
-    engine choice in this module."""
+def _evaluate(policy: PolicySpec, inst: BanditInstance, budgets: list[int]) -> list[ExactSummary]:
+    """The summary of each budget, in the order given with duplicates kept,
+    after checking the instance and every budget.  Fixed schedules take the
+    log path: every budget's counts are checked, then one log-factorial table,
+    as long as the longest budget needs, serves them all.  Plug-in tracking
+    takes one DP pass to the largest budget, whose layer t is budget t's
+    terminal layer, bit for bit.  The one engine choice in this module."""
     if not inst.is_separated:
         raise DomainError("exact evaluation needs distinct means to define an error")
     budgets = [check_budget(T) for T in budgets]
     if policy.deterministic_schedule:
-        return _log_paths(policy, inst, budgets)
+        counts = [static_counts(policy, T) for T in budgets]
+        lf = _log_factorials(max((max(c) for c in counts), default=0))
+        return [_log_summary(n1, n2, inst, lf) for n1, n2 in counts]
     layers = dp_layers(policy, inst, max(budgets)) if budgets else ()
     found = {t: _dp_summary(layer, inst, t) for t, layer in layers if t in budgets}
-    return [(s, math.log(s.p_error) if s.p_error > 0.0 else -math.inf)
-            for s in (found[T] for T in budgets)]
+    return [found[T] for T in budgets]
 
 
 def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSummary:
-    """Exact error probability, decision probability, and pull counts.
+    """Exact error probability, its log, decision probability, and pull counts.
 
     Fixed schedules take the binomial log path, with the schedule's own
     pull counts; adaptive policies take the DP.  Deterministic given its
     arguments: both engines fix their order of summation.
     """
-    return _evaluate(policy, inst, [T])[0][0]
+    return _evaluate(policy, inst, [T])[0]
 
 
-def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
+def static_counts(policy: PolicySpec, T: int) -> tuple[int, int]:
     """:func:`schedule_counts`, raising CapacityError when a binomial table
     of ``max(n1, n2) + 1`` entries is over the state limit.
 
@@ -365,7 +359,7 @@ def static_counts(x: float, T: int, label: str) -> tuple[int, int]:
     table of ``n + 1`` entries per arm; static Monte Carlo builds one table
     per arm.  Both call this before building any.
     """
-    n1, n2 = schedule_counts(x, T, label)
+    n1, n2 = schedule_counts(policy, T)
     length = max(n1, n2) + 1
     _check_states(length, _max_states(), f"T={T} needs a binomial table of {length} entries")
     return n1, n2
@@ -506,12 +500,9 @@ def _static_error_log(n1: int, n2: int, inst: BanditInstance, lf: np.ndarray) ->
 
 
 def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
-    """log of the exact error probability of the static(x) schedule."""
-    T = check_budget(T)
-    if not inst.is_separated:
-        raise DomainError("the error probability needs distinct means")
-    n1, n2 = static_counts(x, T, f"static:{x}")
-    return _static_error_log(n1, n2, inst, _log_factorials(max(n1, n2)))
+    """log of the exact error probability of the static(x) schedule, finite where
+    it underflows: ``exact_summary(PolicySpec.static(x), inst, T).log_p_error``."""
+    return exact_summary(PolicySpec.static(x), inst, T).log_p_error
 
 
 def static_error_exact(x: float, inst: BanditInstance, T: int) -> float:
@@ -571,8 +562,8 @@ def rate_ratio_scan(
     if not evaluated:
         raise ArgumentError("empty budget grid")
     reference = inv_g_half(inst)
-    points = tuple(RatePoint(T=T, p_error=summary.p_error, ratio=T / -logp)
-                   for T, (summary, logp) in zip(map(int, T_grid), evaluated))
+    points = tuple(RatePoint(T=T, p_error=s.p_error, ratio=T / -s.log_p_error)
+                   for T, s in zip(map(int, T_grid), evaluated))
     return RateScan(points=points, inv_g_half=reference)
 
 
@@ -600,8 +591,8 @@ def stability_profile(
             raise ArgumentError(f"gap {gap} pushes the means out of (0, 1) around a={a}")
         upper = BanditInstance(hi, lo)
         lower = BanditInstance(lo, hi)
-        rows_a.append(tuple(s.e_omega2 for s, _ in _evaluate(policy, upper, budgets)))
-        rows_b.append(tuple(s.e_omega2 for s, _ in _evaluate(policy, lower, budgets)))
+        rows_a.append(tuple(s.e_omega2 for s in _evaluate(policy, upper, budgets)))
+        rows_b.append(tuple(s.e_omega2 for s in _evaluate(policy, lower, budgets)))
     return StabilityProfile(
         a=a,
         gaps=tuple(float(g) for g in gaps),

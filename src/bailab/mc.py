@@ -260,7 +260,7 @@ def simulate_plain(
     pick2 = 0.0
     if policy.deterministic_schedule:
         # counts are schedule-determined; two binomial draws per stream
-        n1, n2 = static_counts(policy.schedule_fraction(), T, policy.description)
+        n1, n2 = static_counts(policy, T)
         mass = np.empty(min(n, _BLOCK))
         for s1, s2 in _static_blocks(seed, n, n1, inst.mu1, n2, inst.mu2):
             pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, n2, out=mass[:s1.size])))
@@ -292,16 +292,17 @@ def _replay_adaptive(
 
 
 def simulate_tilted_static(
-    x: float, inst: BanditInstance, T: int, n: int, seed: int
+    policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int
 ) -> Estimate:
-    """Importance-sampling estimate of the static(x) error probability.
+    """Importance-sampling estimate of the error probability of a fixed schedule;
+    an adaptive policy is refused before any other check.
 
-    Both success counts are drawn with success probability equal to the
-    inner minimizer of the rate objective, the natural tilt for the error
-    event; each replication is weighted by the exact likelihood ratio,
-    assembled in the log domain.  The standard error comes from the
-    sample variance of the weighted indicators, and estimates are
-    reported raw (noise can push them above 1).  The log weight of a
+    Both success counts are drawn with success probability ``lam``, the inner
+    minimizer of the rate objective at the schedule's arm-2 fraction, the
+    natural tilt for the error event; each replication is weighted by the
+    exact likelihood ratio, assembled in the log domain.  The standard error
+    comes from the sample variance of the weighted indicators, and estimates
+    are reported raw (noise can push them above 1).  The log weight of a
     replication is ``w1[s1] + w2[s2]``, where ``w1[k] = k·log(m1/lam) +
     (n1-k)·log((1-m1)/(1-lam))`` is tabled once for ``k = 0 .. n1``, and
     ``w2`` likewise: the same operations, in the same order, as forming it
@@ -317,9 +318,12 @@ def simulate_tilted_static(
     values, bit for bit; above that the sums are grouped by block and may
     differ from them in the last bits.
     """
+    if not policy.deterministic_schedule:
+        raise ArgumentError(
+            f"tilted estimation is only defined for fixed schedules, not {policy.description}")
     T, n, seed = _check_args(inst, T, n, seed)
-    n1, n2 = static_counts(x, T, f"static:{x}")
-    lam = lambda_star(x, inst)
+    n1, n2 = static_counts(policy, T)
+    lam = lambda_star(policy.schedule_fraction(), inst)
     m1, m2 = inst.mu1, inst.mu2
     hit1, miss1 = math.log(m1 / lam), math.log((1.0 - m1) / (1.0 - lam))
     hit2, miss2 = math.log(m2 / lam), math.log((1.0 - m2) / (1.0 - lam))

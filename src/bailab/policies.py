@@ -136,16 +136,17 @@ def covering_budget(x: float) -> int:
     return T
 
 
-def schedule_counts(x: float, T: int, label: str) -> tuple[int, int]:
-    """``(n1, n2)`` pulls of the schedule of ``x`` over ``T`` rounds.
+def schedule_counts(policy: PolicySpec, T: int) -> tuple[int, int]:
+    """``(n1, n2)`` pulls of the fixed schedule ``policy`` over ``T`` rounds.
 
-    Raises ArgumentError, naming the smallest budget that covers both
-    arms, when either count is zero; ``label`` names the policy.
+    Raises ArgumentError on an adaptive policy, and, naming the policy and
+    the smallest budget that covers both arms, when either count is zero.
     """
+    x = policy.schedule_fraction()
     n2 = arm2_count(x, T)
     if not 1 <= n2 <= T - 1:
         raise ArgumentError(
-            f"schedule of {label} leaves an arm unsampled at T={T}; "
+            f"schedule of {policy.description} leaves an arm unsampled at T={T}; "
             f"the smallest budget that samples both arms is T={covering_budget(x)}"
         )
     return T - n2, n2

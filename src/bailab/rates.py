@@ -189,7 +189,7 @@ def g_closed_grid(x: float, mu1s, mu2s) -> np.ndarray:
     tail2 = np.array([(1.0 - m) ** x for m in mu2s])
     head2 = np.array([m ** x for m in mu2s])
     cells = tail1[:, None] * tail2 + head1[:, None] * head2
-    logs = np.array(list(map(math.log, cells.ravel().tolist())))
+    logs = np.fromiter(map(math.log, memoryview(cells.ravel())), np.float64, cells.size)
     return -logs.reshape(cells.shape)
 
 

@@ -312,8 +312,8 @@ def test_criterion_10_monte_carlo():
 
     inst = BanditInstance(0.7, 0.3)
     plain = simulate_plain(PolicySpec.static(0.5), inst, 200, 10**4, 99)
-    tilted = simulate_tilted_static(0.5, inst, 200, 10**4, 99)
-    tilted_again = simulate_tilted_static(0.5, inst, 200, 10**4, 99)
+    tilted = simulate_tilted_static(PolicySpec.static(0.5), inst, 200, 10**4, 99)
+    tilted_again = simulate_tilted_static(PolicySpec.static(0.5), inst, 200, 10**4, 99)
     reproducible &= tilted == tilted_again
     rel_se = tilted.std_err / tilted.mean
     report(

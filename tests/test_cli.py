@@ -205,6 +205,15 @@ class TestMcCommand:
                                "--mu", "0.7,0.3", "--T", "20", "--n", "100",
                                "--tilted")
         assert code == 2
+        assert "fixed schedules, not plugin:0.5" in err
+
+    @pytest.mark.parametrize("tilted", [[], ["--tilted"]], ids=["plain", "tilted"])
+    def test_unsampled_arm_names_the_oracle_policy(self, capsys, tilted):
+        # x* of (0.5, 0.01) is 0.3798: no arm-2 pull at T = 2
+        code, out, err = run_cli(capsys, "mc", "--policy", "oracle:0.5,0.01", "--mu", "0.6,0.4",
+                                 "--T", "2", "--n", "10", *tilted)
+        assert code == 2 and out == ""
+        assert "schedule of oracle:0.5,0.01 leaves an arm unsampled at T=2" in err
 
     @pytest.mark.parametrize("seed", ["18446744073709551621", "-18446744073709551611", "-1"])
     @pytest.mark.parametrize("tilted", [[], ["--tilted"]], ids=["plain", "tilted"])
@@ -402,6 +411,31 @@ class TestDemoCommand:
         i, j = first
         assert json.loads(out)["grid_best"] == {"mu1": grid * (i + 1), "mu2": grid * (j + 1),
                                                 "rate_gap": 1.0}
+
+    @pytest.mark.parametrize("mu0, T, message", [
+        ("0.9,0.5", "1", "budget must be at least 2, got 1"),
+        # x* = 0.4889 leaves arm 2 unsampled at T = 2
+        ("0.7,0.2", "2", "schedule of static:0.4889013425272424 leaves an arm unsampled at T=2"),
+    ], ids=["budget", "tuned_schedule"])
+    def test_budget_is_checked_before_any_search(self, capsys, monkeypatch, mu0, T, message):
+        def no_search(*args):
+            raise AssertionError("the budget is checked before any search")
+
+        monkeypatch.setattr("bailab.cli.g_closed_grid", no_search)
+        monkeypatch.setattr("bailab.cli.construct_beating_instance", no_search)
+        code, out, err = run_cli(capsys, "demo", "--mu0", mu0, "--grid", "0.001", "--T", T)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_table_over_the_limit_is_refused_before_any_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the tables are checked before any search")
+
+        monkeypatch.setattr("bailab.cli.g_closed_grid", no_search)
+        monkeypatch.setenv("BAI_MAX_STATES", "500")
+        code, out, err = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--grid", "0.01")
+        assert code == 4 and out == ""
+        assert "over the limit of 500" in err
 
     def test_grid_scan_memory_is_bounded_by_its_band(self, capsys):
         # 999 means per side scan in bands of 65 rows (64,935 cells); measured

@@ -282,7 +282,7 @@ class TestStaticFastPath:
 
         monkeypatch.setattr(exact, "schedule_counts", counted)
         exact_summary(PolicySpec.static(0.3), INST, 40)
-        assert calls == [(0.3, 40, "static:0.3")]
+        assert calls == [(PolicySpec.static(0.3), 40)]
 
     def test_complement_symmetry(self):
         # flipping every reward label swaps the arms' roles
@@ -320,6 +320,34 @@ class TestStaticFastPath:
         oracle = PolicySpec.oracle_static(BanditInstance(0.5, 0.01))  # x* = 0.3798
         with pytest.raises(ArgumentError, match=r"schedule of oracle:0\.5,0\.01 leaves"):
             exact_summary(oracle, INST, 2)
+
+    @pytest.mark.parametrize("T", [7, 400, 5000])
+    @pytest.mark.parametrize("inst", [INST, INST_REV], ids=["best1", "best2"])
+    def test_static_error_log_is_the_summary_log(self, inst, T):
+        for x in (0.5, 0.3):
+            n1, n2 = T - arm2_count(x, T), arm2_count(x, T)
+            logp = static_error_log(x, inst, T)
+            assert logp == exact_summary(PolicySpec.static(x), inst, T).log_p_error
+            assert logp == _static_error_log(n1, n2, inst, _log_factorials(max(n1, n2)))
+
+    @pytest.mark.parametrize("ref", [(0.9, 0.5), (0.5, 0.01), (0.2, 0.6)], ids=str)
+    def test_static_error_log_at_an_oracle_fraction(self, ref):
+        oracle = PolicySpec.oracle_static(BanditInstance(*ref))
+        for T in (40, 5000):
+            logp = static_error_log(oracle.x, INST, T)
+            assert logp == exact_summary(PolicySpec.static(oracle.x), INST, T).log_p_error
+            assert logp == exact_summary(oracle, INST, T).log_p_error
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+    def test_static_error_log_outside_the_unit_interval_names_it(self, x):
+        with pytest.raises(ArgumentError, match=r"x in \[0, 1\]"):
+            static_error_log(x, INST, 10)
+
+    @pytest.mark.parametrize("inst", [INST, INST_REV], ids=["best1", "best2"])
+    def test_plugin_log_p_error_is_the_log_of_p_error(self, inst):
+        for T in (2, 9, 30):
+            s = exact_summary(PolicySpec.plugin_tracking(0.3), inst, T)
+            assert s.log_p_error == math.log(s.p_error)
 
 
 class TestBinomialLogPmf:
@@ -409,9 +437,9 @@ class TestStaticErrorLogReference:
     @pytest.mark.parametrize("mu", _WORKLOADS.SCHEDULE_POOL)
     def test_benchmark_scan_at_x_star(self, mu):
         inst = BanditInstance(*(float(v) for v in mu.split(",")))
-        x = PolicySpec.oracle_static(inst).schedule_fraction()
+        oracle = PolicySpec.oracle_static(inst)
         first, last, step = (int(v) for v in _WORKLOADS.SCAN_GRID.split(":"))
-        counts = [static_counts(x, T, f"oracle:{mu}") for T in range(first, last + 1, step)]
+        counts = [static_counts(oracle, T) for T in range(first, last + 1, step)]
         # one table for the longest budget, as a scan shares it
         lf = _log_factorials(max(max(c) for c in counts))
         for n1, n2 in counts:
@@ -425,7 +453,7 @@ class TestBinomialTableLimit:
 
     def test_table_at_the_limit_is_allowed(self, monkeypatch):
         monkeypatch.setenv("BAI_MAX_STATES", "51")
-        assert static_counts(0.5, 100, "uniform") == (50, 50)
+        assert static_counts(PolicySpec.uniform(), 100) == (50, 50)
         assert math.isfinite(static_error_log(0.5, INST, 100))
 
     @pytest.mark.parametrize("run, length", [
@@ -433,7 +461,7 @@ class TestBinomialTableLimit:
         (lambda: rate_ratio_scan(PolicySpec.uniform(), INST, [100, 101]), 52),
         (lambda: simulate_plain(PolicySpec.uniform(), INST, 101, 10, 0), 52),
         (lambda: simulate_plain(PolicySpec.static(0.3), INST, 101, 10, 0), 72),
-        (lambda: simulate_tilted_static(0.5, INST, 101, 10, 0), 52),
+        (lambda: simulate_tilted_static(PolicySpec.static(0.5), INST, 101, 10, 0), 52),
         (lambda: exact_summary(PolicySpec.static(0.3), INST, 101), 72),
     ], ids=["log_path", "scan", "plain_mc", "plain_mc_static", "tilted_mc", "exact_static"])
     def test_over_the_limit_raises_naming_length_and_limit(self, monkeypatch, run, length):
@@ -546,7 +574,7 @@ class TestRateRatioScan:
         monkeypatch.setattr(exact, "_log_factorials", counted)
         inst, x = BanditInstance(*mu), policy.schedule_fraction()
         scan = rate_ratio_scan(policy, inst, budgets)
-        assert tables == [max(max(static_counts(x, T, "")) for T in budgets)]
+        assert tables == [max(max(static_counts(policy, T)) for T in budgets)]
         for point, T in zip(scan.points, budgets):
             logp = static_error_log(x, inst, T)
             assert (point.T, point.p_error, point.ratio) == (T, math.exp(logp), T / -logp)

@@ -63,6 +63,10 @@ COMMANDS = [
     # arm 2 best, unsorted budgets and a duplicate
     "scan --policy plugin:0.2 --mu 0.6,0.4 --T 10:60:10",
     "scan --policy plugin:0.5 --mu 0.3,0.7 --T 40,20,40",
+    # tilted MC on schedules that are not `static:`: an oracle tilt, and
+    # uniform sampling with arm 2 best over more than one block
+    "mc --policy oracle:0.9,0.5 --mu 0.6,0.4 --T 1000 --n 1000 --seed 7 --tilted",
+    "mc --policy uniform --mu 0.3,0.7 --T 300 --n 70000 --seed 11 --tilted",
 ]
 
 

@@ -81,9 +81,9 @@ class TestBinomialCdf:
         assert cdf[n] == 1.0 and np.all(np.diff(cdf) >= 0.0)
 
     def test_within_bound_of_scipy_stats_at_an_oracle_tilt(self):
-        x = PolicySpec.oracle_static(BanditInstance(0.9, 0.5)).schedule_fraction()
-        lam = lambda_star(x, INST)
-        for n in schedule_counts(x, 2001, "oracle"):
+        oracle = PolicySpec.oracle_static(BanditInstance(0.9, 0.5))
+        lam = lambda_star(oracle.schedule_fraction(), INST)
+        for n in schedule_counts(oracle, 2001):
             error = np.max(np.abs(binom_cdf(n, lam) - binom.cdf(np.arange(n + 1), n, lam)))
             assert error <= self.bound(n)
 
@@ -106,13 +106,13 @@ class TestStaticDraws:
             assert np.array_equal(got, want)
 
     def test_static_at_the_means(self):
-        n1, n2 = schedule_counts(0.4, 40, "static:0.4")
+        n1, n2 = schedule_counts(PolicySpec.static(0.4), 40)
         self.assert_same_draws(31, n1, INST.mu1, n2, INST.mu2)
 
     def test_oracle_tilt(self):
-        x = PolicySpec.oracle_static(BanditInstance(0.9, 0.5)).schedule_fraction()
-        lam = lambda_star(x, INST)
-        n1, n2 = schedule_counts(x, 1000, "oracle")
+        oracle = PolicySpec.oracle_static(BanditInstance(0.9, 0.5))
+        lam = lambda_star(oracle.schedule_fraction(), INST)
+        n1, n2 = schedule_counts(oracle, 1000)
         self.assert_same_draws(32, n1, lam, n2, lam)
 
 
@@ -173,8 +173,8 @@ class TestBlockEdges:
             est = simulate_plain(policy, inst, T, n, EDGE_SEED)
             assert (est.mean, est.std_err) == static_mc_reference(
                 u1, u2, policy.schedule_fraction(), inst, T, tilted=False)
-        self.assert_tilted(simulate_tilted_static(0.3, inst, 60, n, EDGE_SEED), u1, u2, 0.3,
-                           inst, 60)
+        self.assert_tilted(simulate_tilted_static(PolicySpec.static(0.3), inst, 60, n, EDGE_SEED),
+                           u1, u2, 0.3, inst, 60)
 
     @pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("x, mu, T", [(0.5, (0.7, 0.45), 200), (0.62, (0.35, 0.6), 333)],
@@ -183,7 +183,8 @@ class TestBlockEdges:
                                                                   mu, T):
         inst = BanditInstance(*mu)
         u1, u2 = (u[:n] for u in edge_uniforms)
-        self.assert_tilted(simulate_tilted_static(x, inst, T, n, EDGE_SEED), u1, u2, x, inst, T)
+        est = simulate_tilted_static(PolicySpec.static(x), inst, T, n, EDGE_SEED)
+        self.assert_tilted(est, u1, u2, x, inst, T)
 
     def test_adaptive_estimate_equals_the_whole_array_replay(self):
         policy, inst, T, n = PolicySpec.plugin_tracking(0.5), INST, 4, BLOCK + 3
@@ -204,7 +205,8 @@ def _peak_traced_bytes(run) -> int:
 class TestMemory:
     def test_tilted_memory_does_not_grow_with_n(self):
         def peak(n):
-            return _peak_traced_bytes(lambda: simulate_tilted_static(0.5, INST, 200, n, 1))
+            return _peak_traced_bytes(
+                lambda: simulate_tilted_static(PolicySpec.static(0.5), INST, 200, n, 1))
 
         assert peak(2**22) - peak(2**16) < 2**20
 
@@ -268,19 +270,19 @@ class TestSeedRange:
         with pytest.raises(ArgumentError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             simulate_plain(PolicySpec.uniform(), INST, 10, 10, seed)
         with pytest.raises(ArgumentError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
-            simulate_tilted_static(0.5, INST, 10, 10, seed)
+            simulate_tilted_static(PolicySpec.static(0.5), INST, 10, 10, seed)
 
     def test_seed_range_edges_accepted(self):
         for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             est = simulate_plain(PolicySpec.plugin_tracking(0.5), INST, 10, 10, seed)
             assert est.seed == seed and type(est.seed) is int
-            assert simulate_tilted_static(0.5, INST, 10, 10, seed).seed == seed
+            assert simulate_tilted_static(PolicySpec.static(0.5), INST, 10, 10, seed).seed == seed
 
 
 class TestSimulateTiltedStatic:
     def test_agrees_with_exact_fast_path(self):
         exact_p = static_error_exact(0.5, INST, 100)
-        est = simulate_tilted_static(0.5, INST, 100, 10**5, 13)
+        est = simulate_tilted_static(PolicySpec.static(0.5), INST, 100, 10**5, 13)
         assert est.method == "tilted"
         assert abs(est.mean - exact_p) <= 3 * est.std_err
         assert est.std_err / est.mean <= 0.05
@@ -291,7 +293,7 @@ class TestSimulateTiltedStatic:
         # rate tightly and therefore sit within 7% of g itself
         from bailab.exact import static_error_log
 
-        est = simulate_tilted_static(0.5, INST, 600, 10**5, 29)
+        est = simulate_tilted_static(PolicySpec.static(0.5), INST, 600, 10**5, 29)
         rate = -math.log(est.mean) / 600
         exact_rate = -static_error_log(0.5, INST, 600) / 600
         assert abs(rate - exact_rate) / exact_rate <= 0.005
@@ -319,22 +321,24 @@ class TestSimulateTiltedStatic:
         # at T=200 the plain estimator sees no events at all
         plain = simulate_plain(PolicySpec.static(0.5), INST, 200, 10**4, 17)
         assert plain.mean == 0.0
-        tilted = simulate_tilted_static(0.5, INST, 200, 10**4, 17)
+        tilted = simulate_tilted_static(PolicySpec.static(0.5), INST, 200, 10**4, 17)
         assert tilted.mean > 0.0
         assert tilted.std_err / tilted.mean <= 0.2
 
     def test_bit_reproducible(self):
-        a = simulate_tilted_static(0.5, INST, 200, 5_000, 23)
-        b = simulate_tilted_static(0.5, INST, 200, 5_000, 23)
+        a = simulate_tilted_static(PolicySpec.static(0.5), INST, 200, 5_000, 23)
+        b = simulate_tilted_static(PolicySpec.static(0.5), INST, 200, 5_000, 23)
         assert a == b
 
     def test_estimates_reported_raw(self):
-        est = simulate_tilted_static(0.5, INST, 10, 2_000, 5)
+        est = simulate_tilted_static(PolicySpec.static(0.5), INST, 10, 2_000, 5)
         assert isinstance(est, Estimate)
         assert est.mean >= 0.0  # no clamping applied beyond nonnegativity of weights
 
     def test_schedule_validation(self):
         with pytest.raises(ArgumentError):
-            simulate_tilted_static(0.0, INST, 10, 100, 0)
+            simulate_tilted_static(PolicySpec.static(0.0), INST, 10, 100, 0)
         with pytest.raises(DomainError):
-            simulate_tilted_static(0.5, BanditInstance(0.3, 0.3), 10, 100, 0)
+            simulate_tilted_static(PolicySpec.static(0.5), BanditInstance(0.3, 0.3), 10, 100, 0)
+        with pytest.raises(ArgumentError, match="fixed schedules, not plugin:0.5"):
+            simulate_tilted_static(PolicySpec.plugin_tracking(0.5), INST, 10, 100, 0)
