@@ -5,10 +5,11 @@ suites), ``exact`` / ``mc`` / ``scan`` (evaluation runs emitting CSV),
 ``construct`` (certified instance construction, JSON), and ``demo``
 (the no-free-lunch demonstration for a tuned static policy).
 
-Exit codes: 0 success, 1 verification failure, 2 usage, 3 domain,
-4 capacity, 5 search resolution.  All output is deterministic given the
-flags; floats are written with 17 significant digits so files
-round-trip losslessly.
+Exit codes: 0 success, 1 verification failure or any other library error
+(an internal defect such as a ``ConstructionError``, printed as
+"error: ..."), 2 usage, 3 domain, 4 capacity, 5 search resolution.  All
+output is deterministic given the flags; floats are written with 17
+significant digits so files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -139,12 +140,20 @@ def load_sweep_config(path: str) -> SweepConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ArgumentError(f"cannot read sweep config {path!r}: {exc}") from None
     try:
+        for key in ("instances", "policies", "budgets"):
+            if not isinstance(raw[key], list):
+                raise ArgumentError(f"{key!r} must be a JSON list, got {raw[key]!r}")
         instances = [BanditInstance(float(a), float(b)) for a, b in raw["instances"]]
         policies = [parse_policy(p) for p in raw["policies"]]
-        budgets = [int(t) for t in raw["budgets"]]
+        try:
+            budgets = [check_budget(t) for t in raw["budgets"]]
+        except ArgumentError as exc:
+            raise ArgumentError(f"'budgets': {exc}") from None
         output_path = raw.get("output_path")
         output_path = None if output_path is None else str(output_path)
-        seed = int(raw.get("seed", 0))
+        seed = raw.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ArgumentError(f"'seed' must be an integer, got {seed!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed sweep config {path!r}: {exc}") from None
     if not instances or not policies or not budgets:

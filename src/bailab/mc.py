@@ -17,21 +17,24 @@ action and ``2t+1`` for the reward.  Streams therefore depend only on
 ``(seed, i, k)``, never on execution order, and estimates are
 bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 
-Replications run in fixed blocks of 2**16, in index order.  A static
-schedule's blocks run in buffers allocated once per call, ``min(n, 2**16)``
-long: the stream states, both draws' splitmix64 mixes, the inverse-CDF
-sampler and the fair-tie masses all work in place, so no block allocates
-and memory does not grow with ``n``.  A plain replication's error mass is
-0, 1/2 or 1, so each block adds its wins plus half its ties exactly, and
-the running total equals numpy's pairwise sum over all replications: plain
-estimates do not depend on the block size.  The tilted estimator reads each
-replication's log weight from two per-count tables, one entry per success
-count of each arm, and keeps three numbers per block: the sum of its
-weighted values, the sum of their squared deviations from the block mean,
-and its length.  The blocks combine by the exact split of the sample
-variance (Chan, Golub & LeVeque 1983); for ``n <= 2**16`` that is
-``np.mean`` and ``np.var(ddof=1)`` over all replications, bit for bit, and
-above it the grouping of the sums can move the last bits.
+Replications run in fixed blocks of 2**16, in index order, from one block
+source for every policy: it yields each block's terminal counts
+``(n1, s1, s2)`` at the success probabilities it is given (the means, or
+the tilt).  Its buffers are allocated once per call, ``min(n, 2**16)``
+long: the stream states, the splitmix64 mixes, the inverse-CDF sampler and
+the fair-tie masses work in place, and the tracking replay keeps its counts
+and uniforms there, so memory does not grow with ``n``.  A plain
+replication's error mass is 0, 1/2 or 1, so each block adds its wins plus
+half its ties exactly, and the running total equals numpy's pairwise sum
+over all replications: plain estimates do not depend on the block size.
+The tilted estimator reads each replication's log weight from two
+per-count tables, one entry per success count of each arm, and keeps three
+numbers per block: the sum of its weighted values, the sum of their
+squared deviations from the block mean, and its length.  The blocks
+combine by the exact split of the sample variance (Chan, Golub & LeVeque
+1983); for ``n <= 2**16`` that is ``np.mean`` and ``np.var(ddof=1)`` over
+all replications, bit for bit, and above it the grouping of the sums can
+move the last bits.
 
 Static schedules draw each success count by inverse CDF: for the 53-bit
 draw ``b`` (uniform ``b * 2**-53``), the smallest k with
@@ -102,12 +105,6 @@ def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
-
-
-def _blocks(n: int):
-    """Slices of replications 0 .. n-1, ``_BLOCK`` at a time, in index order."""
-    for start in range(0, n, _BLOCK):
-        yield slice(start, min(start + _BLOCK, n))
 
 
 def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -199,33 +196,53 @@ def _inverse_cdf_sampler(cdf: np.ndarray):
     return sample
 
 
-def _static_blocks(seed: int, n: int, n1: int, p1: float, n2: int, p2: float):
-    """Success counts ``(s1, s2)`` of replications 0 .. n-1, ``n1`` pulls at ``p1``
-    and ``n2`` at ``p2``, block by block in index order: draw 0 of a stream gives
-    ``s1``, draw 1 gives ``s2``.
+def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: float):
+    """Terminal counts ``(n1, s1, s2)`` of replications 0 .. n-1 at budget ``T``, arms
+    succeeding with probabilities ``p1`` and ``p2``, block by block in index order.
 
-    Every buffer is allocated once, ``min(n, _BLOCK)`` long, and each block runs in
-    place.  The yielded int64 arrays are views of those buffers: the caller may
-    overwrite them, and the next block does.
+    A fixed schedule's ``n1`` is its int arm-1 count: draw 0 of a stream gives
+    ``s1``, draw 1 gives ``s2``.  Plug-in tracking advances a block's replications
+    together, one round at a time, and ``n1`` is an int64 array.  Every buffer is
+    allocated once, ``min(n, _BLOCK)`` long, and each block runs in place.  The
+    yielded arrays are views of those buffers: the caller may overwrite them, and
+    the next block does.
     """
-    lf = _log_factorials(max(n1, n2))
-    sample1 = _inverse_cdf_sampler(_binom_cdf(lf, n1, p1))
-    sample2 = _inverse_cdf_sampler(_binom_cdf(lf, n2, p2))
+    fixed = policy.deterministic_schedule
+    if fixed:
+        n1 = static_counts(policy, T)[0]
+        lf = _log_factorials(max(n1, T - n1))
+        sample1 = _inverse_cdf_sampler(_binom_cdf(lf, n1, p1))
+        sample2 = _inverse_cdf_sampler(_binom_cdf(lf, T - n1, p2))
     size = min(n, _BLOCK)
     reps, states = np.arange(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     scratch = np.empty((2, size), dtype=np.uint64)
-    s1, s2 = np.empty((2, size), dtype=np.int64)
-    above = np.empty(size, dtype=bool)
+    flags = np.empty(size, dtype=bool)
+    counts = np.empty((2 if fixed else 3, size), dtype=np.int64)  # (s1, s2) or (n1, s1, s2)
     for start in range(0, n, size):
         if n - start < size:  # the last block is shorter
             m = n - start
-            reps, states, scratch, s1, s2, above = (
-                reps[:m], states[:m], scratch[:, :m], s1[:m], s2[:m], above[:m])
+            reps, states, scratch, flags, counts = (
+                reps[:m], states[:m], scratch[:, :m], flags[:m], counts[:, :m])
         _stream_states(seed, reps, states, scratch[1])
-        bucket = scratch[1].view(np.int64)
-        sample1(_draw_bits(states, 0, scratch), s1, bucket, above)
-        sample2(_draw_bits(states, 1, scratch), s2, bucket, above)
-        yield s1, s2
+        # scratch row 1 is free once a draw's bits are formed: the sampler's
+        # bucket indices, or the replay's uniforms
+        if fixed:
+            s1, s2 = counts
+            bucket = scratch[1].view(np.int64)
+            sample1(_draw_bits(states, 0, scratch), s1, bucket, flags)
+            sample2(_draw_bits(states, 1, scratch), s2, bucket, flags)
+        else:
+            counts.fill(0)
+            n1, s1, s2 = counts
+            u = scratch[1].view(np.float64)
+            for t in range(T):
+                action = plugin_actions(t, n1, s1, s2, policy.force_rate)
+                pull1 = np.less(_uniforms(states, 2 * t, scratch, u), action, out=flags)
+                success = _uniforms(states, 2 * t + 1, scratch, u) < np.where(pull1, p1, p2)
+                n1 += pull1
+                s1 += pull1 & success
+                s2 += ~pull1 & success
+        yield n1, s1, s2
         reps += np.uint64(size)
 
 
@@ -249,46 +266,21 @@ def simulate_plain(
     Each replication assigns the conditional error mass of its terminal
     counts (1 for a wrong pick, 1/2 for an exact tie), matching the
     fair-tie decision rule of the exact engine in expectation.  The
-    standard error is the binomial ``sqrt(p(1-p)/n)``.  Replications run
-    block by block and only the running total is kept, so memory does not
-    grow with ``n``.
+    standard error is the binomial ``sqrt(p(1-p)/n)``.  Fixed schedules and
+    plug-in tracking read their terminal counts from the same block source
+    at the instance's means; only each block's total mass is kept, so
+    memory does not grow with ``n``.
     """
     T, n, seed = _check_args(inst, T, n, seed)
     # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
     # partial sum below 2**53 is exact, and the total divided by n is np.mean over
     # all replications, bit for bit
-    pick2 = 0.0
-    if policy.deterministic_schedule:
-        # counts are schedule-determined; two binomial draws per stream
-        n1, n2 = static_counts(policy, T)
-        mass = np.empty(min(n, _BLOCK))
-        for s1, s2 in _static_blocks(seed, n, n1, inst.mu1, n2, inst.mu2):
-            pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, n2, out=mass[:s1.size])))
-    else:
-        for block in _blocks(n):
-            reps = np.arange(block.start, block.stop, dtype=np.uint64)
-            pick2 += float(np.sum(_replay_adaptive(policy, inst, T, seed, reps)))
+    pick2, mass = 0.0, np.empty(min(n, _BLOCK))
+    for n1, s1, s2 in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
+        pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, T - n1, out=mass[:s1.size])))
     mean = (pick2 if inst.best_arm == 1 else n - pick2) / n
     std_err = math.sqrt(mean * (1.0 - mean) / n)
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="plain")
-
-
-def _replay_adaptive(
-    policy: PolicySpec, inst: BanditInstance, T: int, seed: int, reps: np.ndarray
-) -> np.ndarray:
-    """Arm-2 decision mass of every adaptive replication in ``reps``, advanced together."""
-    scratch = np.empty((2, reps.size), dtype=np.uint64)
-    u = np.empty(reps.size)
-    states = _stream_states(seed, reps, np.empty_like(reps), scratch[1])
-    n1, s1, s2 = np.zeros((3, reps.size), dtype=np.int64)
-    for t in range(T):
-        p1 = plugin_actions(t, n1, s1, s2, policy.force_rate)
-        pull1 = _uniforms(states, 2 * t, scratch, u) < p1
-        success = _uniforms(states, 2 * t + 1, scratch, u) < np.where(pull1, inst.mu1, inst.mu2)
-        n1 += pull1
-        s1 += pull1 & success
-        s2 += ~pull1 & success
-    return pick2_mass(s1, n1, s2, T - n1)
 
 
 def simulate_tilted_static(
@@ -333,7 +325,7 @@ def simulate_tilted_static(
     w2 = k2 * hit2 + (n2 - k2) * miss2
     values, mass = np.empty((2, min(n, _BLOCK)))
     total, blocks = 0.0, []
-    for s1, s2 in _static_blocks(seed, n, n1, lam, n2, lam):
+    for _, s1, s2 in _count_blocks(policy, T, seed, n, lam, lam):
         m = s1.size
         v, error = values[:m], mass[:m]
         # success counts lie in [0, n1] and [0, n2], so the lookups skip the check

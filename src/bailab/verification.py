@@ -16,6 +16,7 @@ allocations and means.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,12 +41,18 @@ class PropertyResult:
     witness: dict = field(default_factory=dict)
 
 
-class _Extremum:
-    """Track the worst value of a sweep together with the inputs that hit it."""
+_RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
-    def __init__(self, largest: bool):
-        self.largest = largest
-        self.value = -math.inf if largest else math.inf
+
+class _Check:
+    """One property over a sample sweep: its name, its pass rule ``worst <rule> bound``,
+    and the worst value seen with the inputs that hit it.  Under ``<=`` or ``<`` the
+    largest value is the worst; under ``>=`` or ``>``, the smallest."""
+
+    def __init__(self, name: str, rule: str, bound: float):
+        self.name, self.rule, self.bound = name, rule, bound
+        self.largest = rule in ("<=", "<")
+        self.value = -math.inf if self.largest else math.inf
         self.witness: dict = {}
 
     def update(self, value: float, **witness) -> None:
@@ -53,12 +60,11 @@ class _Extremum:
             self.value = value
             self.witness = witness
 
-
-def _result(name, samples, ext: _Extremum, bound, passed) -> PropertyResult:
-    return PropertyResult(
-        name=name, samples=samples, worst=ext.value, bound=bound, passed=passed,
-        witness=ext.witness,
-    )
+    def result(self, samples: int) -> PropertyResult:
+        return PropertyResult(
+            name=self.name, samples=samples, worst=self.value, bound=self.bound,
+            passed=_RULES[self.rule](self.value, self.bound), witness=self.witness,
+        )
 
 
 def _random_instance(rng, lo=0.05, hi=0.95, min_gap=0.01) -> rates.BanditInstance:
@@ -143,9 +149,9 @@ def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    closed_vs_min = _Extremum(largest=True)
-    argmin_vs_lambda = _Extremum(largest=True)
-    stationarity = _Extremum(largest=True)
+    closed_vs_min = _Check("g closed form vs direct minimization", "<=", 1e-6)
+    argmin_vs_lambda = _Check("inner argmin vs lambda_star", "<=", 1e-8)
+    stationarity = _Check("stationarity residual at lambda_star", "<=", 1e-8)
     cases = [(_random_instance(rng, min_gap=0.0), float(rng.uniform(0.0, 1.0)))
              for _ in range(samples)]
     xs, m1, m2 = np.array([(x, inst.mu1, inst.mu2) for inst, x in cases]).T
@@ -159,15 +165,10 @@ def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
             stationarity.update(
                 abs(rates.stationarity_residual(x, inst)), mu1=inst.mu1, mu2=inst.mu2, x=x
             )
-    out.append(_result("g closed form vs direct minimization", samples,
-                       closed_vs_min, 1e-6, closed_vs_min.value <= 1e-6))
-    out.append(_result("inner argmin vs lambda_star", samples,
-                       argmin_vs_lambda, 1e-8, argmin_vs_lambda.value <= 1e-8))
-    out.append(_result("stationarity residual at lambda_star", samples,
-                       stationarity, 1e-8, stationarity.value <= 1e-8))
+    out += [c.result(samples) for c in (closed_vs_min, argmin_vs_lambda, stationarity)]
 
-    concavity = _Extremum(largest=True)
-    positivity = _Extremum(largest=False)
+    concavity = _Check("strict concavity (central second differences)", "<", 0.0)
+    positivity = _Check("positivity of g on interior allocations", ">", 0.0)
     h = 1e-4
     for _ in range(samples):
         inst = _random_instance(rng)
@@ -179,12 +180,9 @@ def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
         ) / (h * h)
         concavity.update(second, mu1=inst.mu1, mu2=inst.mu2, x=x)
         positivity.update(rates.g_closed(x, inst), mu1=inst.mu1, mu2=inst.mu2, x=x)
-    out.append(_result("strict concavity (central second differences)", samples,
-                       concavity, 0.0, concavity.value < 0.0))
-    out.append(_result("positivity of g on interior allocations", samples,
-                       positivity, 0.0, positivity.value > 0.0))
+    out += [concavity.result(samples), positivity.result(samples)]
 
-    swap = _Extremum(largest=True)
+    swap = _Check("swap symmetry on dyadic allocations (exact)", "<=", 0.0)
     dyadic = [k / 32.0 for k in range(33)]
     for _ in range(max(1, samples // 8)):
         inst = _random_instance(rng, min_gap=0.0)
@@ -198,16 +196,14 @@ def suite_rates(samples: int, seed: int) -> list[PropertyResult]:
                 abs(rates.lambda_star(x, inst) - rates.lambda_star(1.0 - x, swapped)),
                 mu1=inst.mu1, mu2=inst.mu2, x=x, quantity="lambda",
             )
-    out.append(_result("swap symmetry on dyadic allocations (exact)",
-                       max(1, samples // 8) * len(dyadic), swap, 0.0, swap.value == 0.0))
+    out.append(swap.result(max(1, samples // 8) * len(dyadic)))
 
-    pinsker = _Extremum(largest=False)
+    pinsker = _Check("lower-bound slack d(p,q) - (p log(1/q) - log 2)", ">=", 0.0)
     for _ in range(samples):
         p = float(rng.uniform(0.0, 1.0))
         q = float(rng.uniform(0.01, 0.99))
         pinsker.update(rates.pinsker_like_bound_slack(p, q), p=p, q=q)
-    out.append(_result("lower-bound slack d(p,q) - (p log(1/q) - log 2)", samples,
-                       pinsker, 0.0, pinsker.value >= 0.0))
+    out.append(pinsker.result(samples))
     return out
 
 
@@ -215,9 +211,9 @@ def suite_dual(samples: int, seed: int) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    kl_breg = _Extremum(largest=True)
-    lam_pair = _Extremum(largest=True)
-    xstar_pair = _Extremum(largest=True)
+    kl_breg = _Check("KL vs Bregman identity", "<=", 1e-10)
+    lam_pair = _Check("inner minimizer: dual line vs odds interpolation", "<=", 1e-10)
+    xstar_pair = _Check("optimal allocation: dual form vs bisection", "<=", 1e-8)
     for _ in range(samples):
         inst = _random_instance(rng)
         nat = dual.NaturalInstance.from_means(inst)
@@ -234,24 +230,18 @@ def suite_dual(samples: int, seed: int) -> list[PropertyResult]:
         xstar_pair.update(
             abs(objs.x_star_dual - rates.x_star(inst)), mu1=inst.mu1, mu2=inst.mu2
         )
-    out.append(_result("KL vs Bregman identity", samples, kl_breg, 1e-10,
-                       kl_breg.value <= 1e-10))
-    out.append(_result("inner minimizer: dual line vs odds interpolation", samples,
-                       lam_pair, 1e-10, lam_pair.value <= 1e-10))
-    out.append(_result("optimal allocation: dual form vs bisection", samples,
-                       xstar_pair, 1e-8, xstar_pair.value <= 1e-8))
+    out += [c.result(samples) for c in (kl_breg, lam_pair, xstar_pair)]
 
-    taylor = _Extremum(largest=False)
+    taylor = _Check("Taylor bracket on the Bregman divergence", ">=", 0.0)
     for _ in range(samples):
         alpha = float(rng.uniform(-6.0, 6.0))
         gap = float(rng.uniform(1e-3, 10.0)) * (1 if rng.uniform() < 0.5 else -1)
         beta = alpha + gap
         ratio, lo, hi = dual.taylor_bracket_check(alpha, beta)
         taylor.update(min(ratio - lo, hi - ratio), alpha=alpha, beta=beta)
-    out.append(_result("Taylor bracket on the Bregman divergence", samples, taylor,
-                       0.0, taylor.value >= 0.0))
+    out.append(taylor.result(samples))
 
-    mismatches = _Extremum(largest=True)
+    mismatches = _Check("half-region condition: primal vs dual form", "<=", 0.0)
     mismatches.update(0.0)
     for _ in range(samples):
         inst = _random_instance(rng, min_gap=0.0)
@@ -260,8 +250,7 @@ def suite_dual(samples: int, seed: int) -> list[PropertyResult]:
         dual_side = nat.xi1 > nat.xi2 and nat.xi1 >= -nat.xi2
         if primal != dual_side:
             mismatches.update(1.0, mu1=inst.mu1, mu2=inst.mu2)
-    out.append(_result("half-region condition: primal vs dual form", samples,
-                       mismatches, 0.0, mismatches.value == 0.0))
+    out.append(mismatches.result(samples))
     return out
 
 
@@ -282,11 +271,13 @@ def _reverify_certificate(cert: constructions.ConstructionCertificate) -> dict[s
 
 def suite_constructions(samples: int, seed: int) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
-    residual = _Extremum(largest=True)
-    orientation = _Extremum(largest=False)
-    half_region = _Extremum(largest=False)
-    xstar_margin = _Extremum(largest=False)
-    gap = _Extremum(largest=False)
+    checks = {
+        "residual": _Check("certificate minimizer residual", "<=", 1e-9),
+        "orientation": _Check("certificate orientation mu1 > mu2 (canonical)", ">", 0.0),
+        "half_region": _Check("certificate half-region mu1 + mu2 >= 1 (canonical)", ">=", -1e-12),
+        "x_star_margin": _Check("certificate optimum below the midpoint allocation", ">", 0.0),
+        "gap": _Check("uniform strictly beats the constructed allocation", ">", 0.0),
+    }
     for k in range(samples):
         a = float(rng.uniform(0.05, 0.95))
         if k % 2 == 0:
@@ -299,31 +290,17 @@ def suite_constructions(samples: int, seed: int) -> list[PropertyResult]:
             cert = constructions.construct_beating_instance(a, x)
         margins = _reverify_certificate(cert)
         where = {"a": a, "x": x, "case": cert.case_used.value}
-        residual.update(margins["residual"], **where)
-        orientation.update(margins["orientation"], **where)
-        half_region.update(margins["half_region"], **where)
-        xstar_margin.update(margins["x_star_margin"], **where)
-        gap.update(margins["gap"], **where)
-    return [
-        _result("certificate minimizer residual", samples, residual, 1e-9,
-                residual.value <= 1e-9),
-        _result("certificate orientation mu1 > mu2 (canonical)", samples, orientation,
-                0.0, orientation.value > 0.0),
-        _result("certificate half-region mu1 + mu2 >= 1 (canonical)", samples,
-                half_region, -1e-12, half_region.value >= -1e-12),
-        _result("certificate optimum below the midpoint allocation", samples,
-                xstar_margin, 0.0, xstar_margin.value > 0.0),
-        _result("uniform strictly beats the constructed allocation", samples, gap,
-                0.0, gap.value > 0.0),
-    ]
+        for key, check in checks.items():
+            check.update(margins[key], **where)
+    return [check.result(samples) for check in checks.values()]
 
 
 def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
-    gap = _Extremum(largest=False)
-    f_value = _Extremum(largest=False)
-    f_prime = _Extremum(largest=False)
-    m_agree = _Extremum(largest=True)
+    gap = _Check("one-sided gap across the optimum", ">=", -1e-12)
+    f_value = _Check("nonnegative f across the optimum", ">=", -1e-12)
+    f_prime = _Check("nonnegative f' (closed form)", ">=", -1e-12)
+    m_agree = _Check("agreement of the two stationarity expressions", "<=", 1e-9)
     count = 0
     while count < samples:
         m1 = float(rng.uniform(0.52, 0.97))
@@ -345,19 +322,10 @@ def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
         m_first = tail / math.log(m1 / m2)
         m_second = head / math.log((1.0 - m2) / (1.0 - m1))
         m_agree.update(abs(m_first - m_second), **where)
-    results = [
-        _result("one-sided gap across the optimum", samples, gap, -1e-12,
-                gap.value >= -1e-12),
-        _result("nonnegative f across the optimum", samples, f_value, -1e-12,
-                f_value.value >= -1e-12),
-        _result("nonnegative f' (closed form)", samples, f_prime, -1e-12,
-                f_prime.value >= -1e-12),
-        _result("agreement of the two stationarity expressions", samples, m_agree,
-                1e-9, m_agree.value <= 1e-9),
-    ]
+    results = [c.result(samples) for c in (gap, f_value, f_prime, m_agree)]
 
     grid = np.linspace(0.0025, 0.9975, 200)
-    failures = _Extremum(largest=True)
+    failures = _Check("odds inequality on the half-region grid", "<=", 0.0)
     failures.update(0.0)
     checked = 0
     for m1 in grid:
@@ -370,8 +338,7 @@ def suite_asymmetry(samples: int, seed: int) -> list[PropertyResult]:
                     rates.BanditInstance(float(m1), float(m2))
                 ):
                     failures.update(1.0, mu1=float(m1), mu2=float(m2))
-    results.append(_result("odds inequality on the half-region grid", checked,
-                           failures, 0.0, failures.value == 0.0))
+    results.append(failures.result(checked))
     return results
 
 
@@ -394,8 +361,8 @@ def _random_policy(rng) -> tuple[PolicySpec, int]:
 
 def suite_com(samples: int, seed: int) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
-    slack = _Extremum(largest=False)
-    chained = _Extremum(largest=False)
+    slack = _Check("change-of-measure slack", ">=", -1e-10)
+    chained = _Check("chained lower bound on the divergence side", ">=", 0.0)
     for _ in range(samples):
         policy, t_cap = _random_policy(rng)
         pi2 = float(rng.uniform(0.1, 0.9))
@@ -415,12 +382,7 @@ def suite_com(samples: int, seed: int) -> list[PropertyResult]:
             slack.update(res.slack, **where)
         if 0.0 < res.p_pick2_mu < 1.0:
             chained.update(rates.pinsker_like_bound_slack(res.p_pick2_pi, res.p_pick2_mu), **where)
-    return [
-        _result("change-of-measure slack", samples, slack, -1e-10,
-                slack.value >= -1e-10),
-        _result("chained lower bound on the divergence side", samples, chained, 0.0,
-                chained.value >= 0.0),
-    ]
+    return [slack.result(samples), chained.result(samples)]
 
 
 SUITES = {

@@ -186,6 +186,21 @@ def test_flag_next_to_config_exits_usage(capsys, tmp_path, monkeypatch, command,
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("exact", "budgets", [40.9]),
+    ("mc", "seed", 3.7),
+    ("exact", "budgets", [True]),
+    ("exact", "policies", "static:0.4"),
+], ids=["fractional_budget", "fractional_seed", "boolean_budget", "policies_not_a_list"])
+def test_sweep_config_refuses_a_value_it_would_truncate(capsys, tmp_path, command, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, field: value}))
+    extra = ["--n", "100"] if command == "mc" else []
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+    assert code == 2 and out == ""
+    assert f"'{field}'" in err
+
+
 class TestMcCommand:
     def test_runs_and_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

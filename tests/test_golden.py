@@ -67,6 +67,8 @@ COMMANDS = [
     # uniform sampling with arm 2 best over more than one block
     "mc --policy oracle:0.9,0.5 --mu 0.6,0.4 --T 1000 --n 1000 --seed 7 --tilted",
     "mc --policy uniform --mu 0.3,0.7 --T 300 --n 70000 --seed 11 --tilted",
+    # plug-in tracking over three blocks (131073 = 2 * 2**16 + 1), arm 2 best
+    "mc --policy plugin:0.2 --mu 0.45,0.6 --T 12 --n 131073 --seed 5",
 ]
 
 

@@ -15,16 +15,15 @@ from bailab.exact import _log_factorials, exact_summary, static_error_exact
 from bailab.mc import (
     Estimate,
     _binom_cdf,
+    _count_blocks,
     _inverse_cdf_sampler,
     _mix64,
-    _replay_adaptive,
-    _static_blocks,
     _stream_states,
     _uniforms,
     simulate_plain,
     simulate_tilted_static,
 )
-from bailab.policies import PolicySpec, schedule_counts
+from bailab.policies import PolicySpec, pick2_mass, schedule_counts
 from bailab.rates import BanditInstance, g_closed, lambda_star
 
 INST = BanditInstance(0.7, 0.3)
@@ -96,9 +95,12 @@ class TestStaticDraws:
 
     STREAMS = 2**18
 
-    def assert_same_draws(self, seed, n1, p1, n2, p2):
-        counts = [(s1.copy(), s2.copy())
-                  for s1, s2 in _static_blocks(seed, self.STREAMS, n1, p1, n2, p2)]
+    def assert_same_draws(self, seed, policy, T, p1, p2):
+        n1, n2 = schedule_counts(policy, T)
+        counts = []
+        for block_n1, s1, s2 in _count_blocks(policy, T, seed, self.STREAMS, p1, p2):
+            assert block_n1 == n1
+            counts.append((s1.copy(), s2.copy()))
         reps = np.arange(self.STREAMS, dtype=np.uint64)
         expected = static_successes(batch_uniforms(seed, reps, 0), batch_uniforms(seed, reps, 1),
                                     n1, n2, p1, p2)
@@ -106,14 +108,12 @@ class TestStaticDraws:
             assert np.array_equal(got, want)
 
     def test_static_at_the_means(self):
-        n1, n2 = schedule_counts(PolicySpec.static(0.4), 40)
-        self.assert_same_draws(31, n1, INST.mu1, n2, INST.mu2)
+        self.assert_same_draws(31, PolicySpec.static(0.4), 40, INST.mu1, INST.mu2)
 
     def test_oracle_tilt(self):
         oracle = PolicySpec.oracle_static(BanditInstance(0.9, 0.5))
         lam = lambda_star(oracle.schedule_fraction(), INST)
-        n1, n2 = schedule_counts(oracle, 1000)
-        self.assert_same_draws(32, n1, lam, n2, lam)
+        self.assert_same_draws(32, oracle, 1000, lam, lam)
 
 
 class TestInverseCdfSampler:
@@ -134,7 +134,7 @@ class TestInverseCdfSampler:
         assert np.array_equal(sampled, expected)
 
 
-# the block length of the static and adaptive Monte Carlo loops
+# the block length of the Monte Carlo block source
 BLOCK = 2**16
 EDGE_SEED = 2024
 
@@ -186,10 +186,14 @@ class TestBlockEdges:
         est = simulate_tilted_static(PolicySpec.static(x), inst, T, n, EDGE_SEED)
         self.assert_tilted(est, u1, u2, x, inst, T)
 
-    def test_adaptive_estimate_equals_the_whole_array_replay(self):
-        policy, inst, T, n = PolicySpec.plugin_tracking(0.5), INST, 4, BLOCK + 3
-        errors = _replay_adaptive(policy, inst, T, 8, np.arange(n, dtype=np.uint64))
-        assert simulate_plain(policy, inst, T, n, 8).mean == float(np.mean(errors))
+    def test_adaptive_masses_match_the_scalar_replay_across_block_edges(self):
+        policy, inst, T, n = PolicySpec.plugin_tracking(0.5), INST, 4, 2 * BLOCK + 3
+        blocks = _count_blocks(policy, T, 8, n, inst.mu1, inst.mu2)
+        masses = np.concatenate([pick2_mass(s1, n1, s2, T - n1) for n1, s1, s2 in blocks])
+        assert masses.size == n
+        edges = [i for edge in (BLOCK, 2 * BLOCK) for i in range(edge - 2, edge + 3)] + [n - 1]
+        assert masses[edges].tolist() == [replay_pick2(policy, inst, T, 8, i) for i in edges]
+        assert simulate_plain(policy, inst, T, n, 8).mean == float(np.mean(masses))
 
 
 def _peak_traced_bytes(run) -> int:
@@ -210,12 +214,16 @@ class TestMemory:
 
         assert peak(2**22) - peak(2**16) < 2**20
 
-    def test_plain_static_memory_does_not_grow_with_n(self):
+    # the replay costs about 0.5 us per replication at T = 4, hence its smaller n
+    @pytest.mark.parametrize("policy, T, n", [
+        (PolicySpec.static(0.4), 40, 2**22),
+        (PolicySpec.plugin_tracking(0.5), 4, 2**20),
+    ], ids=["static", "plugin"])
+    def test_plain_memory_does_not_grow_with_n(self, policy, T, n):
         def peak(n):
-            return _peak_traced_bytes(
-                lambda: simulate_plain(PolicySpec.static(0.4), INST, 40, n, 1))
+            return _peak_traced_bytes(lambda: simulate_plain(policy, INST, T, n, 1))
 
-        assert peak(2**22) - peak(2**16) < 2**20
+        assert peak(n) - peak(2**16) < 2**20
 
 
 class TestSimulatePlain:
@@ -248,7 +256,8 @@ class TestSimulatePlain:
     @pytest.mark.parametrize("rate", [0.3, 1.0])
     def test_adaptive_replay_matches_scalar_reference(self, rate, mu, T):
         policy, inst = PolicySpec.plugin_tracking(rate), BanditInstance(*mu)
-        masses = _replay_adaptive(policy, inst, T, 21, np.arange(64, dtype=np.uint64))
+        ((n1, s1, s2),) = _count_blocks(policy, T, 21, 64, inst.mu1, inst.mu2)
+        masses = pick2_mass(s1, n1, s2, T - n1)
         assert masses.tolist() == [replay_pick2(policy, inst, T, 21, i) for i in range(64)]
 
     def test_degenerate_instance_rejected(self):
