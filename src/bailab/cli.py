@@ -133,6 +133,13 @@ class SweepConfig:
     seed: int
 
 
+def _config_mean(value, field: str) -> float:
+    """A mean read from a sweep config: a JSON number, not a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ArgumentError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_sweep_config(path: str) -> SweepConfig:
     try:
         with open(path) as handle:
@@ -143,14 +150,17 @@ def load_sweep_config(path: str) -> SweepConfig:
         for key in ("instances", "policies", "budgets"):
             if not isinstance(raw[key], list):
                 raise ArgumentError(f"{key!r} must be a JSON list, got {raw[key]!r}")
-        instances = [BanditInstance(float(a), float(b)) for a, b in raw["instances"]]
+        instances = [BanditInstance(_config_mean(a, f"instances[{i}][0]"),
+                                    _config_mean(b, f"instances[{i}][1]"))
+                     for i, (a, b) in enumerate(raw["instances"])]
         policies = [parse_policy(p) for p in raw["policies"]]
         try:
             budgets = [check_budget(t) for t in raw["budgets"]]
         except ArgumentError as exc:
             raise ArgumentError(f"'budgets': {exc}") from None
         output_path = raw.get("output_path")
-        output_path = None if output_path is None else str(output_path)
+        if output_path is not None and not isinstance(output_path, str):
+            raise ArgumentError(f"'output_path' must be a string or null, got {output_path!r}")
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ArgumentError(f"'seed' must be an integer, got {seed!r}")

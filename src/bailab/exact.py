@@ -23,24 +23,35 @@ arm 2, so layers 0-2 are closed forms.  Every later layer t holds the slices
 ``n1 = lo .. hi`` that carry mass; the all-zero slices at both ends are
 dropped.  Arm 1 moves mass from slice ``n1`` to ``n1+1`` and arm 2 keeps it
 in ``n1``, so layer t+1 is built over slices ``lo .. hi+1`` and then trimmed.
-The state limit applies to that count, checked before the layer is
-allocated: no layer over the limit is built, but an over-limit budget fails
-only once the pass reaches the first layer that needs too many states.
-Which slices carry mass depends on the policy, not on the means (every
-reward sequence has positive probability).  From layer 2 on a layer is one
-flat float64 array holding slice ``n1``'s ``(n1+1) x (t-n1+1)`` cells
-``(s1, s2)`` in row-major order after the kept slices below it, a fixed
-lexicographic ``(n1, s1, s2)`` order.
+The state limit applies to the states of those slices, ``(n1+1)(t-n1+1)``
+each, checked before the layer is allocated: no layer over the limit is
+built, but an over-limit budget fails only once the pass reaches the first
+layer that needs too many states.  Which slices carry mass depends on the
+policy, not on the means (every reward sequence has positive probability).
 
-A step walks the layer in groups of consecutive whole slices holding at
-least ``_GROUP_CELLS`` cells (a larger slice is a group of its own, and the
-last group may hold fewer), with one call of the tracking kernel per group.
-Each cell of the next layer starts from 0.0 and receives its contributions
-in one order: arm-1 success, arm-1 failure, arm-2 success, arm-2 failure,
-so repeated runs are bit-identical.  A dropped slice holds only 0.0 and
-would add only +0.0, so dropping it moves no bit.  :func:`dp_layers` yields
-each layer as a dict of 2-D views; its storage is overwritten when the
-iterator advances.
+From layer 2 on a layer is a zero-padded box of shape
+``(hi-lo+1, hi+1, t-lo+1)``: plane ``n1 - lo`` holds slice ``n1``'s
+``(s1, s2)`` cells in its top-left ``(n1+1) x (t-n1+1)`` corner, and the other
+cells (``s1 > n1`` or ``s2 > t-n1``) are padding.  The box of layer t+1 is
+built over slices ``lo .. hi+1`` in one of two flat buffers, which swap each
+layer and are replaced, an eighth larger than needed, only when a box does
+not fit; the trimmed layer is a view of that box, keeping its strides.
+
+A step walks the box in groups of whole planes holding at least
+``_GROUP_CELLS`` cells (the last group may hold fewer).  In each group it
+takes the cells that hold mass (``flatnonzero``), recovers their
+``(n1, s1, s2)`` by ``divmod`` and calls the tracking kernel on those flat
+counts only: about 35 % of the states of a pass hold mass (24,538 of 69,517
+in layers 2-47 of ``plugin:0.5`` at T = 48).  The group's mass is split
+into its arm-1 and arm-2 pulls, and four shifted adds over the group's
+planes move them into the next box, which starts from 0.0: arm-1 success
+(one plane up, one row down), arm-1 failure (one plane up), arm-2 success
+(one column right), arm-2 failure (in place).  Each cell receives its
+contributions in that order, so repeated runs are bit-identical.  A cell
+with no mass, a real state or padding, adds +0.0 whatever its action, and
+padding only ever receives padding, so it stays +0.0 and neither it nor a
+dropped slice moves a bit.  :func:`dp_layers` yields each layer as a dict of
+strided 2-D views of its box, overwritten when the iterator advances.
 
 Layer t of a pass is the terminal layer of budget t, bit for bit, so one
 pass to the largest budget serves a list of budgets: :func:`_evaluate`,
@@ -81,7 +92,9 @@ __all__ = [
 
 # State limit: no engine allocates more states than this.  Tracking builds
 # each layer over the band of slices that carry mass (at most 569,560 states
-# up to T = 200), which caps adaptive budgets at T = 203; a fixed schedule's
+# up to T = 200), which caps adaptive budgets at T = 203.  The limit counts
+# those states, not the cells of the padded box that stores them: the box
+# holds 1.56 cells per state at T = 100 and 1.68 at T = 200.  A fixed schedule's
 # binomial tables (max(n1, n2) + 1 log-factorials, n + 1 log-pmf entries per
 # arm) cap it near T = 1.2e6 at x = 1/2.  Override with the BAI_MAX_STATES
 # environment variable.
@@ -158,106 +171,85 @@ class StabilityProfile:
     omega2_b: tuple[tuple[float, ...], ...]
 
 
-# Slices are walked in groups of at least this many cells, one tracking-kernel
-# call per group: large enough to amortise numpy's per-call cost, small enough
-# that a group's temporaries stay in cache.
+# Planes are stepped in groups of whole planes holding at least this many box
+# cells, one tracking-kernel call per group: large enough to amortise numpy's
+# per-call cost, small enough that a group's temporaries stay in cache.
 _GROUP_CELLS = 1 << 12
 
 
-def _slice_sizes(t: int, lo: int, hi: int) -> np.ndarray:
-    """Cells of slices ``n1 = lo .. hi`` of layer ``t``: ``(n1+1)(t-n1+1)`` each."""
-    n1 = np.arange(lo, hi + 1)
-    return (n1 + 1) * (t - n1 + 1)
+def _states(t: int, lo: int, hi: int) -> int:
+    """States of slices ``n1 = lo .. hi`` of layer ``t``: ``(n1+1)(t-n1+1)`` each."""
+    return sum((n1 + 1) * (t - n1 + 1) for n1 in range(lo, hi + 1))
 
 
-def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:
-    """``[first, stop)`` slice indices of consecutive groups of at least
-    :data:`_GROUP_CELLS` cells (the last may hold fewer); a slice that large
-    is a group of its own."""
-    first = cells = 0
-    for i, size in enumerate(sizes):
-        if size >= _GROUP_CELLS and cells:
-            yield first, i
-            first, cells = i, 0
-        cells += size
-        if cells >= _GROUP_CELLS:
-            yield first, i + 1
-            first, cells = i + 1, 0
-    if cells:
-        yield first, len(sizes)
-
-
-def _group_counts(t: int, n1s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``(n1, s1, s2)`` counts of the cells of slices ``n1s`` of layer ``t``,
-    slice after slice, each in row-major ``(s1, s2)`` order."""
-    rows = n1s + 1
-    row_len = np.repeat(t - n1s + 1, rows)
-    row_end = np.cumsum(row_len)
-    s1_of_row = np.arange(row_end.size) - np.repeat(np.cumsum(rows) - rows, rows)
-    n1 = np.repeat(np.repeat(n1s, rows), row_len)
-    s1 = np.repeat(s1_of_row, row_len)
-    s2 = np.arange(row_end[-1]) - np.repeat(row_end - row_len, row_len)
-    return n1, s1, s2
-
-
-def _next_layer(
-    mass: np.ndarray, t: int, lo: int, hi: int, force_rate: float, inst: BanditInstance,
-    limit: int,
-) -> tuple[np.ndarray, int, int]:
-    """Layer ``t + 1`` from layer ``t >= 2``, whose slices ``lo .. hi`` are
-    ``mass``, both flat; ``mass`` is overwritten.  Returns ``(nxt, lo, hi)``:
-    layer t+1 is built over slices ``lo .. hi+1``, unless that count is over
-    ``limit`` (CapacityError), and its all-zero end slices are dropped."""
+def _next_box(
+    box: np.ndarray, t: int, lo: int, force_rate: float, inst: BanditInstance, buf: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Layer ``t + 1`` from layer ``t >= 2``, whose box ``box`` holds slices
+    ``lo .. lo+len(box)-1`` and is overwritten.  Layer t+1 is built in ``buf``
+    (flat, at least as long as the new box) over slices ``lo .. hi+1``;
+    returns its view without the all-zero end planes, and its first slice."""
     m1, m2 = inst.mu1, inst.mu2
-    sizes = _slice_sizes(t, lo, hi)
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    nsizes = _slice_sizes(t + 1, lo, hi + 1)
-    nstarts = (np.cumsum(nsizes) - nsizes).tolist()
-    states = int(np.sum(nsizes))
-    _check_states(states, limit, f"layer {t + 1} needs {states} states")
-    nxt = np.zeros(states)
-    sizes = sizes.tolist()
-    for first, stop in _groups(sizes):
-        a = starts[first]
-        pull2 = mass[a:starts[stop - 1] + sizes[stop - 1]]
-        pull1 = plugin_actions(t, *_group_counts(t, np.arange(lo + first, lo + stop)), force_rate)
+    planes, rows, cols = box.shape
+    nxt = buf[:(planes + 1) * (rows + 1) * (cols + 1)].reshape(planes + 1, rows + 1, cols + 1)
+    nxt.fill(0.0)
+    plane = rows * cols
+    per_group = -(-_GROUP_CELLS // plane)
+    for p in range(0, planes, per_group):
+        mass = box[p:p + per_group]
+        q = p + len(mass)
+        # the kernel runs only on the cells that hold mass; the others pull nothing
+        nz = np.flatnonzero(mass)
+        n1, cell = np.divmod(nz, plane)
+        n1 += lo + p
+        s1, s2 = np.divmod(cell, cols)
+        pull1 = np.zeros(mass.shape)
+        pull1.reshape(-1)[nz] = plugin_actions(t, n1, s1, s2, force_rate)
         # in place: the action buffer becomes pull1, the group's mass pull2
-        np.multiply(pull2, pull1, out=pull1)
-        np.subtract(pull2, pull1, out=pull2)
-        win1, lose1 = pull1 * m1, pull1 * (1.0 - m1)
-        win2, lose2 = pull2 * m2, pull2 * (1.0 - m2)
-        for i in range(first, stop):
-            n1 = lo + i
-            rows, cols = n1 + 1, t - n1 + 1
-            o, n = starts[i] - a, sizes[i]
-            # arm 1: slice n1 + 1, whose rows are one longer; a success is one row down
-            s = nstarts[i + 1]
-            np.add(nxt[s + cols:s + cols + n], win1[o:o + n], out=nxt[s + cols:s + cols + n])
-            np.add(nxt[s:s + n], lose1[o:o + n], out=nxt[s:s + n])
-            # arm 2: slice n1, one column wider; a success is one column right
-            s = nstarts[i]
-            tgt = nxt[s:s + rows * (cols + 1)].reshape(rows, cols + 1)
-            np.add(tgt[:, 1:], win2[o:o + n].reshape(rows, cols), out=tgt[:, 1:])
-            np.add(tgt[:, :-1], lose2[o:o + n].reshape(rows, cols), out=tgt[:, :-1])
-    nsizes = nsizes.tolist()
-    first, last = 0, len(nsizes) - 1
-    # the layer's mass sums to 1, so some slice is non-zero and both walks stop
-    while not nxt[nstarts[first]:nstarts[first] + nsizes[first]].any():
+        np.multiply(mass, pull1, out=pull1)
+        np.subtract(mass, pull1, out=mass)
+        # arm 1: one plane up, and a success is one row down
+        nxt[p + 1:q + 1, 1:, :-1] += pull1 * m1
+        nxt[p + 1:q + 1, :-1, :-1] += np.multiply(pull1, 1.0 - m1, out=pull1)
+        # arm 2: the same plane, and a success is one column right
+        nxt[p:q, :-1, 1:] += mass * m2
+        nxt[p:q, :-1, :-1] += np.multiply(mass, 1.0 - m2, out=mass)
+    first, last = 0, planes
+    # the layer's mass sums to 1, so some plane is non-zero and both walks stop
+    while not nxt[first].any():
         first += 1
-    while not nxt[nstarts[last]:nstarts[last] + nsizes[last]].any():
+    while not nxt[last].any():
         last -= 1
-    return nxt[nstarts[first]:nstarts[last] + nsizes[last]], lo + first, lo + last
+    lo += first
+    hi = lo + last - first
+    return nxt[first:last + 1, :hi + 1, :t + 2 - lo], lo
 
 
-def _slices(mass: np.ndarray, t: int, lo: int, hi: int) -> dict[int, np.ndarray]:
-    """``{n1: (s1, s2) view}`` of flat layer ``t >= 2``, whose slices are
-    ``n1 = lo .. hi`` ascending."""
-    layer = {}
-    start = 0
-    for n1, size in enumerate(_slice_sizes(t, lo, hi).tolist(), start=lo):
-        layer[n1] = mass[start:start + size].reshape(n1 + 1, t - n1 + 1)
-        start += size
-    return layer
+def _boxes(
+    policy: PolicySpec, inst: BanditInstance, T: int, limit: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(t, lo, box)`` for the layers t = 2 .. T of plug-in tracking: ``box`` is
+    the zero-padded 3-D box of slices ``lo .. lo+len(box)-1``, a view of one
+    of two flat buffers that swap each layer, overwritten when the iterator
+    advances.  Raises CapacityError in place of the first layer whose state
+    count is over ``limit``, before its buffer is replaced."""
+    m1, m2 = inst.mu1, inst.mu2
+    _check_states(4, limit, "layer 2 needs 4 states")
+    box = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).reshape(1, 2, 2)
+    lo = 1
+    yield 2, lo, box
+    bufs = [box.reshape(-1), np.empty(0)]  # layer t lives in bufs[t % 2]
+    for t in range(2, T):
+        planes, rows, cols = box.shape
+        states = _states(t + 1, lo, lo + planes)
+        _check_states(states, limit, f"layer {t + 1} needs {states} states")
+        need = (planes + 1) * (rows + 1) * (cols + 1)
+        i = (t + 1) % 2
+        if bufs[i].size < need:
+            bufs[i] = None  # free layer t-1 before its larger successor is allocated
+            bufs[i] = np.empty(need + need // 8)
+        box, lo = _next_box(box, t, lo, policy.force_rate, inst, bufs[i])
+        yield t + 1, lo, box
 
 
 def dp_layers(
@@ -269,8 +261,8 @@ def dp_layers(
     ``{1: [[1-mu1], [mu1]]}``, ``{1: outer([1-mu1, mu1], [1-mu2, mu2])}``,
     then at layer t the slices ``n1 = lo .. hi`` that carry mass (the
     all-zero slices at both ends are dropped).  From layer 2 on the arrays
-    are views of flat storage, overwritten when the iterator advances:
-    consume each layer first if its values must be kept.  Raises
+    are strided views of the layer's box, overwritten when the iterator
+    advances: consume each layer first if its values must be kept.  Raises
     ArgumentError at once on a fixed schedule (its exact path is the binomial
     log path), and CapacityError in place of the first layer whose count
     (2 and 4 states at layers 1 and 2, then slices ``lo .. hi+1`` before
@@ -283,30 +275,30 @@ def dp_layers(
             f"{policy.description} takes the binomial log path (static_error_log)"
         )
     limit = _max_states()
-    m1, m2 = inst.mu1, inst.mu2
     yield 0, {0: np.ones((1, 1))}
     _check_states(2, limit, "layer 1 needs 2 states")
-    yield 1, {1: np.array([[1.0 - m1], [m1]])}
-    _check_states(4, limit, "layer 2 needs 4 states")
-    mass = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).ravel()
-    lo = hi = 1
-    yield 2, _slices(mass, 2, lo, hi)
-    for t in range(2, T):
-        mass, lo, hi = _next_layer(mass, t, lo, hi, policy.force_rate, inst, limit)
-        yield t + 1, _slices(mass, t + 1, lo, hi)
+    yield 1, {1: np.array([[1.0 - inst.mu1], [inst.mu1]])}
+    for t, lo, box in _boxes(policy, inst, T, limit):
+        yield t, {n1: box[n1 - lo, :n1 + 1, :t - n1 + 1] for n1 in range(lo, lo + len(box))}
 
 
 def _dp_summary(layer: dict[int, np.ndarray], inst: BanditInstance, T: int) -> ExactSummary:
     """:func:`exact_summary` of plug-in tracking from ``layer``, the DP's layer
     ``T``, summed over its kept slices in ascending ``n1``; each has
-    ``1 <= n1 <= T-1``."""
+    ``1 <= n1 <= T-1``.
+
+    Each sum over a slice is numpy's pairwise sum of its cells in row-major
+    order, as over a contiguous array.  The slices are strided views, which
+    ``np.sum`` would add row by row, in another order and so with other
+    bits; the products are new contiguous arrays, and the slice's own mass
+    is summed from a contiguous copy."""
     p_pick1 = p_pick2 = e_n1 = 0.0
     for n1, mass in layer.items():
         rows, cols = mass.shape
         pick2 = pick2_mass(np.arange(rows)[:, None], n1, np.arange(cols)[None, :], T - n1)
         p_pick2 += float(np.sum(mass * pick2))
         p_pick1 += float(np.sum(mass * (1.0 - pick2)))
-        e_n1 += float(np.sum(mass)) * n1
+        e_n1 += float(np.sum(np.ascontiguousarray(mass))) * n1
     p_error = p_pick2 if inst.best_arm == 1 else p_pick1
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=e_n1, e_omega2=(T - e_n1) / T,
                         log_p_error=math.log(p_error) if p_error > 0.0 else -math.inf)

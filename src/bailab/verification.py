@@ -47,7 +47,9 @@ _RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.
 class _Check:
     """One property over a sample sweep: its name, its pass rule ``worst <rule> bound``,
     and the worst value seen with the inputs that hit it.  Under ``<=`` or ``<`` the
-    largest value is the worst; under ``>=`` or ``>``, the smallest."""
+    largest value is the worst; under ``>=`` or ``>``, the smallest.  A NaN is worse
+    than any number and stays the worst, with the first NaN's inputs, so the check
+    fails: no rule holds for a NaN."""
 
     def __init__(self, name: str, rule: str, bound: float):
         self.name, self.rule, self.bound = name, rule, bound
@@ -56,7 +58,9 @@ class _Check:
         self.witness: dict = {}
 
     def update(self, value: float, **witness) -> None:
-        if (value > self.value) if self.largest else (value < self.value):
+        if math.isnan(self.value):
+            return
+        if math.isnan(value) or ((value > self.value) if self.largest else (value < self.value)):
             self.value = value
             self.witness = witness
 

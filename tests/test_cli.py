@@ -201,6 +201,38 @@ def test_sweep_config_refuses_a_value_it_would_truncate(capsys, tmp_path, comman
     assert f"'{field}'" in err
 
 
+@pytest.mark.parametrize("instances, field", [
+    ([["0.7", "0.3"]], "instances[0][0]"),
+    ([[0.7, 0.3], [0.6, True]], "instances[1][1]"),
+    ([[False, 0.3]], "instances[0][0]"),
+], ids=["string_mean", "boolean_mean", "boolean_false_mean"])
+def test_sweep_config_refuses_a_mean_that_is_not_a_number(capsys, tmp_path, instances, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "instances": instances}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{field} must be a JSON number" in err
+
+
+@pytest.mark.parametrize("value", [5, ["out.csv"], True])
+def test_sweep_config_output_path_must_be_a_string_or_null(capsys, tmp_path, monkeypatch, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "output_path": value}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "'output_path' must be a string or null" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_sweep_config_string_output_path_is_written(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out_file = tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "output_path": str(out_file)}))
+    code, out, _ = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 0 and out_file.exists()
+
+
 class TestMcCommand:
     def test_runs_and_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -33,7 +33,7 @@ from bailab.exact import (
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
-from bailab.policies import PolicySpec, arm2_count, schedule_counts
+from bailab.policies import PolicySpec, arm2_count, plugin_actions, schedule_counts
 from bailab.rates import BanditInstance, g_closed, kl_bernoulli, pinsker_like_bound_slack
 
 INST = BanditInstance(0.7, 0.3)
@@ -142,7 +142,7 @@ def assert_same_layers(policy, inst, T):
 
 
 class TestDpLayersAgainstDictReference:
-    """The flat, grouped engine against the dict-of-slices DP it replaced."""
+    """The padded-box engine against the dict-of-slices DP it replaced."""
 
     @pytest.mark.parametrize("T", [2, 3, 17, 48])
     @pytest.mark.parametrize("mu", [(0.6, 0.4), (0.7, 0.3), (0.5, 0.3), (0.4, 0.6)],
@@ -150,6 +150,42 @@ class TestDpLayersAgainstDictReference:
     @pytest.mark.parametrize("force_rate", [0.01, 0.2, 0.5, 1.0])
     def test_plugin_layers_are_byte_identical(self, force_rate, mu, T):
         assert_same_layers(PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu), T)
+
+    @pytest.mark.parametrize("T", [2, 3, 17, 48])
+    @pytest.mark.parametrize("mu", [(0.6, 0.4), (0.7, 0.3), (0.5, 0.3), (0.4, 0.6)],
+                             ids=str)
+    @pytest.mark.parametrize("force_rate", [0.01, 0.2, 0.5, 1.0])
+    def test_box_padding_is_positive_zero_after_every_step(self, force_rate, mu, T):
+        last = None
+        for t, lo, box in exact._boxes(PolicySpec.plugin_tracking(force_rate),
+                                       BanditInstance(*mu), T, exact.DEFAULT_MAX_STATES):
+            planes = len(box)
+            assert box.shape == (planes, lo + planes, t - lo + 1), t
+            n1 = np.arange(lo, lo + planes)[:, None, None]
+            s1 = np.arange(lo + planes)[None, :, None]
+            s2 = np.arange(t - lo + 1)[None, None, :]
+            padding = box[np.broadcast_to((s1 > n1) | (s2 > t - n1), box.shape)]
+            assert padding.tobytes() == bytes(padding.nbytes), t
+            last = t
+        assert last == T
+
+    def test_kernel_sees_only_cells_with_mass(self, monkeypatch):
+        # the step from layer t calls the kernel on layer t's non-zero cells
+        # only: 24,538 of the 69,517 states of layers 2..47
+        calls = []
+
+        def counting(t, n1, s1, s2, force_rate):
+            calls.append(len(n1))
+            return plugin_actions(t, n1, s1, s2, force_rate)
+
+        monkeypatch.setattr(exact, "plugin_actions", counting)
+        nonzero = states = 0
+        for t, layer in dp_layers(PolicySpec.plugin_tracking(0.5), BanditInstance(0.6, 0.4), 48):
+            if 2 <= t <= 47:
+                nonzero += sum(int(np.count_nonzero(a)) for a in layer.values())
+                states += sum(a.size for a in layer.values())
+        assert sum(calls) == nonzero == 24_538
+        assert states == 69_517
 
     def test_slices_larger_than_a_group(self):
         # at T = 130 the middle slices hold up to 66 * 66 > 2**12 cells
@@ -166,6 +202,25 @@ class TestDpSameBits:
         policy, inst = PolicySpec.plugin_tracking(force_rate), BanditInstance(*mu)
         s = exact_summary(policy, inst, T)
         assert (s.p_error, s.p_pick2, s.e_n1) == dict_dp_summary(policy, inst, T)
+
+    def test_summary_where_slices_exceed_a_group(self):
+        # at T = 130 the middle slices hold up to 66 * 66 > 2**12 cells, so each
+        # of their planes is a group of its own, and the summary reads strided views
+        assert (66 * 66) > exact._GROUP_CELLS
+        policy, inst = PolicySpec.plugin_tracking(0.01), BanditInstance(0.9, 0.1)
+        s = exact_summary(policy, inst, 130)
+        assert (s.p_error, s.p_pick2, s.e_n1) == dict_dp_summary(policy, inst, 130)
+
+    def test_summary_of_strided_slices_equals_their_contiguous_copies(self):
+        # at T = 182 the middle slices hold up to 92 * 92 cells, more than
+        # numpy's 8,192-element buffer, past which np.sum of a strided view
+        # adds in another order than over a contiguous array
+        policy, inst = PolicySpec.plugin_tracking(0.01), BanditInstance(0.9, 0.1)
+        for _, layer in dp_layers(policy, inst, 182):
+            pass
+        assert max(a.size for a in layer.values()) > np.getbufsize()
+        copies = {n1: np.ascontiguousarray(a) for n1, a in layer.items()}
+        assert exact._dp_summary(layer, inst, 182) == exact._dp_summary(copies, inst, 182)
 
 
 class TestDpBand:
@@ -223,9 +278,10 @@ class TestDpCapacity:
 
 class TestDpMemory:
     def test_peak_is_two_layers_and_bounded_temporaries(self):
-        # layer 100 of tracking keeps 63,725 states (176,649 untrimmed); the
-        # current and next layers take 16 B per state of it, group temporaries
-        # stay bounded
+        # layer 100 of tracking keeps 63,725 states (176,649 untrimmed) in a
+        # padded box of 99,225 cells; the two box buffers, each an eighth
+        # larger than the box it was made for, take 28 B per state of it, and
+        # group temporaries stay bounded
         policy = PolicySpec.plugin_tracking(0.5)
         inst = BanditInstance(0.6, 0.4)
         exact_summary(policy, inst, 10)  # warm caches outside the measurement
