@@ -29,8 +29,8 @@ from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
 from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate_ratio_scan,
                     static_counts, static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
-from .policies import PolicySpec, check_budget, parse_policy, policy_label
-from .rates import BanditInstance, g_closed, g_closed_grid, rate_profile, x_star
+from .policies import PolicySpec, check_budget, parse_policy
+from .rates import BanditInstance, _check_mean, g_closed, g_closed_grid, rate_profile, x_star
 from .verification import run_suites
 
 EXIT_OK = 0
@@ -134,10 +134,10 @@ class SweepConfig:
 
 
 def _config_mean(value, field: str) -> float:
-    """A mean read from a sweep config: a JSON number, not a string or a boolean."""
+    """A mean read from a sweep config: a JSON number, checked as ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ArgumentError(f"{field} must be a JSON number, got {value!r}")
-    return float(value)
+    return _check_mean(float(value), field)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -147,13 +147,22 @@ def load_sweep_config(path: str) -> SweepConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ArgumentError(f"cannot read sweep config {path!r}: {exc}") from None
     try:
+        if not isinstance(raw, dict):
+            raise ArgumentError(f"the top level must be a JSON object, got {raw!r}")
         for key in ("instances", "policies", "budgets"):
             if not isinstance(raw[key], list):
                 raise ArgumentError(f"{key!r} must be a JSON list, got {raw[key]!r}")
-        instances = [BanditInstance(_config_mean(a, f"instances[{i}][0]"),
-                                    _config_mean(b, f"instances[{i}][1]"))
-                     for i, (a, b) in enumerate(raw["instances"])]
-        policies = [parse_policy(p) for p in raw["policies"]]
+        instances = []
+        for i, pair in enumerate(raw["instances"]):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ArgumentError(f"instances[{i}] must be a pair of means, got {pair!r}")
+            instances.append(BanditInstance(*(_config_mean(m, f"instances[{i}][{j}]")
+                                              for j, m in enumerate(pair))))
+        policies = []
+        for i, text in enumerate(raw["policies"]):
+            if not isinstance(text, str):
+                raise ArgumentError(f"policies[{i}] must be a JSON string, got {text!r}")
+            policies.append(parse_policy(text))
         try:
             budgets = [check_budget(t) for t in raw["budgets"]]
         except ArgumentError as exc:
@@ -205,7 +214,7 @@ def cmd_verify(args) -> int:
 
 def _exact_row(policy: PolicySpec, inst: BanditInstance, T: int) -> list:
     summary = exact_summary(policy, inst, T)
-    return [policy_label(policy), inst.mu1, inst.mu2, T, summary.p_error,
+    return [policy.description, inst.mu1, inst.mu2, T, summary.p_error,
             summary.p_pick2, summary.e_n1, summary.e_omega2]
 
 
@@ -244,7 +253,7 @@ def cmd_exact(args) -> int:
 def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
             tilted: bool) -> list:
     est = (simulate_tilted_static if tilted else simulate_plain)(policy, inst, T, n, seed)
-    return [est.method, policy_label(policy), inst.mu1, inst.mu2, T, n, est.seed,
+    return [est.method, policy.description, inst.mu1, inst.mu2, T, n, est.seed,
             est.mean, est.std_err]
 
 

@@ -18,8 +18,8 @@ prefix of a long table has the bits of a short one).  Each budget takes
 same bits.
 
 The DP runs plug-in tracking, and only it, over sufficient-statistic states
-``(n1, s1, s2)`` with ``n2 = t - n1`` implied.  Tracking pulls arm 1, then
-arm 2, so layers 0-2 are closed forms.  Every later layer t holds the slices
+``(n1, s1, s2)`` with ``n2 = t - n1`` implied, one step of the rule per
+layer from layer 0, the empty history.  Layer t holds the slices
 ``n1 = lo .. hi`` that carry mass; the all-zero slices at both ends are
 dropped.  Arm 1 moves mass from slice ``n1`` to ``n1+1`` and arm 2 keeps it
 in ``n1``, so layer t+1 is built over slices ``lo .. hi+1`` and then trimmed.
@@ -29,20 +29,20 @@ built, but an over-limit budget fails only once the pass reaches the first
 layer that needs too many states.  Which slices carry mass depends on the
 policy, not on the means (every reward sequence has positive probability).
 
-From layer 2 on a layer is a zero-padded box of shape
-``(hi-lo+1, hi+1, t-lo+1)``: plane ``n1 - lo`` holds slice ``n1``'s
-``(s1, s2)`` cells in its top-left ``(n1+1) x (t-n1+1)`` corner, and the other
-cells (``s1 > n1`` or ``s2 > t-n1``) are padding.  The box of layer t+1 is
-built over slices ``lo .. hi+1`` in one of two flat buffers, which swap each
-layer and are replaced, an eighth larger than needed, only when a box does
-not fit; the trimmed layer is a view of that box, keeping its strides.
+A layer is a zero-padded box of shape ``(hi-lo+1, hi+1, t-lo+1)``: plane
+``n1 - lo`` holds slice ``n1``'s ``(s1, s2)`` cells in its top-left
+``(n1+1) x (t-n1+1)`` corner, and the other cells (``s1 > n1`` or
+``s2 > t-n1``) are padding.  The box of layer t+1 is built over slices
+``lo .. hi+1`` in one of two flat buffers, which swap each layer and are
+replaced, an eighth larger than needed, only when a box does not fit; the
+trimmed layer is a view of that box, keeping its strides.
 
 A step walks the box in groups of whole planes holding at least
 ``_GROUP_CELLS`` cells (the last group may hold fewer).  In each group it
 takes the cells that hold mass (``flatnonzero``), recovers their
 ``(n1, s1, s2)`` by ``divmod`` and calls the tracking kernel on those flat
-counts only: about 35 % of the states of a pass hold mass (24,538 of 69,517
-in layers 2-47 of ``plugin:0.5`` at T = 48).  The group's mass is split
+counts only: about 35 % of the states of a pass hold mass (24,541 of 69,520
+in layers 0-47 of ``plugin:0.5`` at T = 48).  The group's mass is split
 into its arm-1 and arm-2 pulls, and four shifted adds over the group's
 planes move them into the next box, which starts from 0.0: arm-1 success
 (one plane up, one row down), arm-1 failure (one plane up), arm-2 success
@@ -185,7 +185,7 @@ def _states(t: int, lo: int, hi: int) -> int:
 def _next_box(
     box: np.ndarray, t: int, lo: int, force_rate: float, inst: BanditInstance, buf: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Layer ``t + 1`` from layer ``t >= 2``, whose box ``box`` holds slices
+    """Layer ``t + 1`` from layer ``t``, whose box ``box`` holds slices
     ``lo .. lo+len(box)-1`` and is overwritten.  Layer t+1 is built in ``buf``
     (flat, at least as long as the new box) over slices ``lo .. hi+1``;
     returns its view without the all-zero end planes, and its first slice."""
@@ -228,18 +228,18 @@ def _next_box(
 def _boxes(
     policy: PolicySpec, inst: BanditInstance, T: int, limit: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(t, lo, box)`` for the layers t = 2 .. T of plug-in tracking: ``box`` is
+    """``(t, lo, box)`` for the layers t = 0 .. T of plug-in tracking: ``box`` is
     the zero-padded 3-D box of slices ``lo .. lo+len(box)-1``, a view of one
     of two flat buffers that swap each layer, overwritten when the iterator
-    advances.  Raises CapacityError in place of the first layer whose state
-    count is over ``limit``, before its buffer is replaced."""
-    m1, m2 = inst.mu1, inst.mu2
-    _check_states(4, limit, "layer 2 needs 4 states")
-    box = np.outer([1.0 - m1, m1], [1.0 - m2, m2]).reshape(1, 2, 2)
-    lo = 1
-    yield 2, lo, box
+    advances.  Layer 0 is ``[[[1.0]]]`` with ``lo = 0``; each later layer is
+    :func:`_next_box` of the one before.  Every layer's states are counted one
+    way, over slices ``lo .. hi+1`` before trimming; raises CapacityError in
+    place of the first layer whose count is over ``limit``, before its
+    buffer is replaced."""
+    box, lo = np.ones((1, 1, 1)), 0
+    yield 0, lo, box
     bufs = [box.reshape(-1), np.empty(0)]  # layer t lives in bufs[t % 2]
-    for t in range(2, T):
+    for t in range(T):
         planes, rows, cols = box.shape
         states = _states(t + 1, lo, lo + planes)
         _check_states(states, limit, f"layer {t + 1} needs {states} states")
@@ -257,16 +257,15 @@ def dp_layers(
 ) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
     """Forward DP pass of plug-in tracking, yielding ``(t, layer)`` for t = 0 .. T.
 
-    A layer maps each ``n1`` to a 2-D ``(s1, s2)`` array: ``{0: [[1]]}``,
-    ``{1: [[1-mu1], [mu1]]}``, ``{1: outer([1-mu1, mu1], [1-mu2, mu2])}``,
-    then at layer t the slices ``n1 = lo .. hi`` that carry mass (the
-    all-zero slices at both ends are dropped).  From layer 2 on the arrays
-    are strided views of the layer's box, overwritten when the iterator
-    advances: consume each layer first if its values must be kept.  Raises
+    A layer maps each ``n1`` of the slices ``lo .. hi`` that carry mass (the
+    all-zero slices at both ends are dropped) to its 2-D ``(s1, s2)`` array;
+    layer 0 is ``{0: [[1.0]]}``.  Every array is a strided view of the
+    layer's box from :func:`_boxes`, overwritten when the iterator advances:
+    consume each layer first if its values must be kept.  Raises
     ArgumentError at once on a fixed schedule (its exact path is the binomial
-    log path), and CapacityError in place of the first layer whose count
-    (2 and 4 states at layers 1 and 2, then slices ``lo .. hi+1`` before
-    trimming) is over the state limit: no such layer is allocated.
+    log path), and CapacityError in place of the first layer whose count,
+    the states of slices ``lo .. hi+1`` before trimming, is over the state
+    limit: no such layer is allocated.
     """
     T = check_budget(T)
     if policy.deterministic_schedule:
@@ -274,11 +273,7 @@ def dp_layers(
             f"dp_layers evaluates plug-in tracking only; the fixed schedule "
             f"{policy.description} takes the binomial log path (static_error_log)"
         )
-    limit = _max_states()
-    yield 0, {0: np.ones((1, 1))}
-    _check_states(2, limit, "layer 1 needs 2 states")
-    yield 1, {1: np.array([[1.0 - inst.mu1], [inst.mu1]])}
-    for t, lo, box in _boxes(policy, inst, T, limit):
+    for t, lo, box in _boxes(policy, inst, T, _max_states()):
         yield t, {n1: box[n1 - lo, :n1 + 1, :t - n1 + 1] for n1 in range(lo, lo + len(box))}
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "covering_budget",
     "schedule_counts",
     "parse_policy",
-    "policy_label",
 ]
 
 POLICY_KINDS = ("uniform", "static", "oracle_static", "plugin_tracking")
@@ -89,8 +88,14 @@ class PolicySpec:
 
     @property
     def description(self) -> str:
-        """The policy's one label, :func:`policy_label`."""
-        return policy_label(self)
+        """Round-trippable text form of the policy (the CLI syntax)."""
+        if self.kind == "uniform":
+            return "uniform"
+        if self.kind == "static":
+            return f"static:{self.x}"
+        if self.kind == "oracle_static":
+            return f"oracle:{self.ref.mu1},{self.ref.mu2}"
+        return f"plugin:{self.force_rate}"
 
     @property
     def deterministic_schedule(self) -> bool:
@@ -255,14 +260,3 @@ def parse_policy(text: str) -> PolicySpec:
     raise ArgumentError(
         f"unknown policy {text!r}; expected uniform | static:X | oracle:MU1,MU2 | plugin:RATE"
     )
-
-
-def policy_label(policy: PolicySpec) -> str:
-    """Round-trippable text form of a policy (the CLI syntax)."""
-    if policy.kind == "uniform":
-        return "uniform"
-    if policy.kind == "static":
-        return f"static:{policy.x}"
-    if policy.kind == "oracle_static":
-        return f"oracle:{policy.ref.mu1},{policy.ref.mu2}"
-    return f"plugin:{policy.force_rate}"

@@ -19,11 +19,11 @@ The scalar replay runs one Monte Carlo replication of a policy draw by
 draw, with the same per-state actions and rational decision, each draw
 computed from the documented splitmix64 stream formula.
 
-The dict DP is the exact engine's forward pass as it was before layers were
-stored flat and walked in groups of slices: a dict of ``(s1, s2)`` arrays, one
-per ``n1``, with one :func:`plugin_action_grid` call per slice, schedules
-replayed by the floor rule, and the last layer decided by :func:`pick2_mass`.
-The engine must yield the same layers of plug-in tracking byte for byte.  The
+The dict DP is the exact engine's forward pass as it was before the engine
+stepped a zero-padded box: a dict of ``(s1, s2)`` arrays, one per ``n1``, with
+one :func:`plugin_action_grid` call per slice from t = 0, schedules replayed
+by the floor rule, and the last layer decided by :func:`pick2_mass`.  The
+engine must yield the same layers of plug-in tracking byte for byte.  The
 engine refuses fixed schedules, so the dict DP, which still runs them (one
 slice per layer), is also the fixed-schedule reference that the binomial log
 path is checked against.

@@ -214,6 +214,45 @@ def test_sweep_config_refuses_a_mean_that_is_not_a_number(capsys, tmp_path, inst
     assert f"{field} must be a JSON number" in err
 
 
+@pytest.mark.parametrize("instances, message", [
+    ([[0.7, 1.0]], "instances[0][1] must lie strictly inside (0, 1), got 1.0"),
+    ([[0.7, 0.3], [0.0, 0.3]], "instances[1][0] must lie strictly inside (0, 1), got 0.0"),
+    ([[0.7, 1e-310]], "instances[0][1] must be at least the smallest normal double"),
+    ([[0.7]], "instances[0] must be a pair of means, got [0.7]"),
+    ([[0.7, 0.3], [0.7, 0.3, 0.1]], "instances[1] must be a pair of means"),
+    ([0.7], "instances[0] must be a pair of means, got 0.7"),
+], ids=["mean_of_one", "mean_of_zero", "subnormal_mean", "one_mean", "three_means",
+        "bare_number"])
+def test_sweep_config_names_the_instance_it_refuses(capsys, tmp_path, instances, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "instances": instances}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("policies, field", [
+    ([5], "policies[0]"),
+    (["uniform", None], "policies[1]"),
+    ([["uniform"]], "policies[0]"),
+], ids=["number", "null", "list"])
+def test_sweep_config_policy_must_be_a_string(capsys, tmp_path, policies, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "policies": policies}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{field} must be a JSON string" in err
+
+
+@pytest.mark.parametrize("raw", [[1, 2], "sweep", 3, None], ids=str)
+def test_sweep_config_top_level_must_be_an_object(capsys, tmp_path, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "the top level must be a JSON object" in err
+
+
 @pytest.mark.parametrize("value", [5, ["out.csv"], True])
 def test_sweep_config_output_path_must_be_a_string_or_null(capsys, tmp_path, monkeypatch, value):
     cfg = tmp_path / "cfg.json"

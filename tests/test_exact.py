@@ -171,7 +171,7 @@ class TestDpLayersAgainstDictReference:
 
     def test_kernel_sees_only_cells_with_mass(self, monkeypatch):
         # the step from layer t calls the kernel on layer t's non-zero cells
-        # only: 24,538 of the 69,517 states of layers 2..47
+        # only: 24,541 of the 69,520 states of layers 0..47
         calls = []
 
         def counting(t, n1, s1, s2, force_rate):
@@ -181,11 +181,11 @@ class TestDpLayersAgainstDictReference:
         monkeypatch.setattr(exact, "plugin_actions", counting)
         nonzero = states = 0
         for t, layer in dp_layers(PolicySpec.plugin_tracking(0.5), BanditInstance(0.6, 0.4), 48):
-            if 2 <= t <= 47:
+            if t <= 47:
                 nonzero += sum(int(np.count_nonzero(a)) for a in layer.values())
                 states += sum(a.size for a in layer.values())
-        assert sum(calls) == nonzero == 24_538
-        assert states == 69_517
+        assert sum(calls) == nonzero == 24_541
+        assert states == 69_520
 
     def test_slices_larger_than_a_group(self):
         # at T = 130 the middle slices hold up to 66 * 66 > 2**12 cells
@@ -239,16 +239,18 @@ class TestDpBand:
 
 
 class TestDpCapacity:
-    """The limit is checked on the count each layer allocates: 2 and 4 states
-    at layers 1 and 2, then slices ``lo .. hi+1`` before trimming.  Up to
-    T = 20, tracking on INST allocates at most 595 states, at layer 20."""
+    """The limit is checked on the count each layer allocates, by one rule from
+    layer 1 on: the states of slices ``lo .. hi+1`` before trimming, 4 at
+    layer 1 and 7 at layer 2.  Up to T = 20, tracking on INST allocates at
+    most 595 states, at layer 20."""
 
-    def test_budget_at_the_limit_runs(self, monkeypatch):
-        monkeypatch.setenv("BAI_MAX_STATES", "595")
-        layers = [t for t, _ in dp_layers(PolicySpec.plugin_tracking(0.5), INST, 20)]
-        assert layers == list(range(21))
+    @pytest.mark.parametrize("limit, T", [(595, 20), (7, 2)])
+    def test_budget_at_the_limit_runs(self, monkeypatch, limit, T):
+        monkeypatch.setenv("BAI_MAX_STATES", str(limit))
+        layers = [t for t, _ in dp_layers(PolicySpec.plugin_tracking(0.5), INST, T)]
+        assert layers == list(range(T + 1))
 
-    @pytest.mark.parametrize("limit, layer, states", [(594, 20, 595), (3, 2, 4)])
+    @pytest.mark.parametrize("limit, layer, states", [(594, 20, 595), (3, 1, 4), (6, 2, 7)])
     def test_over_the_limit_raises_at_that_layer(self, monkeypatch, limit, layer, states):
         monkeypatch.setenv("BAI_MAX_STATES", str(limit))
         need = f"layer {layer} needs {states} states, over the limit of {limit};"

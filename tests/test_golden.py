@@ -69,6 +69,9 @@ COMMANDS = [
     "mc --policy uniform --mu 0.3,0.7 --T 300 --n 70000 --seed 11 --tilted",
     # plug-in tracking over three blocks (131073 = 2 * 2**16 + 1), arm 2 best
     "mc --policy plugin:0.2 --mu 0.45,0.6 --T 12 --n 131073 --seed 5",
+    # the DP's opening layers: a budget of 2, and a scan starting there
+    "exact --policy plugin:0.5 --mu 0.7,0.3 --T 2",
+    "scan --policy plugin:0.2 --mu 0.3,0.7 --T 2:4",
 ]
 
 

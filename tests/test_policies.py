@@ -16,7 +16,6 @@ from bailab.policies import (
     plugin_action_grid,
     plugin_action_prob,
     plugin_actions,
-    policy_label,
 )
 from bailab.rates import BanditInstance, x_star
 
@@ -44,10 +43,12 @@ class TestPolicySpec:
             PolicySpec(kind="bandit")
 
     def test_description_is_the_read_only_policy_label(self):
-        for policy in (PolicySpec.uniform(), PolicySpec.static(0.3),
-                       PolicySpec.oracle_static(BanditInstance(0.9, 0.5)),
-                       PolicySpec.plugin_tracking(0.2)):
-            assert policy.description == policy_label(policy)
+        for policy, label in ((PolicySpec.uniform(), "uniform"),
+                              (PolicySpec.static(0.3), "static:0.3"),
+                              (PolicySpec.oracle_static(BanditInstance(0.9, 0.5)),
+                               "oracle:0.9,0.5"),
+                              (PolicySpec.plugin_tracking(0.2), "plugin:0.2")):
+            assert policy.description == label
             with pytest.raises(AttributeError):
                 policy.description = "other"
         with pytest.raises(TypeError):
@@ -263,7 +264,7 @@ class TestParsePolicy:
     def test_round_trip(self, text, kind):
         policy = parse_policy(text)
         assert policy.kind == kind
-        assert parse_policy(policy_label(policy)) == policy
+        assert parse_policy(policy.description) == policy
 
     @pytest.mark.parametrize(
         "text", ["", "unknown", "static:", "static:x", "oracle:0.9", "plugin:2.0",
