@@ -31,7 +31,7 @@ from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, check_budget, parse_policy
 from .rates import BanditInstance, _check_mean, g_closed, g_closed_grid, rate_profile, x_star
-from .verification import run_suites
+from .verification import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -136,7 +136,7 @@ class SweepConfig:
 def _config_mean(value, field: str) -> float:
     """A mean read from a sweep config: a JSON number, checked as ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ArgumentError(f"{field} must be a JSON number, got {value!r}")
+        raise ArgumentError(f"{field} must be a JSON number, got {json.dumps(value)}")
     return _check_mean(float(value), field)
 
 
@@ -148,31 +148,40 @@ def load_sweep_config(path: str) -> SweepConfig:
         raise ArgumentError(f"cannot read sweep config {path!r}: {exc}") from None
     try:
         if not isinstance(raw, dict):
-            raise ArgumentError(f"the top level must be a JSON object, got {raw!r}")
+            raise ArgumentError(f"the top level must be a JSON object, got {json.dumps(raw)}")
+        for key in raw:
+            if key not in SweepConfig.__dataclass_fields__:
+                raise ArgumentError(f"unknown key {json.dumps(key)}; the keys are "
+                                    f"{', '.join(SweepConfig.__dataclass_fields__)}")
         for key in ("instances", "policies", "budgets"):
             if not isinstance(raw[key], list):
-                raise ArgumentError(f"{key!r} must be a JSON list, got {raw[key]!r}")
+                raise ArgumentError(f"{key!r} must be a JSON list, got {json.dumps(raw[key])}")
         instances = []
         for i, pair in enumerate(raw["instances"]):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ArgumentError(f"instances[{i}] must be a pair of means, got {pair!r}")
+                raise ArgumentError(f"instances[{i}] must be a pair of means, "
+                                    f"got {json.dumps(pair)}")
             instances.append(BanditInstance(*(_config_mean(m, f"instances[{i}][{j}]")
                                               for j, m in enumerate(pair))))
         policies = []
         for i, text in enumerate(raw["policies"]):
             if not isinstance(text, str):
-                raise ArgumentError(f"policies[{i}] must be a JSON string, got {text!r}")
+                raise ArgumentError(f"policies[{i}] must be a JSON string, got {json.dumps(text)}")
             policies.append(parse_policy(text))
-        try:
-            budgets = [check_budget(t) for t in raw["budgets"]]
-        except ArgumentError as exc:
-            raise ArgumentError(f"'budgets': {exc}") from None
+        budgets = []
+        for i, t in enumerate(raw["budgets"]):
+            try:
+                budgets.append(check_budget(t))
+            except ArgumentError:
+                raise ArgumentError(f"'budgets' entry {i} must be an integer of at least 2, "
+                                    f"got {json.dumps(t)}") from None
         output_path = raw.get("output_path")
         if output_path is not None and not isinstance(output_path, str):
-            raise ArgumentError(f"'output_path' must be a string or null, got {output_path!r}")
+            raise ArgumentError(f"'output_path' must be a string or null, "
+                                f"got {json.dumps(output_path)}")
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ArgumentError(f"'seed' must be an integer, got {seed!r}")
+            raise ArgumentError(f"'seed' must be an integer, got {json.dumps(seed)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed sweep config {path!r}: {exc}") from None
     if not instances or not policies or not budgets:
@@ -350,13 +359,17 @@ def cmd_demo(args) -> int:
 
     # exact error ordering compared in the log domain: the probabilities
     # themselves underflow doubles at budgets this deep
-    log_tuned_on_witness = static_error_log(x_tuned, witness, args.T)
-    log_uniform_on_witness = static_error_log(0.5, witness, args.T)
-    log_tuned_at_home = static_error_log(x_tuned, mu0, args.T)
-    log_uniform_at_home = static_error_log(0.5, mu0, args.T)
+    instances = []
+    for inst in (witness, mu0):
+        logs = {name: static_error_log(x, inst, args.T)
+                for name, x in (("tuned", x_tuned), ("uniform", 0.5))}
+        instances.append({"mu1": inst.mu1, "mu2": inst.mu2,
+                          **{f"p_error_{name}": math.exp(v) for name, v in logs.items()},
+                          **{f"log_p_error_{name}": v for name, v in logs.items()}})
+    losing_instance, winning_instance = instances
     confirmed = (
-        log_tuned_on_witness > log_uniform_on_witness
-        and log_tuned_at_home < log_uniform_at_home
+        losing_instance["log_p_error_tuned"] > losing_instance["log_p_error_uniform"]
+        and winning_instance["log_p_error_tuned"] < winning_instance["log_p_error_uniform"]
     )
     payload = {
         "x_tuned": x_tuned,
@@ -365,23 +378,8 @@ def cmd_demo(args) -> int:
         "certificate": best_cert.to_json_dict(),
         "grid_best": {"mu1": best_grid.mu1, "mu2": best_grid.mu2,
                       "rate_gap": best_grid_gap},
-        "exact_confirmation": {
-            "T": args.T,
-            "losing_instance": {
-                "mu1": witness.mu1, "mu2": witness.mu2,
-                "p_error_tuned": math.exp(log_tuned_on_witness),
-                "p_error_uniform": math.exp(log_uniform_on_witness),
-                "log_p_error_tuned": log_tuned_on_witness,
-                "log_p_error_uniform": log_uniform_on_witness,
-            },
-            "winning_instance": {
-                "mu1": mu0.mu1, "mu2": mu0.mu2,
-                "p_error_tuned": math.exp(log_tuned_at_home),
-                "p_error_uniform": math.exp(log_uniform_at_home),
-                "log_p_error_tuned": log_tuned_at_home,
-                "log_p_error_uniform": log_uniform_at_home,
-            },
-        },
+        "exact_confirmation": {"T": args.T, "losing_instance": losing_instance,
+                               "winning_instance": winning_instance},
         "confirmed": confirmed,
     }
     print(_json_dumps(payload))
@@ -405,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("verify", help="run randomized property suites")
-    p.add_argument("suite", choices=["rates", "dual", "constructions", "asymmetry",
-                                     "com", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

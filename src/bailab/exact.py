@@ -69,8 +69,8 @@ import numpy as np
 
 from .errors import ArgumentError, CapacityError, DomainError
 # plugin_action_grid is unused here; it stays a module attribute for benchmark tracing
-from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_grid,  # noqa: F401
-                       plugin_actions, schedule_counts)
+from .policies import (PolicySpec, arm2_count, check_budget, covering_budget,  # noqa: F401
+                       pick2_mass, plugin_action_grid, plugin_actions)
 from .rates import BanditInstance, g_closed, kl_bernoulli
 
 __all__ = [
@@ -301,10 +301,14 @@ def _dp_summary(layer: dict[int, np.ndarray], inst: BanditInstance, T: int) -> E
 
 def _log_summary(n1: int, n2: int, inst: BanditInstance, lf: np.ndarray) -> ExactSummary:
     """:func:`exact_summary` of ``n1`` and ``n2`` fixed pulls on the binomial log
-    path, from the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more)."""
-    logp = _static_error_log(n1, n2, inst, lf)
+    path, from the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more).
+    The best arm is picked here, once: its pulls and mean go first to
+    :func:`_error_log_best1`."""
+    best1 = inst.best_arm == 1
+    best_first = (n1, inst.mu1, n2, inst.mu2) if best1 else (n2, inst.mu2, n1, inst.mu1)
+    logp = _error_log_best1(*best_first, lf)
     p_error = math.exp(logp)
-    p_pick2 = p_error if inst.best_arm == 1 else 1.0 - p_error
+    p_pick2 = p_error if best1 else 1.0 - p_error
     return ExactSummary(p_error=p_error, p_pick2=p_pick2, e_n1=float(n1),
                         e_omega2=n2 / (n1 + n2), log_p_error=logp)
 
@@ -339,14 +343,25 @@ def exact_summary(policy: PolicySpec, inst: BanditInstance, T: int) -> ExactSumm
 
 
 def static_counts(policy: PolicySpec, T: int) -> tuple[int, int]:
-    """:func:`schedule_counts`, raising CapacityError when a binomial table
-    of ``max(n1, n2) + 1`` entries is over the state limit.
-
-    The log path builds one log-factorial table that long and a log-pmf
-    table of ``n + 1`` entries per arm; static Monte Carlo builds one table
-    per arm.  Both call this before building any.
+    """``(n1, n2)`` pulls of the fixed schedule ``policy`` over ``T`` rounds,
+    ``n2`` by :func:`arm2_count`.  Raises ArgumentError on an adaptive policy;
+    ArgumentError naming the policy and ``T`` when either count is zero, with
+    the smallest budget that samples both arms or why none up to ``2**53``
+    does; and CapacityError when a binomial table of ``max(n1, n2) + 1``
+    entries is over the state limit.  The log path (one log-factorial table
+    that long, a log-pmf table of ``n + 1`` entries per arm) and static Monte
+    Carlo (one table per arm) call this before building any table.
     """
-    n1, n2 = schedule_counts(policy, T)
+    x = policy.schedule_fraction()
+    n2 = arm2_count(x, T)
+    if not 1 <= n2 <= T - 1:
+        try:
+            cover = f"the smallest budget that samples both arms is T={covering_budget(x)}"
+        except ArgumentError as exc:
+            cover = str(exc)
+        raise ArgumentError(
+            f"schedule of {policy.description} leaves an arm unsampled at T={T}; {cover}")
+    n1 = T - n2
     length = max(n1, n2) + 1
     _check_states(length, _max_states(), f"T={T} needs a binomial table of {length} entries")
     return n1, n2
@@ -476,14 +491,6 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float, lf: np.ndarray) -> 
     per_s1[ties] = np.logaddexp(per_s1[ties], lb2[tie_at[ties]] + math.log(0.5))
     per_s1 += lb1
     return float(np.logaddexp.reduce(per_s1))
-
-
-def _static_error_log(n1: int, n2: int, inst: BanditInstance, lf: np.ndarray) -> float:
-    """log of the exact error probability of ``n1`` and ``n2`` fixed pulls, from
-    the log-factorial table ``lf`` (``max(n1, n2) + 1`` entries or more)."""
-    if inst.mu1 > inst.mu2:
-        return _error_log_best1(n1, inst.mu1, n2, inst.mu2, lf)
-    return _error_log_best1(n2, inst.mu2, n1, inst.mu1, lf)
 
 
 def static_error_log(x: float, inst: BanditInstance, T: int) -> float:

@@ -8,9 +8,10 @@ exploration (``plugin_tracking``).  The final recommendation picks the
 larger empirical mean and splits exact ties fairly.
 
 Each rule has one implementation, used by the exact engine and Monte Carlo
-alike: :func:`pick2_mass` is the fair-tie decision, :func:`schedule_counts`
-the pull counts of a fixed schedule, and :func:`plugin_actions` the tracking
-rule; the package validates budgets with :func:`check_budget`.
+alike: :func:`pick2_mass` is the fair-tie decision, :func:`arm2_count` the
+arm-2 pulls of a fixed schedule (``exact.static_counts`` applies it), and
+:func:`plugin_actions` the tracking rule; the package validates budgets with
+:func:`check_budget`.
 :func:`plugin_action_prob` and :func:`plugin_action_grid` call the tracking
 rule for one state and one ``n1`` slice.  Tracking solves for no ``x*``:
 ``exp(-g)`` is strictly convex in the arm-2 share, so arm 1 is pulled iff
@@ -39,7 +40,6 @@ __all__ = [
     "check_budget",
     "arm2_count",
     "covering_budget",
-    "schedule_counts",
     "parse_policy",
 ]
 
@@ -139,22 +139,6 @@ def covering_budget(x: float) -> int:
     while arm2_count(x, T) < 1:
         T += 1
     return T
-
-
-def schedule_counts(policy: PolicySpec, T: int) -> tuple[int, int]:
-    """``(n1, n2)`` pulls of the fixed schedule ``policy`` over ``T`` rounds.
-
-    Raises ArgumentError on an adaptive policy, and, naming the policy and
-    the smallest budget that covers both arms, when either count is zero.
-    """
-    x = policy.schedule_fraction()
-    n2 = arm2_count(x, T)
-    if not 1 <= n2 <= T - 1:
-        raise ArgumentError(
-            f"schedule of {policy.description} leaves an arm unsampled at T={T}; "
-            f"the smallest budget that samples both arms is T={covering_budget(x)}"
-        )
-    return T - n2, n2
 
 
 def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> float:

@@ -272,6 +272,57 @@ def test_sweep_config_string_output_path_is_written(capsys, tmp_path):
     assert code == 0 and out_file.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({**SWEEP_CONFIG, "policies": [None]}, "policies[0] must be a JSON string, got null"),
+    ({**SWEEP_CONFIG, "seed": True}, "'seed' must be an integer, got true"),
+    ({**SWEEP_CONFIG, "instances": [[0.7, "0.3"]]},
+     'instances[0][1] must be a JSON number, got "0.3"'),
+    ({**SWEEP_CONFIG, "instances": [["0.7"]]},
+     'instances[0] must be a pair of means, got ["0.7"]'),
+    ({**SWEEP_CONFIG, "budgets": [40, True]},
+     "'budgets' entry 1 must be an integer of at least 2, got true"),
+    ({**SWEEP_CONFIG, "budgets": [None]},
+     "'budgets' entry 0 must be an integer of at least 2, got null"),
+    ({**SWEEP_CONFIG, "output_path": False}, "'output_path' must be a string or null, got false"),
+    ({**SWEEP_CONFIG, "budgets": {"T": 40}}, """'budgets' must be a JSON list, got {"T": 40}"""),
+    ("sweep", 'the top level must be a JSON object, got "sweep"'),
+], ids=["null_policy", "boolean_seed", "string_mean", "string_pair", "boolean_budget",
+        "null_budget", "boolean_output_path", "budgets_object", "string_top_level"])
+def test_sweep_config_quotes_the_value_it_refuses_as_json(capsys, tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["exact", "mc"])
+def test_sweep_config_refuses_an_unknown_key(capsys, tmp_path, monkeypatch, command):
+    # misspelt "seed" and "output_path" would otherwise run at seed 0 to stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": 5, "output": "x.csv", **SWEEP_CONFIG}))
+    monkeypatch.chdir(tmp_path)
+    extra = ["--n", "100"] if command == "mc" else []
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+    assert code == 2 and out == ""
+    assert ('unknown key "seeds"; the keys are instances, policies, budgets, output_path, seed'
+            in err)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("policy", ["static:1", "static:0", "static:1e-300"])
+@pytest.mark.parametrize("command", [["exact"], ["mc", "--n", "10"],
+                                     ["mc", "--n", "10", "--tilted"], ["scan"]],
+                         ids=["exact", "mc", "mc_tilted", "scan"])
+def test_schedule_no_budget_covers_names_the_policy_and_budget(capsys, command, policy):
+    code, out, err = run_cli(capsys, *command, "--policy", policy, "--mu", "0.7,0.3",
+                             "--T", "10")
+    assert code == 2 and out == ""
+    label = parse_policy(policy).description
+    assert f"schedule of {label} leaves an arm unsampled at T=10" in err
+    assert "samples both arms at no budget up to 2**53" in err
+
+
 class TestMcCommand:
     def test_runs_and_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -393,6 +444,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "seed of at least 0, got -1" in err
+
+    def test_unknown_suite_lists_every_suite_then_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bogus"])
+        assert exc.value.code == 2
+        assert "{rates,dual,constructions,asymmetry,com,all}" in capsys.readouterr().err
 
     def test_dual_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dual", "--samples", "60",

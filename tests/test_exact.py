@@ -22,7 +22,7 @@ from bailab.exact import (
     _lgam,
     _log1p,
     _log_factorials,
-    _static_error_log,
+    _log_summary,
     change_of_measure_slack,
     dp_layers,
     exact_summary,
@@ -33,7 +33,7 @@ from bailab.exact import (
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
-from bailab.policies import PolicySpec, arm2_count, plugin_actions, schedule_counts
+from bailab.policies import PolicySpec, arm2_count, plugin_actions
 from bailab.rates import BanditInstance, g_closed, kl_bernoulli, pinsker_like_bound_slack
 
 INST = BanditInstance(0.7, 0.3)
@@ -336,9 +336,9 @@ class TestStaticFastPath:
 
         def counted(*args):
             calls.append(args)
-            return schedule_counts(*args)
+            return static_counts(*args)
 
-        monkeypatch.setattr(exact, "schedule_counts", counted)
+        monkeypatch.setattr(exact, "static_counts", counted)
         exact_summary(PolicySpec.static(0.3), INST, 40)
         assert calls == [(PolicySpec.static(0.3), 40)]
 
@@ -374,6 +374,10 @@ class TestStaticFastPath:
         with pytest.raises(ArgumentError, match="samples both arms is T=6"):
             exact_summary(PolicySpec.static(0.18930722269290384), INST, 5)
 
+    def test_static_counts_refuses_an_adaptive_policy(self):
+        with pytest.raises(ArgumentError, match="plugin_tracking has no deterministic schedule"):
+            static_counts(PolicySpec.plugin_tracking(0.5), 10)
+
     def test_unsampled_arm_message_names_the_policy_label(self):
         oracle = PolicySpec.oracle_static(BanditInstance(0.5, 0.01))  # x* = 0.3798
         with pytest.raises(ArgumentError, match=r"schedule of oracle:0\.5,0\.01 leaves"):
@@ -386,7 +390,8 @@ class TestStaticFastPath:
             n1, n2 = T - arm2_count(x, T), arm2_count(x, T)
             logp = static_error_log(x, inst, T)
             assert logp == exact_summary(PolicySpec.static(x), inst, T).log_p_error
-            assert logp == _static_error_log(n1, n2, inst, _log_factorials(max(n1, n2)))
+            lf = _log_factorials(max(n1, n2))
+            assert logp == _log_summary(n1, n2, inst, lf).log_p_error
 
     @pytest.mark.parametrize("ref", [(0.9, 0.5), (0.5, 0.01), (0.2, 0.6)], ids=str)
     def test_static_error_log_at_an_oracle_fraction(self, ref):
@@ -490,7 +495,8 @@ class TestStaticErrorLogReference:
     def test_fixed_grid(self, n1, n2, mu1, mu2):
         inst = BanditInstance(mu1, mu2)
         lf = _log_factorials(max(n1, n2))
-        assert _static_error_log(n1, n2, inst, lf) == static_error_log_reference(n1, n2, inst)
+        assert (_log_summary(n1, n2, inst, lf).log_p_error
+                == static_error_log_reference(n1, n2, inst))
 
     @pytest.mark.parametrize("mu", _WORKLOADS.SCHEDULE_POOL)
     def test_benchmark_scan_at_x_star(self, mu):
@@ -501,7 +507,7 @@ class TestStaticErrorLogReference:
         # one table for the longest budget, as a scan shares it
         lf = _log_factorials(max(max(c) for c in counts))
         for n1, n2 in counts:
-            assert (_static_error_log(n1, n2, inst, lf)
+            assert (_log_summary(n1, n2, inst, lf).log_p_error
                     == static_error_log_reference(n1, n2, inst)), (n1, n2)
 
 

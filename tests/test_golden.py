@@ -72,6 +72,10 @@ COMMANDS = [
     # the DP's opening layers: a budget of 2, and a scan starting there
     "exact --policy plugin:0.5 --mu 0.7,0.3 --T 2",
     "scan --policy plugin:0.2 --mu 0.3,0.7 --T 2:4",
+    # the log path with arm 2 best: a demo whose home instance has it, and an
+    # oracle schedule evaluated on such an instance
+    "demo --mu0 0.3,0.8 --grid 0.05",
+    "exact --policy oracle:0.3,0.8 --mu 0.35,0.75 --T 500",
 ]
 
 

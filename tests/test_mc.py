@@ -11,7 +11,7 @@ from brute_force import (blocked_moments, replay_pick2, static_mc_reference, sta
                          static_successes, stream_draw, stream_uniforms)
 
 from bailab.errors import ArgumentError, DomainError
-from bailab.exact import _log_factorials, exact_summary, static_error_exact
+from bailab.exact import _log_factorials, exact_summary, static_counts, static_error_exact
 from bailab.mc import (
     Estimate,
     _binom_cdf,
@@ -23,7 +23,7 @@ from bailab.mc import (
     simulate_plain,
     simulate_tilted_static,
 )
-from bailab.policies import PolicySpec, pick2_mass, schedule_counts
+from bailab.policies import PolicySpec, pick2_mass
 from bailab.rates import BanditInstance, g_closed, lambda_star
 
 INST = BanditInstance(0.7, 0.3)
@@ -82,7 +82,7 @@ class TestBinomialCdf:
     def test_within_bound_of_scipy_stats_at_an_oracle_tilt(self):
         oracle = PolicySpec.oracle_static(BanditInstance(0.9, 0.5))
         lam = lambda_star(oracle.schedule_fraction(), INST)
-        for n in schedule_counts(oracle, 2001):
+        for n in static_counts(oracle, 2001):
             error = np.max(np.abs(binom_cdf(n, lam) - binom.cdf(np.arange(n + 1), n, lam)))
             assert error <= self.bound(n)
 
@@ -96,7 +96,7 @@ class TestStaticDraws:
     STREAMS = 2**18
 
     def assert_same_draws(self, seed, policy, T, p1, p2):
-        n1, n2 = schedule_counts(policy, T)
+        n1, n2 = static_counts(policy, T)
         counts = []
         for block_n1, s1, s2 in _count_blocks(policy, T, seed, self.STREAMS, p1, p2):
             assert block_n1 == n1
