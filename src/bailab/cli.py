@@ -30,7 +30,7 @@ from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate
                     static_counts, static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, check_budget, parse_policy
-from .rates import BanditInstance, _check_mean, g_closed, g_closed_grid, rate_profile, x_star
+from .rates import BanditInstance, _mean_rule, g_closed, g_closed_grid, rate_profile, x_star
 from .verification import SUITES, run_suites
 
 EXIT_OK = 0
@@ -104,6 +104,8 @@ def _budget_list(text: str) -> list[int]:
                 raise ValueError("expected START:STOP[:STEP]")
             if step < 1 or stop < start:
                 raise ValueError("need STOP >= START and STEP >= 1")
+            if stop > 2**53:  # the largest budget; a longer range does not fit a list
+                raise ValueError("STOP must be at most 2**53")
             return list(range(start, stop + 1, step))
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
@@ -133,18 +135,34 @@ class SweepConfig:
     seed: int
 
 
+class _JsonFloat(float):
+    """A JSON number read as a float that keeps its text, to be quoted as written."""
+
+    def __new__(cls, text: str):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+
 def _config_mean(value, field: str) -> float:
-    """A mean read from a sweep config: a JSON number, checked as ``field``."""
+    """A mean read from a sweep config: a JSON number, checked as ``field``
+    before it is converted, since no integer lies inside (0, 1) and a long one
+    does not fit a float.  A refused mean is quoted as written."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ArgumentError(f"{field} must be a JSON number, got {json.dumps(value)}")
-    return _check_mean(float(value), field)
+    rule = _mean_rule(value)
+    if rule is not None:
+        written = getattr(value, "text", None) or json.dumps(value)
+        raise DomainError(f"{field} {rule}, got {written}")
+    return float(value)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     try:
         with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(handle, parse_float=_JsonFloat)
+    # ValueError covers JSONDecodeError and an integer past Python's digit limit
+    except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read sweep config {path!r}: {exc}") from None
     try:
         if not isinstance(raw, dict):
@@ -173,7 +191,9 @@ def load_sweep_config(path: str) -> SweepConfig:
             try:
                 budgets.append(check_budget(t))
             except ArgumentError:
-                raise ArgumentError(f"'budgets' entry {i} must be an integer of at least 2, "
+                too_large = isinstance(t, int) and t > 2**53
+                rule = "at most 2**53" if too_large else "an integer of at least 2"
+                raise ArgumentError(f"'budgets' entry {i} must be {rule}, "
                                     f"got {json.dumps(t)}") from None
         output_path = raw.get("output_path")
         if output_path is not None and not isinstance(output_path, str):

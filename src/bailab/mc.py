@@ -20,13 +20,21 @@ bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 Replications run in fixed blocks of 2**16, in index order, from one block
 source for every policy: it yields each block's terminal counts
 ``(n1, s1, s2)`` at the success probabilities it is given (the means, or
-the tilt).  Its buffers are allocated once per call, ``min(n, 2**16)``
-long: the stream states, the splitmix64 mixes, the inverse-CDF sampler and
-the fair-tie masses work in place, and the tracking replay keeps its counts
-and uniforms there, so memory does not grow with ``n``.  A plain
-replication's error mass is 0, 1/2 or 1, so each block adds its wins plus
-half its ties exactly, and the running total equals numpy's pairwise sum
-over all replications: plain estimates do not depend on the block size.
+the tilt).  Its buffers are allocated once per call, so memory does not
+grow with ``n``: the stream states, flags and counts are ``min(n, 2**16)``
+long, and the splitmix64 mixes, the inverse-CDF sampler and the fair-tie
+masses work in place.  A fixed schedule forms its two draws one at a time,
+in one row of draw bits and one of scratch.  The tracking replay of a block
+of ``m`` replications forms its draws by chunk of ``R = min(T, 2**16 // m)``
+rounds: draws ``2t0 .. 2t0+2R-1`` of every stream in one ``(2R, m)`` pass,
+whose rows ``2(t-t0)`` and ``2(t-t0)+1`` round ``t`` then reads.  Since
+``R * m <= 2**16``, its two buffers (the draw bits, and the scratch that then
+holds the uniforms) take at most ``2 * 2**16`` words each, whatever ``n``
+and ``T``; the first block sizes them and every later, shorter block fits.
+A plain replication's error mass is 0, 1/2 or 1, so each block adds its
+wins plus half its ties exactly, and the running total equals numpy's
+pairwise sum over all replications: plain estimates do not depend on the
+block size.
 The tilted estimator reads each replication's log weight from two
 per-count tables, one entry per success count of each arm, and keeps three
 numbers per block: the sum of its weighted values, the sum of their
@@ -114,21 +122,19 @@ def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray
     return _mix64_np(out, tmp)
 
 
-def _draw_bits(states: np.ndarray, draw_index: int, scratch: np.ndarray) -> np.ndarray:
-    """Draw ``draw_index`` of every stream as its top 53 bits ``b`` (an int64 view of
-    ``scratch[0]``); the uniform is ``b * 2**-53``.  ``scratch`` is uint64 of shape
-    ``(2, states.size)``; row 1 is free again on return."""
-    bits, tmp = scratch
-    np.add(states, np.uint64(((draw_index + 1) * _GAMMA) & _MASK64), out=bits)
+def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Draws ``first .. first+k-1`` of every stream, row ``j`` of ``bits`` holding draw
+    ``first + j`` as its top 53 bits ``b``; returns the int64 view of ``bits``.  The
+    uniform is ``b * 2**-53``.  ``bits`` and ``tmp`` are uint64 of shape
+    ``(k, states.size)``; ``tmp`` is scratch, free again on return."""
+    # the step offsets (k+1) * GAMMA mod 2**64, as a uint64 array product: arrays
+    # wrap silently, where a numpy-scalar product would warn on the overflow
+    steps = np.arange(first + 1, first + len(bits) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    np.add(states, steps[:, None], out=bits)
     _mix64_np(bits, tmp)
     bits >>= np.uint64(11)
     return bits.view(np.int64)
-
-
-def _uniforms(states: np.ndarray, draw_index: int, scratch: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-    """Draw ``draw_index`` of every stream, as uniforms in [0, 1) written to ``out``."""
-    return np.multiply(_draw_bits(states, draw_index, scratch), _U53, out=out)
 
 
 def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -202,10 +208,11 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
 
     A fixed schedule's ``n1`` is its int arm-1 count: draw 0 of a stream gives
     ``s1``, draw 1 gives ``s2``.  Plug-in tracking advances a block's replications
-    together, one round at a time, and ``n1`` is an int64 array.  Every buffer is
-    allocated once, ``min(n, _BLOCK)`` long, and each block runs in place.  The
-    yielded arrays are views of those buffers: the caller may overwrite them, and
-    the next block does.
+    together, one round at a time, and ``n1`` is an int64 array; the draws of a
+    chunk of rounds are formed in one pass (see the module docstring).  Every
+    buffer is allocated once and each block runs in place.  The yielded arrays
+    are views of those buffers: the caller may overwrite them, and the next
+    block does.
     """
     fixed = policy.deterministic_schedule
     if fixed:
@@ -213,35 +220,49 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
         lf = _log_factorials(max(n1, T - n1))
         sample1 = _inverse_cdf_sampler(_binom_cdf(lf, n1, p1))
         sample2 = _inverse_cdf_sampler(_binom_cdf(lf, T - n1, p2))
+
+    def draw_rows(m: int) -> int:
+        """Draws formed in one pass over a block of ``m``: one for a fixed schedule,
+        ``2R`` for a chunk of ``R = min(T, _BLOCK // m)`` rounds of the replay."""
+        return 1 if fixed else 2 * min(T, _BLOCK // m)
+
     size = min(n, _BLOCK)
     reps, states = np.arange(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    scratch = np.empty((2, size), dtype=np.uint64)
+    # the draw bits and their scratch; R * m <= _BLOCK, so the first block's
+    # buffers hold the chunk of every later, shorter block
+    buffers = np.empty((2, draw_rows(size) * size), dtype=np.uint64)
     flags = np.empty(size, dtype=bool)
     counts = np.empty((2 if fixed else 3, size), dtype=np.int64)  # (s1, s2) or (n1, s1, s2)
     for start in range(0, n, size):
-        if n - start < size:  # the last block is shorter
-            m = n - start
-            reps, states, scratch, flags, counts = (
-                reps[:m], states[:m], scratch[:, :m], flags[:m], counts[:, :m])
-        _stream_states(seed, reps, states, scratch[1])
-        # scratch row 1 is free once a draw's bits are formed: the sampler's
-        # bucket indices, or the replay's uniforms
+        m = min(size, n - start)
+        if m < size:  # the last block is shorter
+            reps, states, flags, counts = reps[:m], states[:m], flags[:m], counts[:, :m]
+        rows = draw_rows(m)
+        bits, tmp = (buffer[:rows * m].reshape(rows, m) for buffer in buffers)
+        _stream_states(seed, reps, states, tmp[0])
+        # tmp is free once a pass's bits are formed: the sampler's bucket
+        # indices, or the replay's uniforms
         if fixed:
             s1, s2 = counts
-            bucket = scratch[1].view(np.int64)
-            sample1(_draw_bits(states, 0, scratch), s1, bucket, flags)
-            sample2(_draw_bits(states, 1, scratch), s2, bucket, flags)
+            bucket = tmp[0].view(np.int64)
+            sample1(_draw_bits(states, 0, bits, tmp)[0], s1, bucket, flags)
+            sample2(_draw_bits(states, 1, bits, tmp)[0], s2, bucket, flags)
         else:
             counts.fill(0)
             n1, s1, s2 = counts
-            u = scratch[1].view(np.float64)
-            for t in range(T):
-                action = plugin_actions(t, n1, s1, s2, policy.force_rate)
-                pull1 = np.less(_uniforms(states, 2 * t, scratch, u), action, out=flags)
-                success = _uniforms(states, 2 * t + 1, scratch, u) < np.where(pull1, p1, p2)
-                n1 += pull1
-                s1 += pull1 & success
-                s2 += ~pull1 & success
+            rounds = rows // 2
+            for t0 in range(0, T, rounds):
+                r = min(rounds, T - t0)
+                u = tmp[:2 * r].view(np.float64)
+                np.multiply(_draw_bits(states, 2 * t0, bits[:2 * r], tmp[:2 * r]), _U53, out=u)
+                # round t reads draw 2t for the action and draw 2t+1 for the reward
+                for t, (u_action, u_reward) in enumerate(u.reshape(r, 2, m), t0):
+                    action = plugin_actions(t, n1, s1, s2, policy.force_rate)
+                    pull1 = np.less(u_action, action, out=flags)
+                    success = u_reward < np.where(pull1, p1, p2)
+                    n1 += pull1
+                    s1 += pull1 & success
+                    s2 += ~pull1 & success
         yield n1, s1, s2
         reps += np.uint64(size)
 

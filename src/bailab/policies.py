@@ -112,11 +112,16 @@ class PolicySpec:
 
 
 def check_budget(T: int) -> int:
-    """The budget as an int; it must be an integer of at least 2."""
+    """The budget as an int; it must be an integer of at least 2 and at most
+    ``2**53``, the horizon of :func:`covering_budget`, past which budgets stop
+    being exact in floating point."""
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise ArgumentError(f"budget must be an integer, got {T!r}")
     if T < 2:
         raise ArgumentError(f"budget must be at least 2, got {T}")
+    if T > 2**53:
+        raise ArgumentError(f"budget must be at most 2**53, past which budgets stop being "
+                            f"exact in floating point, got {T}")
     return int(T)
 
 
@@ -155,8 +160,9 @@ def plugin_action_prob(t: int, n1: int, s1: int, s2: int, force_rate: float) -> 
 
 
 def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
-    """Probability that the tracking rule pulls arm 1, over broadcastable
-    integer count arrays of round ``t``.
+    """Probability that the tracking rule pulls arm 1 in round ``t``, over
+    integer count arrays: ``n1`` has the result's shape, and ``s1`` and ``s2``
+    broadcast against it.
 
     Rounds 0 and 1 return the float 1.0 or 0.0: each arm is pulled once.
     Afterwards the arm with fewer pulls (arm 1 on equal counts) is forced
@@ -175,12 +181,11 @@ def plugin_actions(t: int, n1, s1, s2, force_rate: float) -> np.ndarray | float:
     hi = 1.0 - lo
     m1 = np.minimum(np.maximum(s1 / n1, lo), hi)
     m2 = np.minimum(np.maximum(s2 / n2, lo), hi)
-    m1, m2 = np.broadcast_arrays(m1, m2)
-    # A full array exponent: numpy takes a float or broadcast exponent 0.5 as
-    # sqrt and numpy scalars to the C library's pow; both can differ from the
-    # array power in the last bit and flip a slope that is 0 up to rounding.
-    y = np.full(m1.shape, n2 / t)
-    track_arm1 = np.where(m1 == m2, n1 < n2, exp_neg_g_slope(m1, m2, y) >= 0.0)
+    # The exponent y = n2/t is a full array, since n1 is: numpy takes a float or
+    # broadcast exponent 0.5 as sqrt and numpy scalars to the C library's pow;
+    # both can differ from the array power in the last bit and flip a slope
+    # that is 0 up to rounding.
+    track_arm1 = np.where(m1 == m2, n1 < n2, exp_neg_g_slope(m1, m2, n2 / t) >= 0.0)
     forced_arm1 = n1 <= n2
     return force_rate * forced_arm1 + (1.0 - force_rate) * track_arm1
 
@@ -193,7 +198,8 @@ def plugin_action_grid(
     The exact engine calls :func:`plugin_actions` once per group of slices on
     flat counts; this per-slice form serves the tests' reference DP and
     benchmark tracing, which counts its calls by grid size."""
-    return plugin_actions(t, n1, np.arange(n_s1)[:, None], np.arange(n_s2)[None, :], force_rate)
+    return plugin_actions(t, np.full((n_s1, n_s2), n1), np.arange(n_s1)[:, None],
+                          np.arange(n_s2)[None, :], force_rate)
 
 
 def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:

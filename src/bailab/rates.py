@@ -59,15 +59,23 @@ def _check_allocation(x: float) -> float:
     return x
 
 
-def _check_mean(m: float, name: str) -> float:
-    """``m`` if it lies strictly inside (0, 1) and is not subnormal: a mean below
-    the smallest normal double overflows the ratio of means in
-    :func:`exp_neg_g_slope`."""
-    if math.isnan(m) or not 0.0 < m < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {m!r}")
+def _mean_rule(m) -> str | None:
+    """The rule that the mean ``m``, a real number (an int of any length
+    included), breaks, or None.  A mean lies strictly inside (0, 1) and is not
+    subnormal: a mean below the smallest normal double overflows the ratio of
+    means in :func:`exp_neg_g_slope`."""
+    if not 0.0 < m < 1.0:  # NaN fails both comparisons
+        return "must lie strictly inside (0, 1)"
     if m < sys.float_info.min:
-        raise DomainError(f"{name} must be at least the smallest normal double "
-                          f"{sys.float_info.min!r}, got {m!r}")
+        return f"must be at least the smallest normal double {sys.float_info.min!r}"
+    return None
+
+
+def _check_mean(m: float, name: str) -> float:
+    """``m`` if it breaks no rule of :func:`_mean_rule`; else DomainError naming it ``name``."""
+    rule = _mean_rule(m)
+    if rule is not None:
+        raise DomainError(f"{name} {rule}, got {m!r}")
     return m
 
 
@@ -214,8 +222,9 @@ def exp_neg_g_slope(m1, m2, y):
     float or broadcast exponent of 0.5 as ``sqrt``, which can differ from
     the array power in the last bit.
     """
-    slope = (1.0 - m1) ** (1.0 - y) * (1.0 - m2) ** y * np.log((1.0 - m2) / (1.0 - m1))
-    return slope + m1 ** (1.0 - y) * m2 ** y * np.log(m2 / m1)
+    tail1, tail2, y1 = 1.0 - m1, 1.0 - m2, 1.0 - y
+    slope = tail1 ** y1 * tail2 ** y * np.log(tail2 / tail1)
+    return slope + m1 ** y1 * m2 ** y * np.log(m2 / m1)
 
 
 def x_star_grid(mu1, mu2) -> np.ndarray:

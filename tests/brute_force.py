@@ -231,9 +231,11 @@ def stream_draw(seed: int, rep: int, k: int) -> float:
     return (out >> 11) * 2.0**-53
 
 
-def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, rep: int) -> float:
-    """Arm-2 decision mass of one Monte Carlo replication; round ``t`` reads
-    draw ``2t`` for the action and draw ``2t+1`` for the reward."""
+def replay_counts(policy: PolicySpec, inst: BanditInstance, T: int, seed: int,
+                  rep: int) -> tuple[int, int, int]:
+    """Terminal counts ``(n1, s1, s2)`` of one Monte Carlo replication, replayed
+    one round at a time: round ``t`` reads draw ``2t`` for the action and draw
+    ``2t+1`` for the reward."""
     n1 = s1 = s2 = 0
     for t in range(T):
         p1 = state_action(policy, t, n1, s1, s2)
@@ -243,6 +245,12 @@ def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, re
             s1 += reward < inst.mu1
         else:
             s2 += reward < inst.mu2
+    return n1, s1, s2
+
+
+def replay_pick2(policy: PolicySpec, inst: BanditInstance, T: int, seed: int, rep: int) -> float:
+    """Arm-2 decision mass of one Monte Carlo replication (:func:`replay_counts`)."""
+    n1, s1, s2 = replay_counts(policy, inst, T, seed, rep)
     return rational_pick2(s1, n1, s2, T - n1)
 
 

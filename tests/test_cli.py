@@ -296,6 +296,50 @@ def test_sweep_config_quotes_the_value_it_refuses_as_json(capsys, tmp_path, conf
     assert message in err
 
 
+@pytest.mark.parametrize("mean, written", [
+    (1, "1"), (10**400, str(10**400)), ("1e400", "1e400"), ("-2.50E+3", "-2.50E+3"),
+    ("NaN", "NaN"), ("1e-400", "1e-400"),
+], ids=["integer_one", "integer_of_401_digits", "float_past_range", "exponent_as_written",
+        "nan", "float_below_range"])
+def test_sweep_config_quotes_a_mean_out_of_range_as_written(capsys, tmp_path, mean, written):
+    # the file holds the number's own text: json.dumps would write 1e400 as Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [[0.7, 0.3], [%s, 0.3]], "policies": ["uniform"], '
+                   '"budgets": [10]}' % mean)
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.endswith(f"instances[1][0] must lie strictly inside (0, 1), got {written}\n")
+
+
+@pytest.mark.parametrize("T", [2**53 + 1, 10**400], ids=["past_2_53", "401_digits"])
+@pytest.mark.parametrize("command", [
+    ["exact", "--policy", "uniform"], ["exact", "--policy", "plugin:0.5"],
+    ["mc", "--n", "10", "--policy", "uniform"],
+    ["mc", "--n", "10", "--policy", "uniform", "--tilted"], ["scan", "--policy", "uniform"],
+], ids=["exact", "exact_plugin", "mc", "mc_tilted", "scan"])
+def test_budget_past_2_53_is_refused_naming_the_cap(capsys, command, T):
+    code, out, err = run_cli(capsys, *command, "--mu", "0.7,0.3", "--T", str(T))
+    assert code == 2 and out == ""
+    assert (f"budget must be at most 2**53, past which budgets stop being exact in "
+            f"floating point, got {T}") in err
+
+
+def test_budget_range_past_2_53_is_refused_naming_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--policy", "uniform", "--mu", "0.7,0.3", "--T", f"2:{10**400}"])
+    assert exc.value.code == 2
+    assert "STOP must be at most 2**53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", [2**53 + 1, 10**400], ids=["past_2_53", "401_digits"])
+def test_sweep_config_budget_past_2_53_is_refused_naming_the_cap(capsys, tmp_path, T):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "budgets": [40, T]}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"'budgets' entry 1 must be at most 2**53, got {T}" in err
+
+
 @pytest.mark.parametrize("command", ["exact", "mc"])
 def test_sweep_config_refuses_an_unknown_key(capsys, tmp_path, monkeypatch, command):
     # misspelt "seed" and "output_path" would otherwise run at seed 0 to stdout

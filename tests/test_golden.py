@@ -76,6 +76,10 @@ COMMANDS = [
     # oracle schedule evaluated on such an instance
     "demo --mu0 0.3,0.8 --grid 0.05",
     "exact --policy oracle:0.3,0.8 --mu 0.35,0.75 --T 500",
+    # plug-in replays whose draws take more than one chunk of rounds: 100
+    # replications in chunks of 655 rounds, and 3,000 in chunks of 21, 21 and 8
+    "mc --policy plugin:0.3 --mu 0.6,0.45 --T 700 --n 100 --seed 6",
+    "mc --policy plugin:1 --mu 0.35,0.5 --T 50 --n 3000 --seed 7",
 ]
 
 

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from brute_force import (blocked_moments, replay_pick2, static_mc_reference, static_mc_values,
-                         static_successes, stream_draw, stream_uniforms)
+from brute_force import (blocked_moments, replay_counts, replay_pick2, static_mc_reference,
+                         static_mc_values, static_successes, stream_draw, stream_uniforms)
 
+from bailab import mc
 from bailab.errors import ArgumentError, DomainError
 from bailab.exact import _log_factorials, exact_summary, static_counts, static_error_exact
 from bailab.mc import (
     Estimate,
     _binom_cdf,
     _count_blocks,
+    _draw_bits,
     _inverse_cdf_sampler,
     _mix64,
     _stream_states,
-    _uniforms,
     simulate_plain,
     simulate_tilted_static,
 )
@@ -31,9 +32,9 @@ INST = BanditInstance(0.7, 0.3)
 
 def batch_uniforms(seed: int, reps: np.ndarray, k: int) -> np.ndarray:
     """Draw ``k`` of the streams ``reps`` through the library's in-place kernels."""
-    scratch = np.empty((2, reps.size), dtype=np.uint64)
-    states = _stream_states(seed, reps, np.empty_like(reps), scratch[1])
-    return _uniforms(states, k, scratch, np.empty(reps.size))
+    bits, tmp = np.empty((2, 1, reps.size), dtype=np.uint64)
+    states = _stream_states(seed, reps, np.empty_like(reps), tmp[0])
+    return _draw_bits(states, k, bits, tmp)[0] * 2.0**-53
 
 
 class TestStreams:
@@ -259,6 +260,36 @@ class TestSimulatePlain:
         ((n1, s1, s2),) = _count_blocks(policy, T, 21, 64, inst.mu1, inst.mu2)
         masses = pick2_mass(s1, n1, s2, T - n1)
         assert masses.tolist() == [replay_pick2(policy, inst, T, 21, i) for i in range(64)]
+
+    # a block of m replications forms the draws of R = min(T, 2**16 // m) rounds
+    # in one pass, as (first draw, rows, m)
+    @pytest.mark.parametrize("n, T, passes, reps", [
+        # R = 655 < T: two chunks, the second of 45 rounds
+        (100, 700, [(0, 1310, 100), (1310, 90, 100)], [0, 1, 50, 98, 99]),
+        # R = 21: chunks of 21, 21 and 8 rounds
+        (3000, 50, [(0, 42, 3000), (42, 42, 3000), (84, 16, 3000)], [0, 1, 1499, 2998, 2999]),
+        # R = 1 for the first block; the last block has m = 1 and R = T
+        (BLOCK + 1, 5, [(2 * t, 2, BLOCK) for t in range(5)] + [(0, 10, 1)],
+         [0, 1, BLOCK - 1, BLOCK]),
+    ], ids=["two_chunks", "short_last_chunk", "last_block_of_one"])
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    def test_chunked_replay_counts_equal_the_per_round_reference(self, monkeypatch, rate, n, T,
+                                                                 passes, reps):
+        policy, inst = PolicySpec.plugin_tracking(rate), BanditInstance(0.6, 0.45)
+        seen, draw_bits = [], mc._draw_bits
+
+        def spy(states, first, bits, tmp):
+            seen.append((first, *bits.shape))
+            return draw_bits(states, first, bits, tmp)
+
+        monkeypatch.setattr(mc, "_draw_bits", spy)
+        blocks = [[c.copy() for c in block]
+                  for block in _count_blocks(policy, T, 17, n, inst.mu1, inst.mu2)]
+        assert seen == passes
+        n1, s1, s2 = (np.concatenate(c) for c in zip(*blocks))
+        assert n1.size == n
+        for i in reps:
+            assert (n1[i], s1[i], s2[i]) == replay_counts(policy, inst, T, 17, i), i
 
     def test_degenerate_instance_rejected(self):
         with pytest.raises(DomainError):

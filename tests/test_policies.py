@@ -172,8 +172,8 @@ class TestPluginTracking:
 
     @pytest.mark.parametrize("fr", [0.0, 0.35])
     def test_kernel_matches_the_textbook_rule_on_every_state(self, fr):
-        # flat count arrays, as Monte Carlo passes them, and the (s1, s2)
-        # grids of the exact engine's slices, whose exponent is a broadcast
+        # flat count arrays, as Monte Carlo and the exact engine pass them, and
+        # the (s1, s2) grids of single slices, whose counts broadcast against n1
         for t in range(2, 61):
             n1, s1, s2 = (np.array(column) for column in zip(*[
                 (n1, s1, s2)
@@ -242,9 +242,12 @@ class TestCheckBudget:
     def test_accepts_integers_from_two(self):
         assert check_budget(2) == 2
         assert type(check_budget(np.int64(7))) is int
+        assert check_budget(2**53) == 2**53
 
     @pytest.mark.parametrize("T,message", [
         (1, "at least 2"), (-3, "at least 2"), (2.0, "an integer"), (True, "an integer"),
+        (2**53 + 1, r"at most 2\*\*53"), (10**400, r"at most 2\*\*53"),
+        (np.uint64(2**64 - 1), r"at most 2\*\*53"),
     ])
     def test_rejections_name_the_rule(self, T, message):
         with pytest.raises(ArgumentError, match=message):
