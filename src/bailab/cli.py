@@ -10,12 +10,20 @@ Exit codes: 0 success, 1 verification failure or any other library error
 "error: ..."), 2 usage, 3 domain, 4 capacity, 5 search resolution.  All
 output is deterministic given the flags; floats are written with 17
 significant digits so files round-trip losslessly.
+
+``main(argv)`` reads ``sys.argv[1:]`` when ``argv`` is None.  When the first
+argument names a command, it parses with a parser that holds that command's
+subparser only; anything else (``--help``, ``--version``, no arguments, an
+unknown command, a leading ``--``) goes to the parser of every command, which
+prints the same help and errors.  Each of these trees is built on first use
+and kept for the life of the process, and none at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -26,8 +34,8 @@ import numpy as np
 from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
-from .exact import (MAX_STATES_ENV, _max_states, exact_summary, inv_g_half, rate_ratio_scan,
-                    static_counts, static_error_log)
+from .exact import (MAX_STATES_ENV, _check_states, _max_states, exact_summary, inv_g_half,
+                    rate_ratio_scan, static_counts, static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, check_budget, parse_policy
 from .rates import BanditInstance, _mean_rule, g_closed, g_closed_grid, rate_profile, x_star
@@ -92,7 +100,9 @@ def _mu_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
-def _budget_list(text: str) -> list[int]:
+def _budget_list(text: str) -> list[int] | range:
+    """The budgets of ``--T``: a comma-separated list, or ``START:STOP[:STEP]``
+    as a lazy range, whose length a command checks before it evaluates one."""
     try:
         if ":" in text:
             parts = [int(v) for v in text.split(":")]
@@ -104,9 +114,9 @@ def _budget_list(text: str) -> list[int]:
                 raise ValueError("expected START:STOP[:STEP]")
             if step < 1 or stop < start:
                 raise ValueError("need STOP >= START and STEP >= 1")
-            if stop > 2**53:  # the largest budget; a longer range does not fit a list
+            if stop > 2**53:  # the largest budget
                 raise ValueError("STOP must be at most 2**53")
-            return list(range(start, stop + 1, step))
+            return range(start, stop + 1, step)
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed budget list {text!r}: {exc}") from None
@@ -130,7 +140,7 @@ def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
 class SweepConfig:
     instances: list[BanditInstance]
     policies: list[PolicySpec]
-    budgets: list[int]
+    budgets: list[int] | range
     output_path: str | None  # None writes to stdout
     seed: int
 
@@ -241,6 +251,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _check_budget_count(budgets: list[int] | range) -> None:
+    """Refuse more budgets than the state limit, before any is evaluated."""
+    _check_states(len(budgets), _max_states(), f"the budget list holds {len(budgets)} budgets")
+
+
 def _exact_row(policy: PolicySpec, inst: BanditInstance, T: int) -> list:
     summary = exact_summary(policy, inst, T)
     return [policy.description, inst.mu1, inst.mu2, T, summary.p_error,
@@ -264,6 +279,7 @@ def _run_sweep(args, header: list[str], row) -> int:
         policy = parse_policy(args.policy)
         config = SweepConfig([BanditInstance(*args.mu)], [policy], args.T, args.out,
                              getattr(args, "seed", None) or 0)
+    _check_budget_count(config.budgets)
     rows = [
         row(policy, inst, T, config.seed)
         for policy in config.policies
@@ -294,6 +310,7 @@ def cmd_mc(args) -> int:
 def cmd_scan(args) -> int:
     policy = parse_policy(args.policy)
     inst = BanditInstance(*args.mu)
+    _check_budget_count(args.T)
     scan = rate_ratio_scan(policy, inst, args.T)
     rows = [[p.T, p.p_error, p.ratio, scan.inv_g_half] for p in scan.points]
     _write_rows(args.out, SCAN_HEADER, rows)
@@ -408,35 +425,26 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bailab",
-        description="Numerical laboratory for fixed-budget best-arm "
-                    "identification in two-armed Bernoulli bandits.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", help="rate profile of an instance")
+def _rates_arguments(p) -> None:
     p.add_argument("--mu", type=_mu_pair, required=True, metavar="MU1,MU2")
     p.add_argument("--x", type=float, default=None)
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("verify", help="run randomized property suites")
+
+def _verify_arguments(p) -> None:
     p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("exact", help="exact evaluation (CSV)")
+
+def _exact_arguments(p) -> None:
     p.add_argument("--policy")
     p.add_argument("--mu", type=_mu_pair, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, metavar="T|START:STOP[:STEP]")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON sweep config")
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimation (CSV)")
+
+def _mc_arguments(p) -> None:
     p.add_argument("--policy")
     p.add_argument("--mu", type=_mu_pair, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, metavar="T|START:STOP[:STEP]")
@@ -445,35 +453,68 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tilted", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON sweep config")
-    p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("scan", help="error-rate scan over budgets (CSV)")
+
+def _scan_arguments(p) -> None:
     p.add_argument("--policy", required=True)
     p.add_argument("--mu", type=_mu_pair, required=True, metavar="MU1,MU2")
     p.add_argument("--T", type=_budget_list, required=True,
                    metavar="START:STOP[:STEP]")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("construct", help="build a certified beating instance (JSON)")
+
+def _construct_arguments(p) -> None:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("demo", help="no-free-lunch demonstration for a tuned policy")
+
+def _demo_arguments(p) -> None:
     p.add_argument("--mu0", type=_mu_pair, required=True, metavar="MU1,MU2")
     p.add_argument("--grid", type=float, default=0.05)
     p.add_argument("--min-gap", dest="min_gap", type=float, default=1e-3)
     p.add_argument("--T", type=int, default=2000)
-    p.set_defaults(func=cmd_demo)
 
+
+# each command's help, handler and arguments, in the order the usage lists them
+_COMMANDS = {
+    "rates": ("rate profile of an instance", cmd_rates, _rates_arguments),
+    "verify": ("run randomized property suites", cmd_verify, _verify_arguments),
+    "exact": ("exact evaluation (CSV)", cmd_exact, _exact_arguments),
+    "mc": ("Monte Carlo estimation (CSV)", cmd_mc, _mc_arguments),
+    "scan": ("error-rate scan over budgets (CSV)", cmd_scan, _scan_arguments),
+    "construct": ("build a certified beating instance (JSON)", cmd_construct,
+                  _construct_arguments),
+    "demo": ("no-free-lunch demonstration for a tuned policy", cmd_demo, _demo_arguments),
+}
+
+
+@functools.cache
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` only, or of every command
+    when it is None; built once per process for each."""
+    parser = argparse.ArgumentParser(
+        prog="bailab",
+        description="Numerical laboratory for fixed-budget best-arm "
+                    "identification in two-armed Bernoulli bandits.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # a one-command tree names every command in the top-level usage, which
+    # argparse prints for arguments the subparser leaves over
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, func, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ArgumentError as exc:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .exact import _binom_logpmf, _log_factorials, static_counts
+from .exact import _binom_logpmf, _check_states, _log_factorials, _max_states, static_counts
 # plugin_action_prob is unused here; it stays a module attribute for benchmark tracing
 from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_prob,  # noqa: F401
                        plugin_actions)
@@ -290,9 +290,14 @@ def simulate_plain(
     standard error is the binomial ``sqrt(p(1-p)/n)``.  Fixed schedules and
     plug-in tracking read their terminal counts from the same block source
     at the instance's means; only each block's total mass is kept, so
-    memory does not grow with ``n``.
+    memory does not grow with ``n``.  The tracking replay runs ``T`` rounds
+    per block, so a ``T`` over the state limit raises ``CapacityError``
+    before any draw, as the DP does; fixed schedules have the log path's
+    bound, their binomial tables.
     """
     T, n, seed = _check_args(inst, T, n, seed)
+    if not policy.deterministic_schedule:
+        _check_states(T, _max_states(), f"tracking replay needs T={T} rounds")
     # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
     # partial sum below 2**53 is exact, and the total divided by n is np.mean over
     # all replications, bit for bit

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import bailab
-from bailab import verification
+from bailab import cli, verification
 from bailab.cli import main
 from bailab.exact import exact_summary
 from bailab.policies import PolicySpec, parse_policy
@@ -329,6 +331,60 @@ def test_budget_range_past_2_53_is_refused_naming_the_cap(capsys):
         main(["scan", "--policy", "uniform", "--mu", "0.7,0.3", "--T", f"2:{10**400}"])
     assert exc.value.code == 2
     assert "STOP must be at most 2**53" in capsys.readouterr().err
+
+
+def no_evaluation(*args):
+    raise AssertionError("the budget count is checked before any evaluation")
+
+
+BUDGET_COMMANDS = [
+    ["exact", "--policy", "uniform"], ["mc", "--n", "10", "--policy", "uniform"],
+    ["mc", "--n", "10", "--policy", "uniform", "--tilted"], ["scan", "--policy", "uniform"],
+]
+BUDGET_COMMAND_IDS = ["exact", "mc", "mc_tilted", "scan"]
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=BUDGET_COMMAND_IDS)
+def test_budget_range_over_the_state_limit_exits_capacity(capsys, monkeypatch, command):
+    for name in ("exact_summary", "simulate_plain", "simulate_tilted_static", "rate_ratio_scan"):
+        monkeypatch.setattr(f"bailab.cli.{name}", no_evaluation)
+    code, out, err = run_cli(capsys, *command, "--mu", "0.7,0.3", "--T", f"2:{2**53}")
+    assert code == 4 and out == ""
+    assert err == (f"capacity error: the budget list holds {2**53 - 1} budgets, over the limit "
+                   f"of 600000; set BAI_MAX_STATES to raise it\n")
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=BUDGET_COMMAND_IDS)
+def test_budget_count_at_the_state_limit_runs(capsys, monkeypatch, command):
+    # 50 budgets; the largest, T = 59, needs binomial tables of 31 entries
+    monkeypatch.setenv("BAI_MAX_STATES", "50")
+    code, out, _ = run_cli(capsys, *command, "--mu", "0.7,0.3", "--T", "10:59")
+    assert code == 0 and len(out.splitlines()) == 51
+    code, out, err = run_cli(capsys, *command, "--mu", "0.7,0.3", "--T", "10:60")
+    assert code == 4 and out == ""
+    assert "the budget list holds 51 budgets, over the limit of 50" in err
+
+
+def test_sweep_config_budgets_over_the_state_limit_exit_capacity(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BAI_MAX_STATES", "50")
+    monkeypatch.setattr("bailab.cli.exact_summary", no_evaluation)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "budgets": list(range(10, 61))}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 4 and out == ""
+    assert "the budget list holds 51 budgets, over the limit of 50" in err
+
+
+def test_plugin_mc_budget_over_the_state_limit_exits_capacity_at_once(capsys, monkeypatch):
+    # the replay would run 2**53 rounds; it is refused before any draw
+    monkeypatch.setattr("bailab.mc._count_blocks", no_evaluation)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mc", "--policy", "plugin:0.5", "--mu", "0.7,0.3",
+                             "--T", str(2**53), "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err == (f"capacity error: tracking replay needs T={2**53} rounds, over the limit of "
+                   f"600000; set BAI_MAX_STATES to raise it\n")
 
 
 @pytest.mark.parametrize("T", [2**53 + 1, 10**400], ids=["past_2_53", "401_digits"])
@@ -656,6 +712,61 @@ IMPORT_PATH_COMMANDS = [
      "--seed", "1", "--tilted"],
     ["demo", "--mu0", "0.9,0.5", "--grid", "0.1"],
 ]
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The prog of every ``argparse.ArgumentParser`` built from here on, with
+    the CLI's cached parsers dropped first."""
+    builds, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.prog)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return builds
+
+
+class TestParserBuilds:
+    def run_and_count(self, parser_builds, argv) -> int:
+        before = len(parser_builds)
+        try:
+            main(argv)
+        except SystemExit:  # --version
+            pass
+        return len(parser_builds) - before
+
+    @pytest.mark.parametrize("argv, first_builds", [
+        (["rates", "--mu", "0.9,0.5"], ["bailab", "bailab rates"]),
+        (["--version"], ["bailab", *(f"bailab {c}" for c in
+                                     ("rates", "verify", "exact", "mc", "scan", "construct",
+                                      "demo"))]),
+    ], ids=["one_command", "every_command"])
+    def test_each_tree_is_built_once(self, capsys, parser_builds, argv, first_builds):
+        counts = [self.run_and_count(parser_builds, argv) for _ in range(3)]
+        assert counts == [len(first_builds), 0, 0]
+        assert parser_builds == first_builds
+
+    def test_console_script_dispatches_on_sys_argv(self, capsys, monkeypatch, parser_builds):
+        monkeypatch.setattr(sys, "argv", ["bailab", "rates", "--mu", "0.9,0.5"])
+        code = main()
+        out = capsys.readouterr().out
+        assert parser_builds == ["bailab", "bailab rates"]
+        assert (code, out) == run_cli(capsys, "rates", "--mu", "0.9,0.5")[:2]
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ)
+        src = str(Path(bailab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import bailab.cli; print(bailab.cli._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
 
 IMPORT_PATH_SCRIPT = """
 import contextlib, io, json, sys

@@ -1,27 +1,31 @@
-"""Golden outputs: the stdout of fixed CLI commands, pinned by SHA-256.
+"""Golden outputs: the stdout of fixed CLI commands, pinned by SHA-256, and
+the argparse surface (help, version and usage errors) pinned as text.
 
 A refactor that must not change numbers keeps every digest.  A change
-that moves numbers on purpose re-records the file and says which
+that moves numbers on purpose re-records the files and says which
 commands changed and why:
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-Re-recording prints each command whose exit code or digest moved (a command
-new to the file counts as moved), one a line, and nothing else.
+Re-recording prints each command whose recorded result moved (a command
+new to a file counts as moved), one a line, and nothing else.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from bailab.cli import main
 
 GOLDEN_PATH = Path(__file__).with_name("golden_stdout.json")
+ARGPARSE_PATH = Path(__file__).with_name("golden_argparse.json")
 
 COMMANDS = [
     "rates --mu 0.9,0.5",
@@ -83,6 +87,24 @@ COMMANDS = [
 ]
 
 
+# argv whose handling argparse decides: help, version, missing and unknown
+# commands, and errors that a subcommand's parser or the top-level one reports
+ARGPARSE_COMMANDS = [
+    "--help",
+    "--version",
+    "",
+    "bogus",
+    "-- exact",
+    *(f"{command} --help" for command in
+      ("rates", "verify", "exact", "mc", "scan", "construct", "demo")),
+    "exact --bogus 1",
+    "exact --version",
+    "mc --policy uniform --mu 0.7,0.3 --T 10",
+    "rates --mu 0.7;0.3",
+    "verify bogus",
+]
+
+
 def run_command(command: str) -> dict:
     """Exit code and stdout digest of one in-process CLI run."""
     out = io.StringIO()
@@ -91,18 +113,39 @@ def run_command(command: str) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def run_argparse(command: str) -> dict:
+    """Exit status, stdout and stderr of one in-process CLI run, at a fixed
+    terminal width, with argparse's ``SystemExit`` read as the exit status."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_matches_golden(command):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert run_command(command) == golden[command]
 
 
+@pytest.mark.parametrize("command", ARGPARSE_COMMANDS)
+def test_argparse_surface_matches_golden(command):
+    golden = json.loads(ARGPARSE_PATH.read_text())
+    assert run_argparse(command) == golden[command]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    before = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    record = {command: run_command(command) for command in COMMANDS}
-    GOLDEN_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    for command, result in record.items():
-        if before.get(command) != result:
-            print(command)
+    for path, commands, run in ((GOLDEN_PATH, COMMANDS, run_command),
+                                (ARGPARSE_PATH, ARGPARSE_COMMANDS, run_argparse)):
+        before = json.loads(path.read_text()) if path.exists() else {}
+        record = {command: run(command) for command in commands}
+        path.write_text(json.dumps(record, indent=2) + "\n")
+        for command, result in record.items():
+            if before.get(command) != result:
+                print(command)

@@ -11,7 +11,7 @@ from brute_force import (blocked_moments, replay_counts, replay_pick2, static_mc
                          static_mc_values, static_successes, stream_draw, stream_uniforms)
 
 from bailab import mc
-from bailab.errors import ArgumentError, DomainError
+from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import _log_factorials, exact_summary, static_counts, static_error_exact
 from bailab.mc import (
     Estimate,
@@ -290,6 +290,23 @@ class TestSimulatePlain:
         assert n1.size == n
         for i in reps:
             assert (n1[i], s1[i], s2[i]) == replay_counts(policy, inst, T, 17, i), i
+
+    def test_tracking_budget_over_the_state_limit_raises_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the budget is checked before any draw")
+
+        monkeypatch.setenv("BAI_MAX_STATES", "60")
+        policy = PolicySpec.plugin_tracking(0.5)
+        assert simulate_plain(policy, INST, 60, 10, 0).n_samples == 10
+        monkeypatch.setattr(mc, "_count_blocks", no_draw)
+        with pytest.raises(CapacityError, match=r"tracking replay needs T=61 rounds, over the "
+                                                r"limit of 60; set BAI_MAX_STATES to raise it"):
+            simulate_plain(policy, INST, 61, 10, 0)
+
+    def test_fixed_schedule_budget_is_bounded_by_its_tables_only(self, monkeypatch):
+        # a T over the limit whose binomial tables (51 entries each) fit under it
+        monkeypatch.setenv("BAI_MAX_STATES", "60")
+        assert simulate_plain(PolicySpec.uniform(), INST, 100, 10, 0).n_samples == 10
 
     def test_degenerate_instance_rejected(self):
         with pytest.raises(DomainError):
