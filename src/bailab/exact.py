@@ -6,12 +6,14 @@ budgets deep into the underflow range of plain probabilities.  Its
 binomial log-pmf has the bits of ``scipy.stats.binom.logpmf`` without
 importing scipy: it runs, in the same grouping, the Cephes routines
 (Moshier 1989) behind scipy's ``gammaln`` and ``xlog1py``, and takes each
-logarithm once.  Their logarithms are libm's, through ``math.log``, as
-Cephes' are; numpy's vectorised ``np.log`` differs from libm in the last bit
-on some integers, so it cannot replace them.  One list of budgets builds one
-table of log-factorials, as long as its longest budget's ``max(n1, n2) + 1``,
-that both arms of every budget read (the table is built elementwise, so a
-prefix of a long table has the bits of a short one).  Each budget takes
+logarithm once.  Their logarithms are libm's, as Cephes' are: a scalar's
+through ``math.log``, and a table's through ``rates._libm``, which runs
+``np.log`` on a reversed view, where numpy calls libm once per entry instead
+of its SIMD loop (that loop differs from libm in the last bit on some
+integers).  One list of budgets builds one table of log-factorials, as long
+as its longest budget's ``max(n1, n2) + 1``, that both arms of every budget
+read (the table is built elementwise, so a prefix of a long table has the
+bits of a short one).  Each budget takes
 ``log p`` and ``log1p(-p)`` once per arm, and adds the half-mass of a tie by
 ``logaddexp`` only in the cells that tie; the docstrings of
 :func:`_binom_logpmf` and :func:`_error_log_best1` say why each gives the
@@ -71,7 +73,7 @@ from .errors import ArgumentError, CapacityError, DomainError
 # plugin_action_grid is unused here; it stays a module attribute for benchmark tracing
 from .policies import (PolicySpec, arm2_count, check_budget, covering_budget,  # noqa: F401
                        pick2_mass, plugin_action_grid, plugin_actions)
-from .rates import BanditInstance, g_closed, kl_bernoulli
+from .rates import BanditInstance, _libm, g_closed, kl_bernoulli
 
 __all__ = [
     "ExactSummary",
@@ -400,12 +402,14 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     Below 13 Cephes takes the log of the product ``(x-1)!``, exact there.
     From 13 on it takes ``q = (x - 0.5)·log(x) - x + log(sqrt(2π))`` and adds
     ``polevl(1/x², A)/x`` below 1000, the three-term series in ``1/x²`` over
-    ``x`` up to 1e8, and nothing above.  Each log is libm's, via ``math.log``;
-    numpy's ``np.log`` would move the last bit of some entries.  The arithmetic
-    around the logs runs in numpy, in Cephes' order, one rounding per step.
+    ``x`` up to 1e8, and nothing above.  Each log is libm's, taken by
+    :func:`~bailab.rates._libm` in one ``np.log`` call on a reversed view of
+    ``x``: numpy's SIMD loop, which a forward view would take, moves the last
+    bit of some entries.  The arithmetic around the logs runs in numpy, in
+    Cephes' order, one rounding per step.
     """
     x = np.asarray(x, dtype=np.float64)
-    log_x = np.fromiter(map(math.log, x), np.float64, x.size)
+    log_x = _libm(np.log, x)
     q = (x - 0.5) * log_x - x + _LS2PI
     p = 1.0 / (x * x)
     series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
@@ -431,8 +435,9 @@ def _log1p(x: float) -> float:
 
 def _log_factorials(m: int) -> np.ndarray:
     """``log k!`` for k = 0 .. m, as :func:`_lgam` at k + 1, which keeps the bits
-    of ``scipy.special.gammaln(k + 1)``: its logs are libm's (``math.log``),
-    as Cephes' are, where ``np.log`` would move the last bit of some entries."""
+    of ``scipy.special.gammaln(k + 1)``: its logs are libm's, as Cephes' are,
+    through :func:`~bailab.rates._libm`'s reversed view, where ``np.log`` on
+    the forward table would move the last bit of some entries."""
     return _lgam(np.arange(1.0, m + 2.0))
 
 

@@ -79,6 +79,37 @@ def _check_mean(m: float, name: str) -> float:
     return m
 
 
+def _check_means(means) -> np.ndarray:
+    """``means`` as a 1-D float64 array if each breaks no rule of
+    :func:`_mean_rule`.  Else ArgumentError naming a shape that is not 1-D, or
+    DomainError naming the first bad mean as a Python float."""
+    m = np.asarray(means, dtype=np.float64)
+    if m.ndim != 1:
+        raise ArgumentError(f"means must be a 1-D list, got shape {m.shape}")
+    bad = ~((m >= sys.float_info.min) & (m < 1.0))  # _mean_rule's; NaN is bad
+    if bad.any():
+        _check_mean(float(m[bad.argmax()]), "means")
+    return m
+
+
+def _libm(ufunc, *arrays) -> np.ndarray:
+    """``ufunc`` (``np.log`` or ``np.power``) over equal-length 1-D float64
+    ``arrays``, with the bits of libm's ``log`` and ``pow`` (``math.log`` and
+    ``**``) in every entry.
+
+    numpy's SIMD loops for ``log`` and ``power`` differ from libm in the last
+    bit of some entries (34 of the integers 1 .. 600,001).  numpy 2.4.6 runs
+    those SIMD loops only on inputs that step forwards; on a reversed view it
+    runs its scalar loop, which calls libm once per entry.  So the ufunc takes
+    reversed views, and its result is reversed back.  The output must not be a
+    reversed view too, since numpy then flips all strides to forwards.  Pass an
+    exponent as a full array: a scalar exponent of 0.5 or 2.0 is taken as
+    ``sqrt`` or ``square``, reversed or not.  Tests pin the bits, and fail if a
+    later numpy vectorises backward-stepping inputs.
+    """
+    return ufunc(*(a[::-1] for a in arrays))[::-1]
+
+
 # Bisection steps of x*: halvings of [0, 1] to a bracket of width 2**-34,
 # below 1e-10.
 _X_STAR_STEPS = 34
@@ -182,23 +213,24 @@ def g_closed_grid(x: float, mu1s, mu2s) -> np.ndarray:
     """:func:`g_closed` at ``x`` on every pair of means from two 1-D lists.
 
     Entry ``[i, j]`` is ``g_closed(x, BanditInstance(mu1s[i], mu2s[j]))`` bit
-    for bit.  The two powers of each mean are Python float powers (C ``pow``,
-    as in :func:`g_closed`; numpy's power may round differently), the cells
-    are formed with :func:`g_closed`'s grouping, and each cell takes
-    ``math.log``, whose last bit numpy's ``log`` does not always match.
+    for bit.  The two powers of each mean are C ``pow``'s, as in
+    :func:`g_closed`, taken in one :func:`_libm` call; the cells are formed
+    with :func:`g_closed`'s grouping, and their logs are libm's, in a second
+    :func:`_libm` call over the raveled cells.  :func:`_libm` reverses its
+    inputs because numpy's SIMD ``power`` and ``log`` round some entries
+    differently.
     """
     x = _check_allocation(x)
-    mu1s = [_check_mean(float(m), "means") for m in mu1s]
-    mu2s = [_check_mean(float(m), "means") for m in mu2s]
+    mu1s, mu2s = _check_means(mu1s), _check_means(mu2s)
+    n1, n2 = mu1s.size, mu2s.size
     if x == 0.0 or x == 1.0:
-        return np.zeros((len(mu1s), len(mu2s)))
-    tail1 = np.array([(1.0 - m) ** (1.0 - x) for m in mu1s])
-    head1 = np.array([m ** (1.0 - x) for m in mu1s])
-    tail2 = np.array([(1.0 - m) ** x for m in mu2s])
-    head2 = np.array([m ** x for m in mu2s])
+        return np.zeros((n1, n2))
+    bases = np.concatenate([1.0 - mu1s, mu1s, 1.0 - mu2s, mu2s])
+    exponents = np.concatenate([np.full(2 * n1, 1.0 - x), np.full(2 * n2, x)])
+    tail1, head1, tail2, head2 = np.split(_libm(np.power, bases, exponents),
+                                          [n1, 2 * n1, 2 * n1 + n2])
     cells = tail1[:, None] * tail2 + head1[:, None] * head2
-    logs = np.fromiter(map(math.log, memoryview(cells.ravel())), np.float64, cells.size)
-    return -logs.reshape(cells.shape)
+    return -_libm(np.log, cells.ravel()).reshape(cells.shape)
 
 
 def lambda_star(x: float, inst: BanditInstance) -> float:

@@ -84,6 +84,10 @@ COMMANDS = [
     # replications in chunks of 655 rounds, and 3,000 in chunks of 21, 21 and 8
     "mc --policy plugin:0.3 --mu 0.6,0.45 --T 700 --n 100 --seed 6",
     "mc --policy plugin:1 --mu 0.35,0.5 --T 50 --n 3000 --seed 7",
+    # at scale: log-factorial tables of 550,001 entries on the all-ties path,
+    # and a demo grid of 999 means a side in 16 bands
+    "scan --policy uniform --mu 0.6,0.4 --T 100000:1100000:100000",
+    "demo --mu0 0.85,0.55 --grid 0.001",
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the primal rate machinery."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from bailab.errors import ArgumentError, DomainError
 from bailab.rates import (
     BanditInstance,
+    _libm,
     g_closed,
     g_closed_grid,
     kl_bernoulli,
@@ -205,6 +207,90 @@ class TestGClosedGrid:
     def test_rejects_invalid_allocation(self):
         with pytest.raises(ArgumentError):
             g_closed_grid(1.5, [0.2, 0.7], [0.4])
+
+    def test_names_the_first_bad_mean_in_list_order(self):
+        means = [0.001 * k for k in range(1, 1000)]
+        early, late = list(means), list(means)
+        early[500], early[700] = 1.5, 0.0
+        late[500] = -0.25
+        inside = r"means must lie strictly inside \(0, 1\), got "
+        with pytest.raises(DomainError, match=inside + r"1\.5$"):
+            g_closed_grid(0.3, early, late)
+        with pytest.raises(DomainError, match=inside + r"-0\.25$"):
+            g_closed_grid(0.3, means, late)
+        with pytest.raises(DomainError, match=inside + r"1\.5$"):
+            g_closed_grid(0.3, np.array(early), np.array(late))
+
+    def test_names_a_nan_and_a_subnormal_mean_as_floats(self):
+        inside = r"means must lie strictly inside \(0, 1\), got nan$"
+        normal = r"means must be at least the smallest normal double 2\.2250738585072014e-308, got 5e-324$"
+        for means, match in (([0.2, math.nan, 0.0], inside), ([0.2, 5e-324, 0.0], normal)):
+            with pytest.raises(DomainError, match=match):
+                g_closed_grid(0.5, means, [0.3])
+            with pytest.raises(DomainError, match=match):
+                g_closed_grid(0.5, [0.3], np.array(means))
+
+    @pytest.mark.parametrize("means", [[[0.2, 0.3]], np.array([[0.2], [0.3]]), 0.3])
+    def test_refuses_means_that_are_not_one_dimensional(self, means):
+        shape = np.shape(means)
+        with pytest.raises(ArgumentError, match=rf"means must be a 1-D list, got shape {re.escape(str(shape))}$"):
+            g_closed_grid(0.5, means, [0.4])
+        with pytest.raises(ArgumentError, match=re.escape(str(shape))):
+            g_closed_grid(0.5, [0.4], means)
+
+
+def libm_logs(values) -> np.ndarray:
+    return np.array([math.log(v) for v in np.ravel(values).tolist()])
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# integers whose forward-stepping np.log misses libm's last bit (numpy 2.4.6)
+SIMD_LOG_MISSES = np.array([9170.0, 19143.0, 94869.0, 102327.0, 136085.0, 136837.0,
+                            141614.0, 147674.0, 275063.0, 285343.0])
+
+
+class TestLibm:
+    """``rates._libm`` gives libm's bits: ``math.log`` and ``**`` per entry."""
+
+    def test_log_on_the_cephes_sample_means(self):
+        from test_exact import TestCephesReplicas  # bound here, so not collected twice
+
+        p = TestCephesReplicas.sample_means()
+        assert same_bits(_libm(np.log, p), libm_logs(p))
+
+    def test_log_on_random_doubles(self):
+        v = 10.0 ** np.random.default_rng(28).uniform(-300.0, 300.0, 200_000)
+        assert same_bits(_libm(np.log, v), libm_logs(v))
+
+    def test_log_on_the_integers_of_a_log_factorial_table(self):
+        k = np.arange(1.0, 300_002.0)
+        assert same_bits(_libm(np.log, k), libm_logs(k))
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_log_at_every_length_of_a_simd_tail(self, n):
+        for shift in range(8):
+            v = np.roll(np.resize(SIMD_LOG_MISSES, n), shift)
+            assert same_bits(_libm(np.log, v), libm_logs(v))
+
+    def test_power_on_random_pairs(self):
+        rng = np.random.default_rng(2308)
+        b, e = rng.uniform(0.0, 1.0, 200_000), rng.uniform(0.0, 1.0, 200_000)
+        assert same_bits(_libm(np.power, b, e), [u ** w for u, w in zip(b.tolist(), e.tolist())])
+
+    @pytest.mark.parametrize("e", [0.5, 2.0])
+    def test_power_on_a_full_exponent_array(self, e):
+        # a scalar exponent here would be taken as sqrt or square
+        b = np.random.default_rng(12000).uniform(0.0, 1.0, 300_000)
+        assert same_bits(_libm(np.power, b, np.full(b.size, e)), [u ** e for u in b.tolist()])
+
+    def test_log_of_a_raveled_grid(self):
+        # the cells of g_closed_grid: a C-ordered 2-D array, raveled to a view
+        cells = np.outer(np.linspace(0.01, 0.99, 300), np.linspace(0.02, 0.98, 301)) + 0.25
+        logs = _libm(np.log, cells.ravel()).reshape(cells.shape)
+        assert same_bits(logs, libm_logs(cells).reshape(cells.shape))
 
 
 class TestGByMinimization:
