@@ -51,7 +51,6 @@ from .exact import (  # noqa: E402
     exact_summary,
     rate_ratio_scan,
     stability_profile,
-    static_error_exact,
     static_error_log,
 )
 from .mc import Estimate, simulate_plain, simulate_tilted_static  # noqa: E402

@@ -130,6 +130,9 @@ def find_halfdisk_delta(alpha: float, x_tilde: float) -> float:
     if math.isnan(alpha) or alpha < 0.0:
         raise ArgumentError(f"alpha must be nonnegative, got {alpha!r}")
     center = phi_second(alpha)
+    if center == 0.0:
+        raise ArgumentError(f"alpha must lie below about 745.1332, where phi''(alpha) "
+                            f"underflows to 0, got {alpha!r}")
     band_lo = center / (4.0 * x_tilde * x_tilde)
     band_hi = center / (4.0 * (1.0 - x_tilde) * (1.0 - x_tilde))
 
@@ -160,43 +163,22 @@ def find_halfdisk_delta(alpha: float, x_tilde: float) -> float:
     return lo
 
 
-def _solve_arm2(a: float, x: float, mu1: float) -> float:
-    """Arm-2 mean that puts the inner minimizer at allocation ``x`` on ``a``
-    given the stored arm-1 mean, solved against its exact log-odds."""
-    return natural_to_mean((mean_to_natural(a) - (1.0 - x) * mean_to_natural(mu1)) / x)
+def _pinned(inst: BanditInstance, a: float, x: float) -> tuple[BanditInstance, float]:
+    """The instance with its inner minimizer at allocation ``x`` on ``a``,
+    and the residual ``|lambda*(x) - a|`` it reaches.
 
-
-def _certify(
-    inst: BanditInstance,
-    a: float,
-    x: float,
-    case: ConstructionCase,
-    x_tilde: float,
-    delta: float | None,
-    s: float | None,
-) -> ConstructionCertificate:
-    # independent primal re-verification of conditions (i)-(iii)
-    if not inst.mu1 > inst.mu2:
-        raise ConstructionError(f"constructed instance is not best-arm-first: {inst}")
-    if inst.mu1 + inst.mu2 < 1.0 - SUM_TOL:
-        raise ConstructionError(f"constructed instance left the upper half-region: {inst}")
+    Where ``inst`` misses ``RESIDUAL_TOL``, its stored ``mu1`` is kept and
+    ``mu2`` is solved against the exact log-odds of ``mu1`` ("snap then
+    solve").  Raises ConstructionError if the residual still exceeds it.
+    """
     residual = abs(lambda_star(x, inst) - a)
     if residual > RESIDUAL_TOL:
-        raise ConstructionError(f"minimizer missed its target by {residual:.3e}")
-    xs = x_star(inst)
-    if not xs < x_tilde:
-        raise ConstructionError(f"optimal allocation {xs} not below {x_tilde}")
-    return ConstructionCertificate(
-        instance=inst,
-        a_target=a,
-        x_input=x,
-        case_used=case,
-        residual_lambda=residual,
-        x_star_value=xs,
-        x_tilde=x_tilde,
-        delta=delta,
-        s=s,
-    )
+        xi2 = (mean_to_natural(a) - (1.0 - x) * mean_to_natural(inst.mu1)) / x
+        inst = BanditInstance(inst.mu1, natural_to_mean(xi2))
+        residual = abs(lambda_star(x, inst) - a)
+        if residual > RESIDUAL_TOL:
+            raise ConstructionError(f"minimizer missed its target by {residual:.3e}")
+    return inst, residual
 
 
 def construct_dual_instance(a: float, x: float) -> ConstructionCertificate:
@@ -210,9 +192,8 @@ def construct_dual_instance(a: float, x: float) -> ConstructionCertificate:
     line otherwise (offset fixed at ``s = delta/(2x)`` for determinism).
     The pair's ``xi1 = |alpha|/(2x-1)`` grows as ``x`` nears 1/2, and
     ``mu1`` then keeps too few digits of its distance to 1 for the
-    minimizer to hit ``a``.  Where the pair misses ``RESIDUAL_TOL`` the
-    stored ``mu1`` is kept and ``mu2`` is solved against its exact
-    log-odds ("snap then solve").  Where ``mu1`` rounds to 1 no instance
+    minimizer to hit ``a``; :func:`_pinned` then solves ``mu2`` again
+    against the stored ``mu1``.  Where ``mu1`` rounds to 1 no instance
     exists in floating point, and an ArgumentError names the smallest
     ``|x - 1/2|`` that the target admits.  The certificate is verified
     with the primal rate functions before it is returned.
@@ -238,10 +219,26 @@ def construct_dual_instance(a: float, x: float) -> ConstructionCertificate:
         xi1 = alpha + x * s
         xi2 = alpha - (1.0 - x) * s
         case = ConstructionCase.HALF_DISK
-    inst = BanditInstance(natural_to_mean(xi1), natural_to_mean(xi2))
-    if abs(lambda_star(x, inst) - a) > RESIDUAL_TOL:
-        inst = BanditInstance(inst.mu1, _solve_arm2(a, x, inst.mu1))
-    return _certify(inst, a, x, case, x_tilde, delta, s)
+    inst, residual = _pinned(BanditInstance(natural_to_mean(xi1), natural_to_mean(xi2)), a, x)
+    # independent primal re-verification of conditions (i)-(iii)
+    if not inst.mu1 > inst.mu2:
+        raise ConstructionError(f"constructed instance is not best-arm-first: {inst}")
+    if inst.mu1 + inst.mu2 < 1.0 - SUM_TOL:
+        raise ConstructionError(f"constructed instance left the upper half-region: {inst}")
+    xs = x_star(inst)
+    if not xs < x_tilde:
+        raise ConstructionError(f"optimal allocation {xs} not below {x_tilde}")
+    return ConstructionCertificate(
+        instance=inst,
+        a_target=a,
+        x_input=x,
+        case_used=case,
+        residual_lambda=residual,
+        x_star_value=xs,
+        x_tilde=x_tilde,
+        delta=delta,
+        s=s,
+    )
 
 
 def construct_beating_instance(a: float, x: float) -> ConstructionCertificate:
@@ -253,9 +250,9 @@ def construct_beating_instance(a: float, x: float) -> ConstructionCertificate:
     the result through the complement-and-swap transformation
     ``mu -> (1-mu2, 1-mu1)``, which preserves the best-arm-first
     orientation and carries the rate function across symmetrically.  The
-    complement of a mean within ~1e-8 of 0 loses its tail; where the
-    mirrored minimizer then misses ``RESIDUAL_TOL``, the small mean is
-    solved again against the stored large one.  The certificate keeps the
+    complement of a mean within ~1e-8 of 0 loses its tail, and
+    :func:`_pinned` then solves the small mean again against the stored
+    large one, as on the canonical path.  The certificate keeps the
     verified mirror-problem instance for :meth:`ConstructionCertificate.canonical`.
     Allocations too close to 1/2 for any representable instance raise the
     ArgumentError of :func:`construct_dual_instance`.
@@ -269,12 +266,7 @@ def construct_beating_instance(a: float, x: float) -> ConstructionCertificate:
     else:
         base = construct_dual_instance(1.0 - a, 1.0 - x)
         nu = base.instance
-        mirrored = BanditInstance(1.0 - nu.mu2, 1.0 - nu.mu1)
-        if abs(lambda_star(x, mirrored) - a) > RESIDUAL_TOL:
-            mirrored = BanditInstance(mirrored.mu1, _solve_arm2(a, x, mirrored.mu1))
-        residual = abs(lambda_star(x, mirrored) - a)
-        if residual > RESIDUAL_TOL:
-            raise ConstructionError(f"mirrored minimizer missed its target by {residual:.3e}")
+        mirrored, residual = _pinned(BanditInstance(1.0 - nu.mu2, 1.0 - nu.mu1), a, x)
         cert = replace(
             base,
             instance=mirrored,

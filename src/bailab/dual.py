@@ -88,8 +88,12 @@ def phi_second(xi: float) -> float:
     """Second derivative of the potential, written symmetrically.
 
     ``e^xi / (1+e^xi)^2`` equals ``(1/2 / cosh(xi/2))^2``, which is even
-    in ``xi`` by construction and stays finite for |xi| up to about 1400.
+    in ``xi`` by construction.  It underflows to exactly 0.0 from |xi|
+    of about 745.13 on, and is returned as 0.0 for |xi| > 1000, where
+    ``cosh`` would overflow (from about 1420.95).
     """
+    if abs(xi) > 1000.0:
+        return 0.0
     t = 0.5 / math.cosh(0.5 * xi)
     return t * t
 

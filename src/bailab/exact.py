@@ -84,7 +84,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "dp_layers",
     "exact_summary",
-    "static_error_exact",
     "static_error_log",
     "change_of_measure_slack",
     "inv_g_half",
@@ -502,11 +501,6 @@ def static_error_log(x: float, inst: BanditInstance, T: int) -> float:
     """log of the exact error probability of the static(x) schedule, finite where
     it underflows: ``exact_summary(PolicySpec.static(x), inst, T).log_p_error``."""
     return exact_summary(PolicySpec.static(x), inst, T).log_p_error
-
-
-def static_error_exact(x: float, inst: BanditInstance, T: int) -> float:
-    """Exact error probability of the static(x) schedule (binomial fast path)."""
-    return math.exp(static_error_log(x, inst, T))
 
 
 def change_of_measure_slack(

@@ -28,7 +28,6 @@ from bailab.dual import (
 from bailab.exact import (
     dp_layers,
     exact_summary,
-    static_error_exact,
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
@@ -221,7 +220,8 @@ def test_criterion_06_exact_engine_correctness():
     for x in (0.3, 0.5, 0.71):
         for T in (7, 25, 60, 101, 150):
             dp = dict_dp_summary(PolicySpec.static(x), inst, T)[0]
-            worst_fast = max(worst_fast, abs(dp - static_error_exact(x, inst, T)))
+            p_error = exact_summary(PolicySpec.static(x), inst, T).p_error
+            worst_fast = max(worst_fast, abs(dp - p_error))
 
     worst_mass = 0.0
     # the library DP runs plug-in tracking only; the dict DP runs the schedule

@@ -17,6 +17,7 @@ import pytest
 import bailab
 from bailab import cli, verification
 from bailab.cli import main
+from bailab.errors import ConstructionError
 from bailab.exact import exact_summary
 from bailab.policies import PolicySpec, parse_policy
 from bailab.rates import BanditInstance, g_closed, lambda_star, x_star
@@ -574,6 +575,27 @@ class TestVerifyCommand:
                                       "error": "ZeroDivisionError: float division by zero"}
 
 
+def test_any_other_library_error_exits_one(capsys, monkeypatch):
+    def defect(a, x):
+        raise ConstructionError("planted defect")
+
+    monkeypatch.setattr("bailab.cli.construct_beating_instance", defect)
+    code, out, err = run_cli(capsys, "construct", "--a", "0.3", "--x", "0.7")
+    assert (code, out, err) == (1, "", "error: planted defect\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "BAI_MAX_STATES must be an integer, got 'abc'"),
+    ("0", "BAI_MAX_STATES must be positive, got 0"),
+])
+def test_malformed_state_limit_exits_usage(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("BAI_MAX_STATES", raw)
+    code, out, err = run_cli(capsys, "exact", "--policy", "uniform", "--mu", "0.7,0.3",
+                             "--T", "20")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 class TestDemoCommand:
     def test_finds_certified_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--T", "400")
@@ -693,6 +715,18 @@ class TestDemoCommand:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak <= 128 * 2**16
+
+    def test_min_gap_past_every_witness_exits_resolution(self, capsys):
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--min-gap", "1")
+        assert code == 5
+        payload = json.loads(out)
+        assert 0.0 < payload["best_gap_found"] < 1.0
+        assert payload["message"] == "no witness at this resolution; retry with a finer --grid"
+
+    def test_budget_too_small_to_confirm_exits_resolution(self, capsys):
+        code, out, _ = run_cli(capsys, "demo", "--mu0", "0.9,0.5", "--T", "2")
+        assert code == 5
+        assert json.loads(out)["confirmed"] is False
 
     def test_symmetric_reference_has_no_witness(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--mu0", "0.7,0.3")

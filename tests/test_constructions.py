@@ -127,6 +127,11 @@ class TestFindHalfdiskDelta:
         with pytest.raises(ArgumentError):
             find_halfdisk_delta(-0.1, 0.7)
 
+    @pytest.mark.parametrize("alpha", [746.0, 2000.0])
+    def test_alpha_past_the_curvature_underflow_is_refused(self, alpha):
+        with pytest.raises(ArgumentError, match=r"below about 745\.1332"):
+            find_halfdisk_delta(alpha, 0.75)
+
 
 class TestConstructBeatingInstance:
     def test_uniform_strictly_beats_the_requested_allocation(self):

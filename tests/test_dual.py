@@ -92,6 +92,20 @@ class TestPotential:
             xi = float(rng.uniform(-30, 30))
             assert phi_second(xi) == phi_second(-xi)
 
+    def test_second_derivative_keeps_its_bits_up_to_1000(self):
+        grid = np.concatenate([np.linspace(-1000.0, 1000.0, 20_001),
+                               [745.1332191019411, 745.1332191019412, 1000.0, -1000.0]])
+        for xi in map(float, grid):
+            t = 0.5 / math.cosh(0.5 * xi)
+            assert phi_second(xi) == t * t
+
+    @pytest.mark.parametrize("xi", [1000.5, 1421.0, 3000.0, 1e300, math.inf])
+    def test_second_derivative_is_zero_where_cosh_overflows(self, xi):
+        assert phi_second(xi) == phi_second(-xi) == 0.0
+
+    def test_far_argument_has_zero_curvature(self):
+        assert potential(3000.0).phi_second == potential(-3000.0).phi_second == 0.0
+
     def test_second_derivative_bounds(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
@@ -122,6 +136,9 @@ class TestBregman:
 
     def test_frozen_value(self):
         assert bregman(2.0, -2.0) == pytest.approx(BREGMAN_2_M2, abs=5e-16)
+
+    def test_far_argument_stays_finite(self):
+        assert abs(bregman(0.0, 3000.0) - math.log(2.0)) <= 1e-9
 
     def test_positive_off_diagonal(self):
         rng = np.random.default_rng(23)
@@ -198,6 +215,10 @@ class TestTaylorBracket:
             beta = alpha + gap if rng.uniform() < 0.5 else alpha - gap
             ratio, lo, hi = taylor_bracket_check(alpha, beta)
             assert lo <= ratio <= hi
+
+    def test_far_endpoint_has_zero_curvature(self):
+        bracket = taylor_bracket_check(0.0, 3000.0)
+        assert bracket.lo == 0.0 and bracket.hi == 0.25
 
     def test_equal_arguments_rejected(self):
         with pytest.raises(ArgumentError):

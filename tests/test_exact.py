@@ -29,7 +29,6 @@ from bailab.exact import (
     rate_ratio_scan,
     stability_profile,
     static_counts,
-    static_error_exact,
     static_error_log,
 )
 from bailab.mc import simulate_plain, simulate_tilted_static
@@ -298,9 +297,8 @@ class TestDpMemory:
 
 class TestStaticFastPath:
     def test_spec_point_value(self):
-        assert static_error_exact(0.5, BanditInstance(0.9, 0.1), 4) == pytest.approx(
-            0.0280, abs=1e-15
-        )
+        s = exact_summary(PolicySpec.static(0.5), BanditInstance(0.9, 0.1), 4)
+        assert s.p_error == pytest.approx(0.0280, abs=1e-15)
 
     @pytest.mark.parametrize("T", [2, 7, 13, 40, 150])
     @pytest.mark.parametrize("x", [0.5, 0.3, 0.71])
@@ -308,12 +306,13 @@ class TestStaticFastPath:
         if min(arm2_count(x, T), T - arm2_count(x, T)) < 1:
             pytest.skip("schedule does not cover both arms")
         dp = dict_dp_summary(PolicySpec.static(x), INST, T)[0]
-        assert static_error_exact(x, INST, T) == pytest.approx(dp, abs=1e-12)
+        assert exact_summary(PolicySpec.static(x), INST, T).p_error == pytest.approx(dp, abs=1e-12)
 
     def test_uniform_dp_equals_fast_path_at_even_and_odd_budgets(self):
         for T in (13, 40):
             dp = dict_dp_summary(PolicySpec.uniform(), INST, T)[0]
-            assert static_error_exact(0.5, INST, T) == pytest.approx(dp, abs=1e-12)
+            p_error = exact_summary(PolicySpec.static(0.5), INST, T).p_error
+            assert p_error == pytest.approx(dp, abs=1e-12)
 
     @pytest.mark.parametrize("policy", BUILTINS[:5], ids=lambda p: p.description)
     @pytest.mark.parametrize("inst", [INST, INST_REV], ids=["best1", "best2"])
@@ -344,13 +343,13 @@ class TestStaticFastPath:
 
     def test_complement_symmetry(self):
         # flipping every reward label swaps the arms' roles
-        a = static_error_exact(0.5, BanditInstance(0.8, 0.45), 30)
-        b = static_error_exact(0.5, BanditInstance(0.55, 0.2), 30)
+        a = exact_summary(PolicySpec.static(0.5), BanditInstance(0.8, 0.45), 30).p_error
+        b = exact_summary(PolicySpec.static(0.5), BanditInstance(0.55, 0.2), 30).p_error
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_reversed_best_arm(self):
-        a = static_error_exact(0.4, BanditInstance(0.7, 0.3), 25)
-        b = static_error_exact(0.6, BanditInstance(0.3, 0.7), 25)
+        a = exact_summary(PolicySpec.static(0.4), BanditInstance(0.7, 0.3), 25).p_error
+        b = exact_summary(PolicySpec.static(0.6), BanditInstance(0.3, 0.7), 25).p_error
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_log_path_reaches_extreme_budgets(self):
@@ -366,7 +365,7 @@ class TestStaticFastPath:
 
     def test_unsampled_arm_rejected(self):
         with pytest.raises(ArgumentError):
-            static_error_exact(0.0, INST, 10)
+            exact_summary(PolicySpec.static(0.0), INST, 10).p_error
 
     def test_unsampled_arm_message_names_the_covering_budget(self):
         with pytest.raises(ArgumentError, match="samples both arms is T=6"):
@@ -559,6 +558,19 @@ class TestChangeOfMeasure:
         assert res.p_pick2_pi == exact_summary(PolicySpec.uniform(), pi_inst, 10).p_pick2
         assert res.p_pick2_mu == exact_summary(PolicySpec.uniform(), mu_inst, 10).p_pick2
 
+    def test_boundary_mu_side_makes_the_rhs_infinite(self):
+        res = change_of_measure_slack(PolicySpec.uniform(), BanditInstance(0.3, 0.7),
+                                      BanditInstance(0.7, 0.3), 100_000)
+        assert res == (math.inf, True, 1.0, 0.0)
+
+    def test_equal_boundary_probabilities_leave_the_lhs(self):
+        pi_inst, mu_inst = BanditInstance(0.9, 0.1), BanditInstance(0.7, 0.3)
+        res = change_of_measure_slack(PolicySpec.uniform(), pi_inst, mu_inst, 100_000)
+        assert not res.rhs_infinite
+        assert res.p_pick2_pi == res.p_pick2_mu == 0.0
+        lhs = 50_000 * (kl_bernoulli(0.9, 0.7) + kl_bernoulli(0.1, 0.3))
+        assert res.slack == pytest.approx(lhs, rel=1e-12)
+
     def test_randomized_sweep(self):
         rng = np.random.default_rng(59)
         worst = math.inf
@@ -681,6 +693,11 @@ class TestStabilityProfile:
             stability_profile(PolicySpec.uniform(), 0.05, [0.2], [4])
         with pytest.raises(ArgumentError):
             stability_profile(PolicySpec.uniform(), 0.5, [-0.1], [4])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, math.nan])
+    def test_target_outside_the_open_interval_rejected(self, a):
+        with pytest.raises(ArgumentError, match=r"strictly inside \(0, 1\)"):
+            stability_profile(PolicySpec.uniform(), a, [0.1], [4])
 
 
 class TestOnePassPerInstance:

@@ -88,6 +88,9 @@ COMMANDS = [
     # and a demo grid of 999 means a side in 16 bands
     "scan --policy uniform --mu 0.6,0.4 --T 100000:1100000:100000",
     "demo --mu0 0.85,0.55 --grid 0.001",
+    # a mirrored construction whose complemented small mean misses the
+    # target, so arm 2's mean is solved again
+    "construct --a 0.9 --x 0.45",
 ]
 
 

@@ -12,7 +12,7 @@ from brute_force import (blocked_moments, replay_counts, replay_pick2, static_mc
 
 from bailab import mc
 from bailab.errors import ArgumentError, CapacityError, DomainError
-from bailab.exact import _log_factorials, exact_summary, static_counts, static_error_exact
+from bailab.exact import _log_factorials, exact_summary, static_counts
 from bailab.mc import (
     Estimate,
     _binom_cdf,
@@ -338,7 +338,7 @@ class TestSeedRange:
 
 class TestSimulateTiltedStatic:
     def test_agrees_with_exact_fast_path(self):
-        exact_p = static_error_exact(0.5, INST, 100)
+        exact_p = exact_summary(PolicySpec.static(0.5), INST, 100).p_error
         est = simulate_tilted_static(PolicySpec.static(0.5), INST, 100, 10**5, 13)
         assert est.method == "tilted"
         assert abs(est.mean - exact_p) <= 3 * est.std_err
