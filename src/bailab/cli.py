@@ -34,8 +34,9 @@ import numpy as np
 from . import __version__
 from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
-from .exact import (MAX_STATES_ENV, _check_states, _max_states, exact_summary, inv_g_half,
-                    rate_ratio_scan, static_counts, static_error_log)
+# exact_summary is unused here; it stays a module attribute for benchmark tracing
+from .exact import (MAX_STATES_ENV, _check_states, _evaluate, _max_states,  # noqa: F401
+                    exact_summary, inv_g_half, rate_ratio_scan, static_counts, static_error_log)
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, check_budget, parse_policy
 from .rates import BanditInstance, _mean_rule, g_closed, g_closed_grid, rate_profile, x_star
@@ -122,6 +123,18 @@ def _budget_list(text: str) -> list[int] | range:
         raise argparse.ArgumentTypeError(f"malformed budget list {text!r}: {exc}") from None
 
 
+def _write_out(path: str | None, emit, newline: str | None = None) -> None:
+    """``emit(handle)`` on stdout when ``path`` is None, else on ``path`` opened
+    for writing with ``newline``; a path that cannot be written is a usage error."""
+    if path is None:
+        return emit(sys.stdout)
+    try:
+        with open(path, "w", newline=newline) as handle:
+            emit(handle)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
     def emit(handle):
         writer = csv.writer(handle, lineterminator="\n")
@@ -129,11 +142,7 @@ def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as handle:
-            emit(handle)
+    _write_out(path, emit, newline="")
 
 
 @dataclass(frozen=True)
@@ -256,15 +265,11 @@ def _check_budget_count(budgets: list[int] | range) -> None:
     _check_states(len(budgets), _max_states(), f"the budget list holds {len(budgets)} budgets")
 
 
-def _exact_row(policy: PolicySpec, inst: BanditInstance, T: int) -> list:
-    summary = exact_summary(policy, inst, T)
-    return [policy.description, inst.mu1, inst.mu2, T, summary.p_error,
-            summary.p_pick2, summary.e_n1, summary.e_omega2]
-
-
-def _run_sweep(args, header: list[str], row) -> int:
-    """Write ``row(policy, inst, T, seed)`` for every run of ``--config``, or
-    of ``--policy``/``--mu`` over ``--T`` (with ``--seed`` where the command has one).
+def _run_sweep(args, header: list[str], rows) -> int:
+    """Write ``rows(policy, inst, budgets, seed)``, one row per budget, for each
+    policy and instance of ``--config``, or of ``--policy``/``--mu``, each pair
+    with its whole budget list ``--T`` in one call (``exact`` takes one engine call
+    for the list, ``mc`` one estimate per budget), with ``--seed`` where it exists.
 
     The config sets what those flags and ``--out`` would, so a flag given
     next to ``--config`` is refused rather than ignored."""
@@ -280,19 +285,16 @@ def _run_sweep(args, header: list[str], row) -> int:
         config = SweepConfig([BanditInstance(*args.mu)], [policy], args.T, args.out,
                              getattr(args, "seed", None) or 0)
     _check_budget_count(config.budgets)
-    rows = [
-        row(policy, inst, T, config.seed)
-        for policy in config.policies
-        for inst in config.instances
-        for T in config.budgets
-    ]
-    _write_rows(config.output_path, header, rows)
+    table = [row for policy in config.policies for inst in config.instances
+             for row in rows(policy, inst, config.budgets, config.seed)]
+    _write_rows(config.output_path, header, table)
     return EXIT_OK
 
 
 def cmd_exact(args) -> int:
-    return _run_sweep(args, EXACT_HEADER,
-                      lambda policy, inst, T, seed: _exact_row(policy, inst, T))
+    return _run_sweep(args, EXACT_HEADER, lambda policy, inst, budgets, seed: [
+        [policy.description, inst.mu1, inst.mu2, T, s.p_error, s.p_pick2, s.e_n1, s.e_omega2]
+        for T, s in zip(budgets, _evaluate(policy, inst, budgets))])
 
 
 def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
@@ -303,8 +305,8 @@ def _mc_row(policy: PolicySpec, inst: BanditInstance, T: int, n: int, seed: int,
 
 
 def cmd_mc(args) -> int:
-    return _run_sweep(args, MC_HEADER, lambda policy, inst, T, seed: _mc_row(
-        policy, inst, T, args.n, seed, args.tilted))
+    return _run_sweep(args, MC_HEADER, lambda policy, inst, budgets, seed: [
+        _mc_row(policy, inst, T, args.n, seed, args.tilted) for T in budgets])
 
 
 def cmd_scan(args) -> int:
@@ -320,11 +322,7 @@ def cmd_scan(args) -> int:
 def cmd_construct(args) -> int:
     cert = construct_beating_instance(args.a, args.x)
     text = _json_dumps(cert.to_json_dict())
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+    _write_out(args.out, lambda handle: print(text, file=handle))
     return EXIT_OK
 
 

@@ -56,8 +56,9 @@ dropped slice moves a bit.  :func:`dp_layers` yields each layer as a dict of
 strided 2-D views of its box, overwritten when the iterator advances.
 
 Layer t of a pass is the terminal layer of budget t, bit for bit, so one
-pass to the largest budget serves a list of budgets: :func:`_evaluate`,
-behind every exact entry point, walks the DP once per instance.
+pass to the largest budget serves a list of budgets: :func:`_evaluate`, behind
+every exact entry point and the ``exact`` and ``scan`` commands, walks the DP
+once per policy and instance for the whole list.
 """
 
 from __future__ import annotations

@@ -424,6 +424,108 @@ def test_schedule_no_budget_covers_names_the_policy_and_budget(capsys, command, 
     assert "samples both arms at no budget up to 2**53" in err
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``bailab.exact.<name>`` so that each call appends its arguments."""
+    calls = []
+    original = getattr(bailab.exact, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(f"bailab.exact.{name}", wrapper)
+    return calls
+
+
+class TestExactBudgetLists:
+    """``exact`` hands each policy and instance its whole budget list at once."""
+
+    def write_config(self, tmp_path, policies) -> Path:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [[0.7, 0.3], [0.4, 0.6]], "policies": policies,
+                                   "budgets": [20, 10, 30], "output_path": None}))
+        return cfg
+
+    def test_config_sweep_takes_one_dp_pass_per_instance(self, capsys, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "dp_layers")
+        code, out, _ = run_cli(capsys, "exact", "--config",
+                               str(self.write_config(tmp_path, ["plugin:0.2"])))
+        assert code == 0
+        assert [T for *_, T in calls] == [30, 30]
+        assert [row["T"] for row in csv.DictReader(out.splitlines())] == ["20", "10", "30"] * 2
+
+    def test_fixed_schedules_build_one_table_per_policy_and_instance(
+            self, capsys, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "_log_factorials")
+        code, out, _ = run_cli(capsys, "exact", "--config",
+                               str(self.write_config(tmp_path, ["uniform", "static:0.25"])))
+        assert code == 0 and len(out.splitlines()) == 13
+        # each table reaches max(n1, n2) of the longest budget, T = 30: (15, 15) pulls
+        # under uniform and (23, 7) under static:0.25
+        assert calls == [(15,), (15,), (23,), (23,)]
+
+    def test_every_budget_is_checked_before_any_is_evaluated(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "dp_layers")
+        code, out, err = run_cli(capsys, "exact", "--policy", "plugin:0.5", "--mu", "0.7,0.3",
+                                 "--T", "300,1")
+        assert code == 2 and out == "" and calls == []
+        assert err == "usage error: budget must be at least 2, got 1\n"
+
+    def test_budget_count_is_checked_before_any_evaluation(self, capsys, monkeypatch):
+        monkeypatch.setattr("bailab.cli._evaluate", no_evaluation)
+        code, out, err = run_cli(capsys, "exact", "--policy", "plugin:0.5", "--mu", "0.7,0.3",
+                                 "--T", f"2:{2**53}")
+        assert code == 4 and out == ""
+        assert f"the budget list holds {2**53 - 1} budgets" in err
+
+    @pytest.mark.parametrize("policy, mu, budgets", [
+        ("plugin:0.2", "0.6,0.4", ["40", "20", "40", "2", "33"]),
+        ("plugin:0.5", "0.3,0.7", ["12", "3", "25"]),
+        ("uniform", "0.7,0.3", ["500", "61", "2", "500", "1999"]),
+        ("uniform", "0.35,0.65", ["3", "300", "40"]),
+    ], ids=["plugin_arm1_best", "plugin_arm2_best", "uniform_arm1_best", "uniform_arm2_best"])
+    def test_a_list_prints_the_rows_of_its_single_budget_runs(self, capsys, policy, mu, budgets):
+        code, out, _ = run_cli(capsys, "exact", "--policy", policy, "--mu", mu,
+                               "--T", ",".join(budgets))
+        assert code == 0
+        header = ",".join(cli.EXACT_HEADER) + "\n"
+        singles = []
+        for T in budgets:
+            single_code, single_out, _ = run_cli(capsys, "exact", "--policy", policy, "--mu", mu,
+                                                 "--T", T)
+            assert single_code == 0 and single_out.startswith(header)
+            singles.append(single_out[len(header):])
+        assert out == header + "".join(singles)
+
+
+UNWRITABLE_COMMANDS = {
+    "exact": ["exact", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "10,20"],
+    "mc": ["mc", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "10", "--n", "100"],
+    "scan": ["scan", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "10:20"],
+    "construct": ["construct", "--a", "0.3", "--x", "0.7"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+@pytest.mark.parametrize("command", list(UNWRITABLE_COMMANDS))
+def test_unwritable_out_exits_usage_naming_the_path(capsys, tmp_path, command, target):
+    if target == "directory":
+        path, reason = tmp_path, "Is a directory"
+    else:
+        path, reason = tmp_path / "absent" / "out.txt", "No such file or directory"
+    code, out, err = run_cli(capsys, *UNWRITABLE_COMMANDS[command], "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"usage error: cannot write {str(path)!r}: {reason}\n"
+
+
+def test_sweep_config_output_path_that_is_a_directory_exits_usage(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, "output_path": str(tmp_path)}))
+    code, out, err = run_cli(capsys, "exact", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"usage error: cannot write {str(tmp_path)!r}: Is a directory\n"
+
+
 class TestMcCommand:
     def test_runs_and_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

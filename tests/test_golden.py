@@ -91,6 +91,12 @@ COMMANDS = [
     # a mirrored construction whose complemented small mean misses the
     # target, so arm 2's mean is solved again
     "construct --a 0.9 --x 0.45",
+    # exact over a budget list, one engine call per policy and instance: a
+    # plug-in range, plug-in with arm 2 best, unsorted budgets and a repeat,
+    # and a fixed schedule with a repeat
+    "exact --policy plugin:0.2 --mu 0.6,0.4 --T 10:60:10",
+    "exact --policy plugin:0.5 --mu 0.3,0.7 --T 40,20,40",
+    "exact --policy oracle:0.9,0.5 --mu 0.6,0.4 --T 500,60,500",
 ]
 
 
