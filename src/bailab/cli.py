@@ -7,9 +7,11 @@ suites), ``exact`` / ``mc`` / ``scan`` (evaluation runs emitting CSV),
 
 Exit codes: 0 success, 1 verification failure or any other library error
 (an internal defect such as a ``ConstructionError``, printed as
-"error: ..."), 2 usage, 3 domain, 4 capacity, 5 search resolution.  All
-output is deterministic given the flags; floats are written with 17
-significant digits so files round-trip losslessly.
+"error: ..."), 2 usage, 3 domain, 4 capacity, 5 search resolution, 141
+stdout closed by its reader (a pipe into ``head``), as a shell reports a
+process that SIGPIPE ended.  All output is deterministic given the flags;
+floats are written with 17 significant digits so files round-trip
+losslessly.
 
 ``main(argv)`` reads ``sys.argv[1:]`` when ``argv`` is None.  When the first
 argument names a command, it parses with a parser that holds that command's
@@ -26,6 +28,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +51,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CAPACITY = 4
 EXIT_RESOLUTION = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 EXACT_HEADER = ["policy", "mu1", "mu2", "T", "p_error", "p_pick2", "e_n1", "e_omega2"]
 MC_HEADER = ["method", "policy", "mu1", "mu2", "T", "n", "seed", "estimate", "std_err"]
@@ -514,7 +518,15 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit writes to devnull, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

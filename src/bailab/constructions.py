@@ -17,6 +17,7 @@ half-region, and the odds inequality it rests on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -123,7 +124,9 @@ def find_halfdisk_delta(alpha: float, x_tilde: float) -> float:
     on ``[alpha - delta, alpha + delta]``.  On any interval inside that
     band, ``min phi'' * x_tilde^2 > max phi'' * (1-x_tilde)^2``, which is
     the sufficient condition the half-disk case needs.  No maximality is
-    claimed beyond the bisection resolution.
+    claimed beyond the bisection resolution.  Raises ArgumentError where
+    ``phi''(alpha)`` underflows to 0 (alpha from about 745.1332), and where it
+    is subnormal (alpha from about 708.3964) and no radius is found.
     """
     if not 0.5 < x_tilde < 1.0:
         raise ArgumentError(f"x_tilde must lie in (1/2, 1), got {x_tilde!r}")
@@ -158,6 +161,11 @@ def find_halfdisk_delta(alpha: float, x_tilde: float) -> float:
         while delta > 0.0 and not ok(delta):
             delta *= 0.5
         if delta <= 0.0:
+            if center < sys.float_info.min:
+                raise ArgumentError(
+                    f"no half-disk radius resolves at alpha={alpha!r}: phi''(alpha) = "
+                    f"{center!r} is subnormal from alpha about 708.3964 on, and the band "
+                    f"around it loses its digits")
             raise ConstructionError("no positive half-disk radius found")
         lo = delta
     return lo

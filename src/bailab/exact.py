@@ -19,6 +19,24 @@ bits of a short one).  Each budget takes
 :func:`_binom_logpmf` and :func:`_error_log_best1` say why each gives the
 same bits.
 
+A budget's error mass sits within O(sqrt(T)) counts of the Chernoff tilt
+(Bahadur & Rao 1960), so the log path sums only a window of its terms
+(:func:`_log_window`).  Blocks of 64 arm-1 counts are bounded above and below
+from a few log-pmf points, each bound with 1 nat of slack for rounding, and
+the blocks at either end whose upper bound lies more than GAP = 810 nats
+below the largest lower bound are dropped: 746 nats, past which
+``logaddexp(r, x) = r + log1p(exp(x - r))`` returns ``r`` bit for bit since
+``exp`` rounds to 0, plus a margin of 64.  The arm-2 tails start where the
+mass above lies GAP below the smallest tail the window reads.  Dropping the
+terms after the window is exact by that rule: proven.  Dropping those before
+it, and the arm-2 mass above it, moves the running sums where they start, by
+a relative ``e^-(GAP - log n)`` that they later absorb: an argument, not a
+proof, which ``tests/test_exact.py`` checks bit for bit against a reference
+that sums every term, on a seeded sample of 240 budgets up to T = 2e5.  At
+T = 1e5, uniform on (0.7, 0.3), 13,976 of the 100,002 terms remain.  Below
+4,096 terms the bounds cost more than they save, and the window is the
+whole range.
+
 The DP runs plug-in tracking, and only it, over sufficient-statistic states
 ``(n1, s1, s2)`` with ``n2 = t - n1`` implied, one step of the rule per
 layer from layer 0, the empty history.  Layer t holds the slices
@@ -97,9 +115,9 @@ __all__ = [
 # up to T = 200), which caps adaptive budgets at T = 203.  The limit counts
 # those states, not the cells of the padded box that stores them: the box
 # holds 1.56 cells per state at T = 100 and 1.68 at T = 200.  A fixed schedule's
-# binomial tables (max(n1, n2) + 1 log-factorials, n + 1 log-pmf entries per
-# arm) cap it near T = 1.2e6 at x = 1/2.  Override with the BAI_MAX_STATES
-# environment variable.
+# binomial tables (max(n1, n2) + 1 log-factorials, and in static Monte Carlo
+# n + 1 log-pmf entries per arm) cap it near T = 1.2e6 at x = 1/2.  Override
+# with the BAI_MAX_STATES environment variable.
 DEFAULT_MAX_STATES = 600_000
 
 MAX_STATES_ENV = "BAI_MAX_STATES"
@@ -351,8 +369,8 @@ def static_counts(policy: PolicySpec, T: int) -> tuple[int, int]:
     the smallest budget that samples both arms or why none up to ``2**53``
     does; and CapacityError when a binomial table of ``max(n1, n2) + 1``
     entries is over the state limit.  The log path (one log-factorial table
-    that long, a log-pmf table of ``n + 1`` entries per arm) and static Monte
-    Carlo (one table per arm) call this before building any table.
+    that long, and log-pmfs over a window of each arm's ``n + 1`` counts) and
+    static Monte Carlo (one table per arm) call this before building any table.
     """
     x = policy.schedule_fraction()
     n2 = arm2_count(x, T)
@@ -441,10 +459,12 @@ def _log_factorials(m: int) -> np.ndarray:
     return _lgam(np.arange(1.0, m + 2.0))
 
 
-def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
-    """log P[Binomial(n, p) = k] for k = 0 .. n, from the table ``lf`` of
-    :func:`_log_factorials` (``n + 1`` entries or more), with the bits of
-    ``scipy.stats.binom.logpmf``.
+def _binom_logpmf(
+    lf: np.ndarray, n: int, p: float, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """log P[Binomial(n, p) = k] for k = lo .. hi (default 0 .. n), from the
+    table ``lf`` of :func:`_log_factorials` (``n + 1`` entries or more), with
+    the bits of ``scipy.stats.binom.logpmf``.
 
     That function computes ``gammaln(n+1) - (gammaln(k+1) + gammaln(n-k+1))``,
     adds ``xlogy(k, p)`` and then ``xlog1py(n-k, -p)``.  The same grouping
@@ -457,16 +477,97 @@ def _binom_logpmf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
     At ``x == 0`` they give +0.0 where the product gives -0.0; that happens
     at ``k = 0``, whose ``combiln`` is ``lf[n] - (0.0 + lf[n]) = +0.0``, and
     at ``k = n``, after a non-zero ``n·log p``; adding either zero to those
-    gives the same bits.
+    gives the same bits.  Each entry is computed on its own, so a range has
+    the bits of the same entries of the full table.
     """
-    counts = np.arange(n + 1.0)  # k, and reversed n - k
-    out = np.add(lf[:n + 1], lf[n::-1])
+    hi = n if hi is None else hi
+    counts = np.arange(lo, hi + 1.0)  # k
+    # n - k, reversed: the same array when the range is symmetric, as the full table is
+    rest = counts if lo + hi == n else np.arange(n - hi, n - lo + 1.0)
+    out = np.add(lf[lo:hi + 1], lf[n - hi:n - lo + 1][::-1])
     np.subtract(lf[n], out, out=out)
     term = np.multiply(counts, math.log(p))
     out += term
-    np.multiply(counts[::-1], _log1p(-p), out=term)
+    np.multiply(rest[::-1], _log1p(-p), out=term)
     out += term
     return out
+
+
+def _binom_logpmf_at(lf: np.ndarray, n: int, p: float, k: np.ndarray) -> np.ndarray:
+    """:func:`_binom_logpmf` at the integer array of counts ``k``, entry by
+    entry the same arithmetic, read from ``lf`` by gathers instead of slices."""
+    out = lf[k] + lf[n - k]
+    np.subtract(lf[n], out, out=out)
+    out += k * math.log(p)
+    out += (n - k) * _log1p(-p)
+    return out
+
+
+# The log path's window (:func:`_log_window`): arm-1 counts are bounded in
+# blocks of _BLOCK, every bound gets _SLACK nats for the rounding of the
+# log-pmfs it reads, and terms more than _GAP nats below the largest lower
+# bound are dropped: 746 nats, past which exp underflows to 0, plus a margin
+# of 64.  Below _WINDOW_MIN_TERMS terms (n1 + n2 + 2) the bounds cost more than
+# the terms they could drop, and the whole range is taken.
+_BLOCK = 64
+_SLACK = 1.0
+_GAP = 746.0 + 64.0
+_WINDOW_MIN_TERMS = 4096
+
+
+def _log_window(n1: int, m1: float, n2: int, m2: float, lf: np.ndarray) -> tuple[int, int, int]:
+    """``(a, b, top)``: the arm-1 counts ``a .. b`` and the arm-2 counts up to
+    ``top`` that :func:`_error_log_best1` sums over, arm 1 best; the whole
+    range ``(0, n1, n2)`` below ``_WINDOW_MIN_TERMS`` terms.
+
+    A block of arm-1 counts ``s .. e`` gets an upper bound and a lower bound,
+    from log-pmfs at a few points, all of each arm in one call.  Both
+    log-pmfs are unimodal, with their modes at ``floor((n+1)p)``, so the
+    largest ``lb1`` of the block is at the arm-1 mode clipped into it, and a
+    tail from ``tie(s)`` on holds fewer than ``n2 + 2`` entries, none above
+    ``lb2[max(tie(s), mode2)]``.  The upper bound is their sum plus
+    ``log(n2 + 2)``; the lower bound, at that same clipped mode ``c``, is
+    ``lb1[c] + lb2[clip(tie(c) + 1, mode2, n2)]``, one entry of its tail.
+    The window keeps the blocks from the first to the last whose upper bound
+    comes within ``_GAP`` of the largest lower bound.
+
+    Its tails are accumulated down from ``top``.  On a grid of arm-2 counts
+    every ``_BLOCK`` from the arm-2 mode, ``g`` is the first point at or past
+    ``tie(b) + 1``, so ``lb2[g]`` is one entry of every tail the window reads,
+    and ``top + 1`` is the first later point ``h`` where ``lb2[h] + log(n2 + 2)``
+    lies more than ``_GAP`` below ``lb2[g]``: past the mode, that bounds all
+    the mass from ``h`` on.  Every bound has ``_SLACK`` added for rounding.
+    """
+    if n1 + n2 + 2 < _WINDOW_MIN_TERMS:
+        return 0, n1, n2
+    starts = np.arange(0, n1 + 1, _BLOCK)
+    # the arm-1 mode, clipped into each block
+    peaks = np.maximum(starts, int((n1 + 1) * m1))
+    np.minimum(peaks, starts + (_BLOCK - 1), out=peaks)
+    np.minimum(peaks, n1, out=peaks)
+    mode2 = int((n2 + 1) * m2)
+    # arm-2 points: each block's tail bound, each peak's lower bound, the grid
+    k2 = np.concatenate((starts * n2 // n1, peaks * n2 // n1 + 1,
+                         np.arange(mode2, n2 + _BLOCK, _BLOCK)))
+    np.clip(k2, mode2, n2, out=k2)
+    v1 = _binom_logpmf_at(lf, n1, m1, peaks)
+    v2 = _binom_logpmf_at(lf, n2, m2, k2)
+    room = math.log(n2 + 2.0) + _SLACK
+    blocks = len(starts)
+    lower = v1 + v2[blocks:2 * blocks]
+    if peaks[-1] == n1:  # its tail past tie(n1) = n2 is empty
+        lower[-1] = -np.inf
+    keep = np.flatnonzero(v1 + v2[:blocks] + room >= lower.max() - _GAP)
+    a = int(starts[keep[0]])
+    b = min(int(starts[keep[-1]]) + _BLOCK - 1, n1)
+    k0 = b * n2 // n1 + 1  # the smallest tail the window reads starts here
+    if k0 >= n2:
+        return a, b, n2
+    grid, at_grid = k2[2 * blocks:], v2[2 * blocks:]
+    i = int(np.searchsorted(grid, k0))
+    beyond = np.flatnonzero(at_grid[i + 1:] + room < at_grid[i] - _GAP)
+    top = int(grid[i + 1 + beyond[0]]) - 1 if beyond.size else n2
+    return a, b, top
 
 
 def _error_log_best1(n1: int, m1: float, n2: int, m2: float, lf: np.ndarray) -> float:
@@ -482,19 +583,36 @@ def _error_log_best1(n1: int, m1: float, n2: int, m2: float, lf: np.ndarray) -> 
     take the strict tail as it is, the same bits as ``logaddexp(tail, -inf)``,
     which is ``tail + log1p(0.0)``: no tail is -0.0, since no log-pmf is and
     a sum that cancels rounds to +0.0.
+
+    The sums run only over the window of :func:`_log_window`: arm-1 counts
+    ``a .. b``, and arm-2 tails accumulated down from ``top``.  numpy's
+    ``logaddexp(r, x)`` is ``r + log1p(exp(x - r))``, which is ``r`` bit for
+    bit once ``x < r - 745.2``, where ``exp`` rounds to 0.  The reduce over
+    ``s1`` runs upwards, and by the window's bounds every term after ``b``
+    lies more than 746 nats below a term before it, so dropping them is
+    exact: proven.  Dropping the terms before ``a``, and the arm-2 terms above
+    ``top``, changes the running sum where it starts, by a mass
+    ``e^-(_GAP - log n)`` times a term the sum later reaches, far below one
+    ulp of the result: an argument, not a proof.  ``tests/test_exact.py``
+    checks the result against the reference that sums every term, bit for
+    bit, on a seeded sample.
     """
-    lb1 = _binom_logpmf(lf, n1, m1)
-    lb2 = _binom_logpmf(lf, n2, m2)
-    logtail = np.empty(n2 + 2)
-    logtail[n2 + 1] = -np.inf
-    logtail[: n2 + 1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
-    tie_at = np.arange(n1 + 1)
+    a, b, top = _log_window(n1, m1, n2, m2, lf)
+    tie_at = np.arange(a, b + 1)
     tie_at *= n2
     tie_at //= n1
+    lo2 = int(tie_at[0])
+    lb2 = _binom_logpmf(lf, n2, m2, lo2, top)
+    logtail = np.empty(top - lo2 + 2)  # logtail[k - lo2] for k = lo2 .. top + 1
+    logtail[-1] = -np.inf  # read only when top = n2
+    logtail[:-1] = np.logaddexp.accumulate(lb2[::-1])[::-1]
+    if lo2:
+        tie_at -= lo2  # as indices into lb2 and logtail
     per_s1 = logtail[tie_at + 1]
-    ties = slice(None, None, n1 // math.gcd(n1, n2))
+    step = n1 // math.gcd(n1, n2)
+    ties = slice(-a % step, None, step)
     per_s1[ties] = np.logaddexp(per_s1[ties], lb2[tie_at[ties]] + math.log(0.5))
-    per_s1 += lb1
+    per_s1 += _binom_logpmf(lf, n1, m1, a, b)
     return float(np.logaddexp.reduce(per_s1))
 
 

@@ -904,6 +904,35 @@ class TestParserBuilds:
         assert done.stdout.strip() == "0"
 
 
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head -1`` does, ends the
+    command with EXIT_PIPE and nothing on stderr: no traceback from the
+    write that meets the closed pipe, nor from the flush at exit."""
+
+    @staticmethod
+    def start(*argv):
+        env = dict(os.environ)
+        src = str(Path(bailab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.Popen([sys.executable, "-m", "bailab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_head_one_line_of_a_long_scan(self):
+        # about 180 kB of rows, more than the pipe holds, so a write meets the close
+        proc = self.start("scan", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "2:3000")
+        assert proc.stdout.readline() == b"T,p_error,ratio,inv_g_half\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (cli.EXIT_PIPE, b"")
+
+    def test_pipe_closed_before_the_first_write(self):
+        # one short row, held in the buffer until the flush
+        proc = self.start("exact", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "100")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (cli.EXIT_PIPE, b"")
+
+
 IMPORT_PATH_SCRIPT = """
 import contextlib, io, json, sys
 import bailab.cli

@@ -1,6 +1,7 @@
 """Tests for the constructive instance builders."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestFindHalfdiskDelta:
     def test_alpha_past_the_curvature_underflow_is_refused(self, alpha):
         with pytest.raises(ArgumentError, match=r"below about 745\.1332"):
             find_halfdisk_delta(alpha, 0.75)
+
+    @pytest.mark.parametrize("alpha", [744.0, 745.0])
+    def test_subnormal_curvature_without_a_radius_is_refused(self, alpha):
+        assert 0.0 < phi_second(alpha) < sys.float_info.min
+        with pytest.raises(ArgumentError, match=r"subnormal from alpha about 708\.3964"):
+            find_halfdisk_delta(alpha, 0.51)
+
+    def test_subnormal_curvature_with_a_radius_returns_it(self):
+        assert 0.0 < phi_second(740.0) < sys.float_info.min
+        assert find_halfdisk_delta(740.0, 0.51) > 0.0
 
 
 class TestConstructBeatingInstance:

@@ -12,17 +12,19 @@ import pytest
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
-from brute_force import (dict_dp_layers, dict_dp_summary, enumerate_summary,
-                         static_error_log_reference)
+from brute_force import (_binom_logpmf as reference_logpmf, dict_dp_layers, dict_dp_summary,
+                         enumerate_summary, static_error_log_reference)
 
 from bailab import exact
 from bailab.errors import ArgumentError, CapacityError, DomainError
 from bailab.exact import (
     _binom_logpmf,
+    _binom_logpmf_at,
     _lgam,
     _log1p,
     _log_factorials,
     _log_summary,
+    _log_window,
     change_of_measure_slack,
     dp_layers,
     exact_summary,
@@ -419,6 +421,16 @@ class TestBinomialLogPmf:
         k = np.arange(n + 1)
         assert np.array_equal(_binom_logpmf(_log_factorials(n), n, p), binom.logpmf(k, n, p))
 
+    @pytest.mark.parametrize("n, lo, hi", [(1, 0, 0), (1, 1, 1), (40, 3, 17), (40, 20, 40),
+                                           (100_000, 0, 10), (100_000, 29_000, 31_000)])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
+    def test_ranges_and_points_have_the_bits_of_the_full_table(self, n, lo, hi, p):
+        lf = _log_factorials(n)
+        full = _binom_logpmf(lf, n, p)
+        assert np.array_equal(_binom_logpmf(lf, n, p, lo, hi), full[lo:hi + 1])
+        k = np.array([hi, lo, n, 0, (lo + hi) // 2])
+        assert np.array_equal(_binom_logpmf_at(lf, n, p, k), full[k])
+
 
 class TestCephesReplicas:
     """The log path's replicas of Cephes ``lgam`` and ``log1p``, and its
@@ -508,6 +520,94 @@ class TestStaticErrorLogReference:
         for n1, n2 in counts:
             assert (_log_summary(n1, n2, inst, lf).log_p_error
                     == static_error_log_reference(n1, n2, inst)), (n1, n2)
+
+
+def _window_cases(count: int, seed: int):
+    """``count`` seeded ``(n1, n2, inst)``: T from 4,096 (where the window starts
+    to trim) to 200,000; edge means, near-diagonal gaps down to 1e-6 and
+    uniform pairs in turn; an arm-2 share near 0 or near 1/2 in turn; either
+    arm best."""
+    rng = np.random.default_rng(seed)
+    edge = [1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9]
+    for i in range(count):
+        if i % 3 == 0:
+            hi, lo = sorted(rng.choice(edge, 2, replace=False).tolist(), reverse=True)
+        elif i % 3 == 1:
+            centre, gap = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-6.0, -2.0)
+            hi, lo = centre + gap / 2.0, centre - gap / 2.0
+        else:
+            hi, lo = sorted(rng.uniform(0.0, 1.0, 2).tolist(), reverse=True)
+        T = int(10.0 ** rng.uniform(math.log10(4096), math.log10(200_000)))
+        share = 10.0 ** rng.uniform(-4.0, -1.0) if i % 2 else rng.uniform(0.4, 0.5)
+        n2 = min(max(round(share * T), 1), T - 1)
+        if rng.integers(2):
+            hi, lo = lo, hi
+        yield T - n2, n2, BanditInstance(hi, lo)
+
+
+def _reference_terms(n1: int, m1: float, n2: int, m2: float):
+    """The log-domain terms the log path reduces over, one per arm-1 count
+    ``s1 = 0 .. n1``, and the arm-2 log-pmf, both from the scipy reference,
+    arm 1 best."""
+    s1 = np.arange(n1 + 1)
+    lb2 = reference_logpmf(np.arange(n2 + 1), n2, m2)
+    logtail = np.append(np.logaddexp.accumulate(lb2[::-1])[::-1], -np.inf)
+    tie_at = s1 * n2 // n1
+    half = np.where(s1 * n2 % n1 == 0, lb2[tie_at] + math.log(0.5), -np.inf)
+    return reference_logpmf(s1, n1, m1) + np.logaddexp(logtail[tie_at + 1], half), lb2
+
+
+class TestLogWindow:
+    """The log path sums only over the window of ``_log_window``, with
+    ``GAP = 810`` nats.  Dropping the terms after the window is exact, since
+    numpy's ``logaddexp(r, x)`` returns ``r`` bit for bit once ``x < r - 745.2``.
+    Dropping those before it, and the arm-2 mass above ``top``, rests on an
+    argument, not a proof: these tests check its result, bit for bit."""
+
+    CASES = 240
+    SEED = 20_231_031
+
+    def test_bits_of_the_full_sum_on_a_seeded_sample(self):
+        # 240 cases, GAP = 810; the same sample passes with GAP = 40
+        assert exact._GAP == 810.0
+        lf = _log_factorials(200_000)
+        trimmed = 0
+        for n1, n2, inst in _window_cases(self.CASES, self.SEED):
+            assert (_log_summary(n1, n2, inst, lf).log_p_error
+                    == static_error_log_reference(n1, n2, inst)), (n1, n2, inst)
+            best = ((n1, inst.mu1, n2, inst.mu2) if inst.best_arm == 1
+                    else (n2, inst.mu2, n1, inst.mu1))
+            trimmed += _log_window(*best, lf) != (0, best[0], best[2])
+        # the sample exercises the window: most cases drop terms
+        assert trimmed > self.CASES // 2
+
+    @pytest.mark.parametrize("n1, m1, n2, m2", [
+        (50_000, 0.7, 50_000, 0.3), (9_000, 0.6, 1, 0.4), (4_000, 1.0 - 1e-9, 4_000, 1e-9),
+        (30_000, 0.5 + 1e-6, 90_000, 0.5 - 1e-6), (100_000, 0.2, 37, 0.1),
+        (200, 0.9, 9_000, 0.1)], ids=str)
+    def test_dropped_terms_lie_a_gap_below(self, n1, m1, n2, m2):
+        lf = _log_factorials(max(n1, n2))
+        a, b, top = _log_window(n1, m1, n2, m2, lf)
+        assert (a, b, top) != (0, n1, n2)
+        terms, lb2 = _reference_terms(n1, m1, n2, m2)
+        dropped = np.concatenate((terms[:a], terms[b + 1:]))
+        assert not dropped.size or dropped.max() < terms.max() - 746.0
+        if top < n2:  # the arm-2 mass above top, against the smallest tail read
+            assert (np.logaddexp.reduce(lb2[top + 1:])
+                    < np.logaddexp.reduce(lb2[b * n2 // n1 + 1:]) - 746.0)
+
+    def test_uniform_at_T_1e5_runs_logaddexp_over_a_quarter_of_the_terms(self):
+        n1 = n2 = 50_000
+        a, b, top = _log_window(n1, 0.7, n2, 0.3, _log_factorials(n1))
+        # the reduce over s1 = a .. b, a tie's half-mass at each of them (n1 = n2,
+        # so every s1 ties), and the tail accumulation over tie(a) .. top
+        terms = 2 * (b - a + 1) + (top - a * n2 // n1 + 1)
+        assert terms <= (n1 + n2 + 2) / 4
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (450, 450), (2_046, 2_046), (4_000, 93)])
+    def test_below_the_minimum_the_window_is_the_whole_range(self, n1, n2):
+        assert n1 + n2 + 2 < exact._WINDOW_MIN_TERMS
+        assert _log_window(n1, 0.7, n2, 0.3, _log_factorials(max(n1, n2))) == (0, n1, n2)
 
 
 class TestBinomialTableLimit:
