@@ -44,17 +44,21 @@ combine by the exact split of the sample variance (Chan, Golub & LeVeque
 all replications, bit for bit, and above it the grouping of the sums can
 move the last bits.
 
-Static schedules draw each success count by inverse CDF: for the 53-bit
-draw ``b`` (uniform ``b * 2**-53``), the smallest k with
-``cdf[k] >= b * 2**-53``.  The CDF is summed from the exact engine's
-binomial log-pmf, one log-factorial table serving both arms; no scipy is
-imported.  It differs from ``scipy.stats.binom.cdf`` (Boost's incomplete
-beta) in the last bits, which moves a draw only when it lands between the
-two integer thresholds: the draws stay those of that CDF on every stream
-the tests check.  Multiplying by a power of two is exact, so this
-is the smallest k whose integer threshold ``floor(cdf[k] * 2**53)`` is at
-least ``b``.  A guide table over the top 12 bits of ``b`` (indexed search,
-Chen & Asau 1974) finds that k with integer compares only and returns
+Static schedules draw each success count by inverse CDF: for the raw 64-bit
+draw ``z``, whose top 53 bits ``b = z >> 11`` give the uniform ``b * 2**-53``,
+the smallest k with ``cdf[k] >= b * 2**-53``.  The CDF is summed from the
+exact engine's binomial log-pmf, one log-factorial table serving both arms;
+no scipy is imported.  It differs from ``scipy.stats.binom.cdf`` (Boost's
+incomplete beta) in the last bits, which moves a draw only when it lands
+between the two integer thresholds: the draws stay those of that CDF on
+every stream the tests check.  Multiplying by a power of two is exact, so
+this is the smallest k whose integer threshold ``floor(cdf[k] * 2**53)`` is
+at least ``b``.  A guide table of 2**14 buckets, indexed by the top 14 bits of
+``z`` (indexed search, Chen & Asau 1974), finds that k.  All the draws of a
+bucket that holds no threshold have one answer, read with one gather.  In a
+bucket that holds one threshold, a draw above it takes the next count.
+The draws of a bucket that holds two or more go to ``searchsorted`` on the
+thresholds.  Every case compares integers only, so the sampler returns
 exactly what ``searchsorted`` on the floats returns.
 """
 
@@ -80,8 +84,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
 _BLOCK = 1 << 16
-_BUCKET_BITS = 12  # guide table of 2**12 buckets over the 53-bit draws
-_BUCKET_SHIFT = 53 - _BUCKET_BITS
+_BUCKET_BITS = 14  # guide table of 2**14 buckets over the raw 64-bit draws
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,15 @@ def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray
 
 def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Draws ``first .. first+k-1`` of every stream, row ``j`` of ``bits`` holding draw
-    ``first + j`` as its top 53 bits ``b``; returns the int64 view of ``bits``.  The
-    uniform is ``b * 2**-53``.  ``bits`` and ``tmp`` are uint64 of shape
+    ``first + j`` as its raw 64-bit word ``z``; returns ``bits``.  The uniform is
+    ``(z >> 11) * 2**-53``.  ``bits`` and ``tmp`` are uint64 of shape
     ``(k, states.size)``; ``tmp`` is scratch, free again on return."""
     # the step offsets (k+1) * GAMMA mod 2**64, as a uint64 array product: arrays
     # wrap silently, where a numpy-scalar product would warn on the overflow
     steps = np.arange(first + 1, first + len(bits) + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
     np.add(states, steps[:, None], out=bits)
-    _mix64_np(bits, tmp)
-    bits >>= np.uint64(11)
-    return bits.view(np.int64)
+    return _mix64_np(bits, tmp)
 
 
 def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -164,39 +165,54 @@ def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
 
 
 def _inverse_cdf_sampler(cdf: np.ndarray):
-    """Guide-table sampler for the nondecreasing ``cdf``: maps 53-bit draws ``b`` to
-    the smallest k with ``cdf[k] >= b * 2**-53``, i.e. ``np.searchsorted(cdf, b * 2**-53)``.
+    """Guide-table sampler for the nondecreasing ``cdf`` (values in [0, 1]): maps raw
+    64-bit draws ``z`` to the smallest k with ``cdf[k] >= b * 2**-53`` for ``b = z >> 11``,
+    i.e. ``np.searchsorted(cdf, b * 2**-53)``.
 
     ``cdf[k] * 2**53`` is exact, so ``cdf[k] >= b * 2**-53`` iff ``thr[k] >= b`` for
     the integer threshold ``thr[k] = floor(cdf[k] * 2**53)``.  Bucket ``j`` of the
-    guide table holds the draws with ``b >> 41 == j``.  Where at most one threshold
-    lies inside a bucket, a draw's answer is the bucket's first candidate, plus one
-    if the draw is above that candidate's threshold.  Draws in buckets that hold
-    more thresholds fall back to ``searchsorted``.
+    guide table holds the draws with ``z >> 50 == j``, i.e. ``b >> 39 == j``; its
+    first candidate is the smallest k with ``thr[k] >> 39 >= j``, counted from
+    ``np.bincount(thr >> 39)``.  One int64 entry per bucket encodes its case:
+    with no threshold inside, every draw's answer is the candidate itself, the
+    entry; with one, the answer is the candidate, plus one if the draw is above
+    its threshold, and the entry is the candidate's complement ``~k``; with more,
+    the draw's answer is ``searchsorted`` on the thresholds, and the entry is
+    ``~len(cdf)``.  Only the draws whose entry is negative are looked at again.
 
-    The sampler ``sample(bits, out, bucket, above)`` writes the answers for the
-    int64 draws ``bits`` to ``out`` (int64) and returns it; ``bucket`` (int64) and
-    ``above`` (bool) are scratch of the same shape.  Bucket indices lie in
-    [0, 2**12) by construction, so the table lookups use ``mode="clip"``, which
-    never clips them and skips the checked path's copy of the output.
+    The sampler ``sample(words, out, bucket, flags)`` writes the answers for the
+    uint64 draws ``words`` to ``out`` (int64) and returns it; ``bucket`` (uint64)
+    and ``flags`` (bool) are scratch of the same shape.  Bucket indices lie in
+    [0, 2**14) by construction, so the lookups use ``mode="clip"``, which never
+    clips them and skips the checked path's copy of the output.
     """
     thr = np.floor(cdf * 2.0**53).astype(np.int64)
-    lo = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
-    first = np.searchsorted(thr, lo)
-    step = thr[first]
-    crowded = np.searchsorted(thr, lo + ((1 << _BUCKET_SHIFT) - 1)) - first > 1
-    first[crowded] = -2  # stays negative after the +1, which marks the draw for searchsorted
+    # thresholds per bucket; one of 2**53 falls in the bucket past the last, which
+    # no draw reaches
+    inside = np.bincount(thr >> (53 - _BUCKET_BITS), minlength=(1 << _BUCKET_BITS) + 1)
+    inside = inside[:1 << _BUCKET_BITS]
+    # each bucket's first candidate k, the count of thresholds below its first
+    # draw; ~k where one threshold lies inside, ~len(thr) where more do
+    table = np.cumsum(inside)
+    table -= inside
+    np.invert(table, out=table, where=inside > 0)
+    crowded = thr.size  # decodes past the last count, so the draw goes to searchsorted
+    table[inside > 1] = ~crowded
+    shift = np.uint64(64 - _BUCKET_BITS)
 
-    def sample(bits: np.ndarray, out: np.ndarray, bucket: np.ndarray,
-               above: np.ndarray) -> np.ndarray:
-        np.right_shift(bits, _BUCKET_SHIFT, out=bucket)
-        np.take(step, bucket, out=out, mode="clip")
-        np.greater(bits, out, out=above)
-        np.take(first, bucket, out=out, mode="clip")
-        out += above
-        spill = np.flatnonzero(np.less(out, 0, out=above))
-        if spill.size:
-            out[spill] = np.searchsorted(thr, bits[spill])
+    def sample(words: np.ndarray, out: np.ndarray, bucket: np.ndarray,
+               flags: np.ndarray) -> np.ndarray:
+        np.right_shift(words, shift, out=bucket)
+        np.take(table, bucket.view(np.int64), out=out, mode="clip")
+        spill = np.flatnonzero(np.less(out, 0, out=flags))
+        if spill.size:  # buckets holding one threshold, or more
+            k = ~out[spill]
+            b = (words[spill] >> np.uint64(11)).view(np.int64)
+            k += b > np.take(thr, k, mode="clip")
+            crowd = np.flatnonzero(k >= crowded)
+            if crowd.size:
+                k[crowd] = np.searchsorted(thr, b[crowd])
+            out[spill] = k
         return out
 
     return sample
@@ -244,7 +260,7 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
         # indices, or the replay's uniforms
         if fixed:
             s1, s2 = counts
-            bucket = tmp[0].view(np.int64)
+            bucket = tmp[0]
             sample1(_draw_bits(states, 0, bits, tmp)[0], s1, bucket, flags)
             sample2(_draw_bits(states, 1, bits, tmp)[0], s2, bucket, flags)
         else:
@@ -254,7 +270,9 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
             for t0 in range(0, T, rounds):
                 r = min(rounds, T - t0)
                 u = tmp[:2 * r].view(np.float64)
-                np.multiply(_draw_bits(states, 2 * t0, bits[:2 * r], tmp[:2 * r]), _U53, out=u)
+                words = _draw_bits(states, 2 * t0, bits[:2 * r], tmp[:2 * r])
+                words >>= np.uint64(11)
+                np.multiply(words.view(np.int64), _U53, out=u)
                 # round t reads draw 2t for the action and draw 2t+1 for the reward
                 for t, (u_action, u_reward) in enumerate(u.reshape(r, 2, m), t0):
                     action = plugin_actions(t, n1, s1, s2, policy.force_rate)
@@ -358,9 +376,11 @@ def simulate_tilted_static(
         np.take(w1, s1, out=v, mode="clip")
         v += np.take(w2, s2, out=error, mode="clip")
         np.exp(v, out=v)
-        pick2_mass(s1, n1, s2, n2, out=error)
-        if inst.best_arm == 2:
-            np.subtract(1.0, error, out=error)
+        # the error mass; with arm 2 best it is the arm-1 pick, 1 - pick2 exactly
+        if inst.best_arm == 1:
+            pick2_mass(s1, n1, s2, n2, out=error)
+        else:
+            pick2_mass(s2, n2, s1, n1, out=error)
         v *= error
         block_sum = float(np.add.reduce(v))
         v -= block_sum / m

@@ -211,9 +211,11 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
 
     Without ``out`` the counts broadcast against each other and are left as
     they are.  With ``out``, a float64 array that receives the masses, ``s1``
-    and ``s2`` must be int64 arrays of its shape, which serve as scratch: the
-    same comparisons run in place, their counts are overwritten, and nothing
-    is allocated.
+    and ``s2`` must be int64 arrays of its shape, which serve as scratch and
+    are overwritten; nothing is allocated.  The in-place form takes the sign of
+    the cross-product difference ``s2·n1 − s1·n2`` and maps -1, 0, 1 to 0, 1/2,
+    1 as ``(sign + 1) * 0.5``, exactly the same values.  Both products are
+    non-negative int64, so their difference cannot overflow.
     """
     if out is None:
         lhs = np.asarray(s1, dtype=np.int64) * n2
@@ -221,9 +223,10 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
         return (rhs > lhs) + 0.5 * (rhs == lhs)
     s1 *= n2
     s2 *= n1
-    np.equal(s2, s1, out=out)
+    s2 -= s1
+    np.sign(s2, out=out)
+    out += 1.0
     out *= 0.5
-    out += np.greater(s2, s1, out=s1)
     return out
 
 

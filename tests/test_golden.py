@@ -97,6 +97,12 @@ COMMANDS = [
     "exact --policy plugin:0.2 --mu 0.6,0.4 --T 10:60:10",
     "exact --policy plugin:0.5 --mu 0.3,0.7 --T 40,20,40",
     "exact --policy oracle:0.9,0.5 --mu 0.6,0.4 --T 500,60,500",
+    # fixed-schedule MC at T = 1e5, where the inverse-CDF tables crowd some
+    # buckets with thresholds: plain and tilted, each also with arm 2 best
+    "mc --policy uniform --mu 0.501,0.499 --T 100000 --n 70000 --seed 13",
+    "mc --policy static:0.4 --mu 0.499,0.501 --T 100000 --n 70000 --seed 16",
+    "mc --policy uniform --mu 0.51,0.49 --T 100000 --n 70000 --seed 14 --tilted",
+    "mc --policy oracle:0.49,0.51 --mu 0.49,0.51 --T 100000 --n 70000 --seed 15 --tilted",
 ]
 
 

@@ -34,7 +34,7 @@ def batch_uniforms(seed: int, reps: np.ndarray, k: int) -> np.ndarray:
     """Draw ``k`` of the streams ``reps`` through the library's in-place kernels."""
     bits, tmp = np.empty((2, 1, reps.size), dtype=np.uint64)
     states = _stream_states(seed, reps, np.empty_like(reps), tmp[0])
-    return _draw_bits(states, k, bits, tmp)[0] * 2.0**-53
+    return (_draw_bits(states, k, bits, tmp)[0] >> np.uint64(11)) * 2.0**-53
 
 
 class TestStreams:
@@ -119,20 +119,37 @@ class TestStaticDraws:
 
 class TestInverseCdfSampler:
     """The guide table returns what ``searchsorted`` in the CDF returns, on the
-    draws where a bucket or a threshold begins or ends."""
+    raw 64-bit draws where a bucket or a threshold begins or ends.  A draw's
+    uniform reads its top 53 bits ``b``, so each ``b`` is taken with its low 11
+    bits all clear and all set.  At n = 100,000 and 500,000 the tails crowd
+    thresholds into single buckets."""
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40, 900, 100_000])
+    @staticmethod
+    def thresholds(cdf):
+        return np.floor(cdf * 2.0**53).astype(np.int64)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 900, 100_000, 500_000])
     @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
     def test_equals_searchsorted_at_every_edge(self, n, p):
         cdf = binom_cdf(n, p)
-        thr = np.floor(cdf * 2.0**53).astype(np.int64)
-        edges = np.arange(1, 2**12, dtype=np.int64) << 41
-        bits = np.concatenate([[0, 2**53 - 1], edges - 1, edges, thr - 1, thr, thr + 1])
-        bits = np.clip(bits, 0, 2**53 - 1)
-        expected = np.searchsorted(cdf, bits.astype(np.float64) * 2.0**-53, side="left")
-        out, bucket = np.empty_like(bits), np.empty_like(bits)
-        sampled = _inverse_cdf_sampler(cdf)(bits, out, bucket, np.empty(bits.shape, dtype=bool))
+        thr = self.thresholds(cdf)
+        # the first b of buckets 1 .. 2**14 - 1: bucket j holds the words z >> 50 == j
+        edges = np.arange(1, 2**14, dtype=np.int64) << 39
+        b = np.concatenate([[0, 2**53 - 1], edges - 1, edges, thr - 1, thr, thr + 1])
+        b = np.unique(np.clip(b, 0, 2**53 - 1)).astype(np.uint64)
+        words = np.concatenate([b << np.uint64(11), (b << np.uint64(11)) | np.uint64(2**11 - 1)])
+        assert words[0] == 0 and words[-1] == 2**64 - 1
+        expected = np.searchsorted(cdf, (words >> np.uint64(11)) * 2.0**-53, side="left")
+        out, bucket = np.empty(words.shape, dtype=np.int64), np.empty_like(words)
+        sampled = _inverse_cdf_sampler(cdf)(words, out, bucket, np.empty(words.shape, dtype=bool))
         assert np.array_equal(sampled, expected)
+
+    @pytest.mark.parametrize("n", [100_000, 500_000])
+    def test_large_tables_hold_every_bucket_case(self, n):
+        # buckets with no threshold, with one, and with more (the searchsorted path)
+        thr = self.thresholds(binom_cdf(n, 0.5))
+        inside = np.bincount(thr[thr < 2**53] >> 39, minlength=2**14)
+        assert inside.min() == 0 and np.any(inside == 1) and inside.max() >= 2
 
 
 # the block length of the Monte Carlo block source

@@ -227,15 +227,24 @@ class TestRecommend:
             for s1 in range(n1 + 1)
             for s2 in range(T - n1 + 1)
         ]
-        T, n1, s1, s2 = (np.array(column) for column in zip(*states))
+        # counts whose cross-products s1·n2 and s2·n1 lie near 2**62: ties, and
+        # means whose cross-products differ by 1 or 2, both ways
+        a, b = 2**31 + 1, 2**31 - 1
+        states += [(2 * a, a, a - 5, a - 5), (a + b, a, a - 1, b - 1), (a + b, b, b - 1, a - 1),
+                   (a + b, a, a, b), (a + b, a, 2**30 + 1, 2**30), (a + b, b, 2**30, 2**30 + 1)]
+        T, n1, s1, s2 = (np.array(column, dtype=np.int64) for column in zip(*states))
         mass = pick2_mass(s1, n1, s2, T - n1)
+        # the in-place form, on copies of the counts it overwrites
+        in_place = pick2_mass(s1.copy(), n1, s2.copy(), T - n1, out=np.empty(len(states)))
         assert np.any(mass == 0.5)  # ties are among the states
         for k, (T, n1, s1, s2) in enumerate(states):
             d2 = rational_pick2(s1, n1, s2, T - n1)
             assert mass[k] == d2  # error mass when arm 1 is best
+            assert in_place[k] == d2
             # error mass when arm 2 is best: the arm-1 decision, arms swapped
             assert 1.0 - mass[k] == rational_pick2(s2, T - n1, s1, n1)
             assert pick2_mass(s1, n1, s2, T - n1) == d2
+        assert max(s1 * (T - n1) for T, n1, s1, _ in states) > 2**61
 
 
 class TestCheckBudget:
