@@ -413,8 +413,8 @@ def _polevl(x, coefs):
 
 
 def _lgam(x: np.ndarray) -> np.ndarray:
-    """``log Γ(x)`` at a 1-D array of positive integers ``x`` (float64),
-    elementwise, with the bits of Cephes ``lgam`` and so of
+    """``log Γ(x)`` at a nondecreasing 1-D array of positive integers ``x``
+    (float64), elementwise, with the bits of Cephes ``lgam`` and so of
     ``scipy.special.gammaln``.
 
     Below 13 Cephes takes the log of the product ``(x-1)!``, exact there.
@@ -425,16 +425,33 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     ``x``: numpy's SIMD loop, which a forward view would take, moves the last
     bit of some entries.  The arithmetic around the logs runs in numpy, in
     Cephes' order, one rounding per step.
+
+    Each branch runs only on the entries it serves, the slices of ``x`` where
+    it holds: the product on ``[1, 13)``, the log and ``q`` on ``[13, ∞)``,
+    ``polevl`` on ``[13, 1000)`` and the series on ``[1000, 1e8]``.  ``q`` is
+    formed in the result and ``1/x²`` in the logs' array, so the scratch is
+    that array and the series, one table each.
     """
     x = np.asarray(x, dtype=np.float64)
-    log_x = _libm(np.log, x)
-    q = (x - 0.5) * log_x - x + _LS2PI
-    p = 1.0 / (x * x)
-    series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-              + 0.0833333333333333333333) / x
-    out = np.where(x > 1e8, q, q + np.where(x >= 1000.0, series, _polevl(p, _LGAM_A) / x))
-    small = x < 13.0
-    out[small] = [math.log(math.factorial(int(k) - 1)) for k in x[small]]
+    small, mid = np.searchsorted(x, [13.0, 1000.0])
+    big = np.searchsorted(x, 1e8, side="right")
+    out = np.subtract(x, 0.5)
+    out[:small] = [math.log(math.factorial(int(k) - 1)) for k in x[:small]]
+    q, log_x = out[small:], _libm(np.log, x[small:])
+    q *= log_x
+    q -= x[small:]
+    q += _LS2PI
+    p = log_x[:big - small]  # 1/x², up to 1e8
+    np.multiply(x[small:big], x[small:big], out=p)
+    np.divide(1.0, p, out=p)
+    low, high = p[:mid - small], p[mid - small:]
+    out[small:mid] += _polevl(low, _LGAM_A) / x[small:mid]
+    series = np.multiply(high, 7.9365079365079365079365e-4)
+    series -= 2.7777777777777777777778e-3
+    series *= high
+    series += 0.0833333333333333333333
+    series /= x[mid:big]
+    out[mid:big] += series
     return out
 
 

@@ -17,32 +17,37 @@ action and ``2t+1`` for the reward.  Streams therefore depend only on
 ``(seed, i, k)``, never on execution order, and estimates are
 bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 
-Replications run in fixed blocks of 2**16, in index order, from one block
-source for every policy: it yields each block's terminal counts
-``(n1, s1, s2)`` at the success probabilities it is given (the means, or
-the tilt).  Its buffers are allocated once per call, so memory does not
-grow with ``n``: the stream states, flags and counts are ``min(n, 2**16)``
-long, and the splitmix64 mixes, the inverse-CDF sampler and the fair-tie
-masses work in place.  A fixed schedule forms its two draws one at a time,
-in one row of draw bits and one of scratch.  The tracking replay of a block
-of ``m`` replications forms its draws by chunk of ``R = min(T, 2**16 // m)``
-rounds: draws ``2t0 .. 2t0+2R-1`` of every stream in one ``(2R, m)`` pass,
-whose rows ``2(t-t0)`` and ``2(t-t0)+1`` round ``t`` then reads.  Since
-``R * m <= 2**16``, its two buffers (the draw bits, and the scratch that then
-holds the uniforms) take at most ``2 * 2**16`` words each, whatever ``n``
-and ``T``; the first block sizes them and every later, shorter block fits.
+Replications run in fixed blocks, in index order, from one block source for
+every policy: it yields each block's terminal counts ``(n1, s1, s2)`` at the
+success probabilities it is given (the means, or the tilt).  A fixed
+schedule's blocks hold 2**15 replications (``_BLOCK``), the tracking replay's
+2**16 (``_GROUP``).  The source's buffers are allocated once per call, so
+memory does not grow with ``n``: the stream states, flags and counts are
+as long as the first block, ``min(n, 2**15)`` or ``min(n, 2**16)``, and the
+splitmix64 mixes, the inverse-CDF sampler and the fair-tie masses work in
+place.  A fixed schedule forms its two draws one at a time, in one row of
+draw bits and one of scratch.  The tracking replay of a block of ``m``
+replications forms its draws by chunk of ``R = min(T, 2**16 // m)`` rounds:
+draws ``2t0 .. 2t0+2R-1`` of every stream in one ``(2R, m)`` pass, whose rows
+``2(t-t0)`` and ``2(t-t0)+1`` round ``t`` then reads.  Since ``R * m <= 2**16``,
+its two buffers (the draw bits, and the scratch that then holds the uniforms)
+take at most ``2 * 2**16`` words each, whatever ``n`` and ``T``; the first
+block sizes them and every later, shorter block fits.
 A plain replication's error mass is 0, 1/2 or 1, so each block adds its
 wins plus half its ties exactly, and the running total equals numpy's
 pairwise sum over all replications: plain estimates do not depend on the
-block size.
+block size, and a plain call holds the source's buffers and one block of
+masses.
 The tilted estimator reads each replication's log weight from two
-per-count tables, one entry per success count of each arm, and keeps three
-numbers per block: the sum of its weighted values, the sum of their
-squared deviations from the block mean, and its length.  The blocks
-combine by the exact split of the sample variance (Chan, Golub & LeVeque
-1983); for ``n <= 2**16`` that is ``np.mean`` and ``np.var(ddof=1)`` over
-all replications, bit for bit, and above it the grouping of the sums can
-move the last bits.
+per-count tables, one entry per success count of each arm.  It sums in
+groups of 2**16 replications (``_GROUP``), each filled by whole blocks of
+the source, and keeps three numbers per group: the sum of its weighted
+values, the sum of their squared deviations from the group mean, and its
+length.  A tilted call holds the source's buffers, one group of weighted
+values and one block of scratch.  The groups combine by the exact split of
+the sample variance (Chan, Golub & LeVeque 1983); for ``n <= 2**16`` that is
+``np.mean`` and ``np.var(ddof=1)`` over all replications, bit for bit, and
+above it the grouping of the sums can move the last bits.
 
 Static schedules draw each success count by inverse CDF: for the raw 64-bit
 draw ``z``, whose top 53 bits ``b = z >> 11`` give the uniform ``b * 2**-53``,
@@ -83,7 +88,18 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
-_BLOCK = 1 << 16
+# Replications per block of a fixed schedule.  Measured in process on the two
+# fixed-schedule runs of the schedules workload (n = 2e6, 2 vCPUs): 2**15 runs
+# as fast as 2**16 with half its buffers (peak RSS 32.9 against 34.7 MiB);
+# 2**14 saves 0.9 MiB more but takes the tilted run about 8 % longer.
+_BLOCK = 1 << 15
+# The tilted estimator's summation group: it sums and centres its weighted
+# values in groups of _GROUP replications, filled by whole blocks, and the
+# grouping sets its bits.  Measured at n = 2**21 (oracle schedule, T = 1000):
+# groups of 2**15 would cut the traced peak from 2.63 to 2.38 MiB but move the
+# last bit of the mean.  The tracking replay runs blocks of _GROUP, and a block
+# of m forms the draws of min(T, _GROUP // m) rounds in one pass.
+_GROUP = 1 << 16
 _BUCKET_BITS = 14  # guide table of 2**14 buckets over the raw 64-bit draws
 
 
@@ -153,12 +169,21 @@ def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
     ``floor(cdf[k] * 2**53)``, and a threshold that moves by d units changes
     d draws in 2**53: summed over the table, 2.3e-12 of all draws at n = 900
     and 2.4e-11 at n = 2001 (p = 1/2).
+
+    It works in place, in the log-pmf and the result: the pmf overwrites the
+    log-pmf and then its lower sums overwrite it; the upper sums run backwards
+    into the result, become one minus themselves there, and give way to the
+    lower sums at most 1/2.  These are the operations, in the order, of forming
+    each array anew, so the bits are theirs, and the scratch is one table.
     """
-    pmf = np.exp(_binom_logpmf(lf, n, p))
-    below = np.cumsum(pmf)
-    above = np.cumsum(pmf[:0:-1])[::-1]  # above[k] = P[X > k] for k < n
+    pmf = _binom_logpmf(lf, n, p)
+    np.exp(pmf, out=pmf)
     cdf = np.empty(n + 1)
-    cdf[:n] = np.where(below[:n] <= 0.5, below[:n], 1.0 - above)
+    above = cdf[:n]  # above[k] = P[X > k] for k < n
+    np.cumsum(pmf[:0:-1], out=above[::-1])
+    below = np.cumsum(pmf, out=pmf)
+    np.subtract(1.0, above, out=above)
+    np.copyto(above, below[:n], where=below[:n] <= 0.5)
     np.clip(cdf, 0.0, 1.0, out=cdf)
     cdf[n] = 1.0
     return cdf
@@ -218,17 +243,24 @@ def _inverse_cdf_sampler(cdf: np.ndarray):
     return sample
 
 
+def _block_length(policy: PolicySpec, n: int) -> int:
+    """Replications in each block of :func:`_count_blocks` but the last, which may
+    be shorter: ``_BLOCK`` for a fixed schedule, ``_GROUP`` for the replay."""
+    return min(n, _BLOCK if policy.deterministic_schedule else _GROUP)
+
+
 def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: float):
     """Terminal counts ``(n1, s1, s2)`` of replications 0 .. n-1 at budget ``T``, arms
-    succeeding with probabilities ``p1`` and ``p2``, block by block in index order.
+    succeeding with probabilities ``p1`` and ``p2``, block by block in index order,
+    in blocks of :func:`_block_length`.
 
-    A fixed schedule's ``n1`` is its int arm-1 count: draw 0 of a stream gives
-    ``s1``, draw 1 gives ``s2``.  Plug-in tracking advances a block's replications
-    together, one round at a time, and ``n1`` is an int64 array; the draws of a
-    chunk of rounds are formed in one pass (see the module docstring).  Every
-    buffer is allocated once and each block runs in place.  The yielded arrays
-    are views of those buffers: the caller may overwrite them, and the next
-    block does.
+    A fixed schedule runs blocks of ``_BLOCK``, and its ``n1`` is its int arm-1
+    count: draw 0 of a stream gives ``s1``, draw 1 gives ``s2``.  Plug-in
+    tracking advances a block of ``_GROUP`` replications together, one round at
+    a time, and ``n1`` is an int64 array; the draws of a chunk of rounds are formed in
+    one pass (see the module docstring).  Every buffer is allocated once and
+    each block runs in place.  The yielded arrays are views of those buffers:
+    the caller may overwrite them, and the next block does.
     """
     fixed = policy.deterministic_schedule
     if fixed:
@@ -239,12 +271,12 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
 
     def draw_rows(m: int) -> int:
         """Draws formed in one pass over a block of ``m``: one for a fixed schedule,
-        ``2R`` for a chunk of ``R = min(T, _BLOCK // m)`` rounds of the replay."""
-        return 1 if fixed else 2 * min(T, _BLOCK // m)
+        ``2R`` for a chunk of ``R = min(T, _GROUP // m)`` rounds of the replay."""
+        return 1 if fixed else 2 * min(T, _GROUP // m)
 
-    size = min(n, _BLOCK)
+    size = _block_length(policy, n)
     reps, states = np.arange(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    # the draw bits and their scratch; R * m <= _BLOCK, so the first block's
+    # the draw bits and their scratch; R * m <= _GROUP, so the first block's
     # buffers hold the chunk of every later, shorter block
     buffers = np.empty((2, draw_rows(size) * size), dtype=np.uint64)
     flags = np.empty(size, dtype=bool)
@@ -319,7 +351,7 @@ def simulate_plain(
     # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
     # partial sum below 2**53 is exact, and the total divided by n is np.mean over
     # all replications, bit for bit
-    pick2, mass = 0.0, np.empty(min(n, _BLOCK))
+    pick2, mass = 0.0, np.empty(_block_length(policy, n))
     for n1, s1, s2 in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
         pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, T - n1, out=mass[:s1.size])))
     mean = (pick2 if inst.best_arm == 1 else n - pick2) / n
@@ -344,15 +376,18 @@ def simulate_tilted_static(
     ``w2`` likewise: the same operations, in the same order, as forming it
     per replication.
 
-    Memory does not grow with ``n``: block ``b`` of ``m_b`` replications keeps
-    only its sum ``sum_b`` of weighted values ``v`` and ``dev_b = Σ(v −
-    sum_b/m_b)²``, both numpy's pairwise reductions over the block.  The blocks
-    combine exactly as the sample variance splits (Chan, Golub & LeVeque 1983):
-    ``mean = Σ sum_b / n`` and ``M2 = Σ [dev_b + m_b·(sum_b/m_b − mean)²]``,
-    each sum running in block order, and ``std_err = sqrt(M2/(n−1)/n)``.  For
-    ``n <= 2**16`` this is ``np.mean`` and ``np.var(ddof=1)`` over all the
-    values, bit for bit; above that the sums are grouped by block and may
-    differ from them in the last bits.
+    Memory does not grow with ``n``: the source's blocks of ``_BLOCK``
+    replications fill groups of ``_GROUP`` weighted values ``v``, in index
+    order, and group ``b`` of ``m_b`` values keeps only its sum ``sum_b`` and
+    ``dev_b = Σ(v − sum_b/m_b)²``, both numpy's pairwise reductions over the
+    group.  The groups combine exactly as the sample variance splits (Chan,
+    Golub & LeVeque 1983): ``mean = Σ sum_b / n`` and ``M2 = Σ [dev_b +
+    m_b·(sum_b/m_b − mean)²]``, each sum running in group order, and
+    ``std_err = sqrt(M2/(n−1)/n)``.  For ``n <= 2**16`` this is ``np.mean`` and
+    ``np.var(ddof=1)`` over all the values, bit for bit; above that the sums
+    are grouped and may differ from them in the last bits.  The call holds
+    the source's buffers, one group of values and one block of scratch for
+    the second lookup and the error mass.
     """
     if not policy.deterministic_schedule:
         raise ArgumentError(
@@ -367,11 +402,12 @@ def simulate_tilted_static(
     k1, k2 = np.arange(n1 + 1), np.arange(n2 + 1)
     w1 = k1 * hit1 + (n1 - k1) * miss1
     w2 = k2 * hit2 + (n2 - k2) * miss2
-    values, mass = np.empty((2, min(n, _BLOCK)))
-    total, blocks = 0.0, []
+    values, mass = np.empty(min(n, _GROUP)), np.empty(_block_length(policy, n))
+    total, groups, end = 0.0, [], 0
     for _, s1, s2 in _count_blocks(policy, T, seed, n, lam, lam):
-        m = s1.size
-        v, error = values[:m], mass[:m]
+        m = s1.size  # replications end .. end+m-1, at the group's offset end % _GROUP
+        v, error = values[end % _GROUP:][:m], mass[:m]
+        end += m
         # success counts lie in [0, n1] and [0, n2], so the lookups skip the check
         np.take(w1, s1, out=v, mode="clip")
         v += np.take(w2, s2, out=error, mode="clip")
@@ -382,14 +418,17 @@ def simulate_tilted_static(
         else:
             pick2_mass(s2, n2, s1, n1, out=error)
         v *= error
-        block_sum = float(np.add.reduce(v))
-        v -= block_sum / m
-        v *= v
-        blocks.append((block_sum, float(np.add.reduce(v)), m))
-        total += block_sum
+        if end % _GROUP and end < n:
+            continue  # the group takes the next block too
+        group = values[:(end - 1) % _GROUP + 1]
+        group_sum = float(np.add.reduce(group))
+        group -= group_sum / group.size
+        group *= group
+        groups.append((group_sum, float(np.add.reduce(group)), group.size))
+        total += group_sum
     mean = total / n
     m2 = 0.0
-    for block_sum, dev, m in blocks:
-        m2 += dev + m * (block_sum / m - mean) ** 2
+    for group_sum, dev, m in groups:
+        m2 += dev + m * (group_sum / m - mean) ** 2
     std_err = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="tilted")

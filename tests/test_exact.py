@@ -33,7 +33,7 @@ from bailab.exact import (
     static_counts,
     static_error_log,
 )
-from bailab.mc import simulate_plain, simulate_tilted_static
+from bailab.mc import _binom_cdf, simulate_plain, simulate_tilted_static
 from bailab.policies import PolicySpec, arm2_count, plugin_actions
 from bailab.rates import BanditInstance, g_closed, kl_bernoulli, pinsker_like_bound_slack
 
@@ -632,6 +632,32 @@ class TestBinomialTableLimit:
         limit = f"table of {length} entries, over the limit of 51"
         with pytest.raises(CapacityError, match=limit):
             run()
+
+
+class TestTableScratch:
+    """Building a table of 500,001 entries takes a bounded number of tables of
+    scratch, traced above its inputs: the log-factorials hold the result, the
+    logs (then 1/x²) and the series beside their input (measured: 4.0 tables),
+    and the binomial CDF the log-pmf's three tables at its peak (3.0)."""
+
+    M = 500_000
+    TABLE = 8 * (M + 1)
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_log_factorials(self):
+        assert self.traced_peak(lambda: _log_factorials(self.M)) <= 5 * self.TABLE
+
+    def test_binomial_cdf_above_its_input(self):
+        lf = _log_factorials(self.M)
+        assert self.traced_peak(lambda: _binom_cdf(lf, self.M, 0.7)) <= 4 * self.TABLE
 
 
 class TestArmSwapSymmetry:

@@ -152,8 +152,10 @@ class TestInverseCdfSampler:
         assert inside.min() == 0 and np.any(inside == 1) and inside.max() >= 2
 
 
-# the block length of the Monte Carlo block source
+# the tilted estimator's summation group, and the tracking replay's block
 BLOCK = 2**16
+# a fixed schedule's block in the Monte Carlo block source
+SOURCE_BLOCK = 2**15
 EDGE_SEED = 2024
 
 
@@ -182,7 +184,8 @@ class TestBlockEdges:
         else:
             assert (est.mean, est.std_err) == pytest.approx(whole, rel=self.TILTED_REL_TOL, abs=0)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, SOURCE_BLOCK - 1, SOURCE_BLOCK + 1, 3 * SOURCE_BLOCK + 7,
+                                   BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("mu", [(0.6, 0.45), (0.45, 0.6)])
     def test_static_estimates_equal_the_whole_array_reference(self, edge_uniforms, n, mu):
         inst = BanditInstance(*mu)
@@ -194,7 +197,8 @@ class TestBlockEdges:
         self.assert_tilted(simulate_tilted_static(PolicySpec.static(0.3), inst, 60, n, EDGE_SEED),
                            u1, u2, 0.3, inst, 60)
 
-    @pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, 2, SOURCE_BLOCK - 1, SOURCE_BLOCK + 1, 3 * SOURCE_BLOCK + 7,
+                                   BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("x, mu, T", [(0.5, (0.7, 0.45), 200), (0.62, (0.35, 0.6), 333)],
                              ids=["arm1_best", "arm2_best"])
     def test_tilted_estimate_equals_the_per_replication_reference(self, edge_uniforms, n, x,
@@ -209,7 +213,8 @@ class TestBlockEdges:
         blocks = _count_blocks(policy, T, 8, n, inst.mu1, inst.mu2)
         masses = np.concatenate([pick2_mass(s1, n1, s2, T - n1) for n1, s1, s2 in blocks])
         assert masses.size == n
-        edges = [i for edge in (BLOCK, 2 * BLOCK) for i in range(edge - 2, edge + 3)] + [n - 1]
+        edges = [i for edge in (SOURCE_BLOCK, BLOCK, 3 * SOURCE_BLOCK, 2 * BLOCK)
+                 for i in range(edge - 2, edge + 3)] + [n - 1]
         assert masses[edges].tolist() == [replay_pick2(policy, inst, T, 8, i) for i in edges]
         assert simulate_plain(policy, inst, T, n, 8).mean == float(np.mean(masses))
 
@@ -242,6 +247,16 @@ class TestMemory:
             return _peak_traced_bytes(lambda: simulate_plain(policy, INST, T, n, 1))
 
         assert peak(n) - peak(2**16) < 2**20
+
+    # at n = 2**21 the source's buffers and the estimator's scratch take about
+    # 2.1 MiB (plain) and 2.6 MiB (tilted, with its group of 2**16 values)
+    @pytest.mark.parametrize("policy, T, tilted", [
+        (PolicySpec.static(0.4), 40, False),
+        (PolicySpec.oracle_static(INST), 1000, True),
+    ], ids=["plain", "tilted"])
+    def test_fixed_schedule_peak_is_bounded(self, policy, T, tilted):
+        simulate = simulate_tilted_static if tilted else simulate_plain
+        assert _peak_traced_bytes(lambda: simulate(policy, INST, T, 2**21, 1)) <= 3 * 2**20
 
 
 class TestSimulatePlain:
