@@ -19,35 +19,40 @@ bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 
 Replications run in fixed blocks, in index order, from one block source for
 every policy: it yields each block's terminal counts ``(n1, s1, s2)`` at the
-success probabilities it is given (the means, or the tilt).  A fixed
-schedule's blocks hold 2**15 replications (``_BLOCK``), the tracking replay's
-2**16 (``_GROUP``).  The source's buffers are allocated once per call, so
-memory does not grow with ``n``: the stream states, flags and counts are
-as long as the first block, ``min(n, 2**15)`` or ``min(n, 2**16)``, and the
-splitmix64 mixes, the inverse-CDF sampler and the fair-tie masses work in
-place.  A fixed schedule forms its two draws one at a time, in one row of
-draw bits and one of scratch.  The tracking replay of a block of ``m``
-replications forms its draws by chunk of ``R = min(T, 2**16 // m)`` rounds:
-draws ``2t0 .. 2t0+2R-1`` of every stream in one ``(2R, m)`` pass, whose rows
-``2(t-t0)`` and ``2(t-t0)+1`` round ``t`` then reads.  Since ``R * m <= 2**16``,
-its two buffers (the draw bits, and the scratch that then holds the uniforms)
-take at most ``2 * 2**16`` words each, whatever ``n`` and ``T``; the first
-block sizes them and every later, shorter block fits.
+success probabilities it is given (the means, or the tilt), with one spare row
+of scratch.  A fixed schedule's blocks hold 2**15 replications (``_BLOCK``),
+the tracking replay's 2**16 (``_GROUP``).  The source's buffers are allocated
+once per call, so memory does not grow with ``n``: the stream states, flags
+and counts are as long as the first block, ``min(n, 2**15)`` or
+``min(n, 2**16)``, and the splitmix64 mixes, the inverse-CDF sampler and the
+fair-tie masses work in place.  A fixed schedule's block lives in five rows of
+the source: the replication indices, the stream states, one row of draw bits,
+one of scratch and ``s1``.  Draw 0 is formed in the draw row and sampled into
+``s1``; draw 1 is then formed over the states, which are spent, and sampled
+into the spent draw row, which holds ``s2``.  The sampler's bucket indices
+take the scratch row, which is then the spare row.  The tracking replay of a
+block of ``m`` replications forms its draws by chunk of
+``R = min(T, 2**16 // m)`` rounds: draws ``2t0 .. 2t0+2R-1`` of every stream
+in one ``(2R, m)`` pass, whose rows ``2(t-t0)`` and ``2(t-t0)+1`` round ``t``
+then reads.  Since ``R * m <= 2**16``, its two buffers (the draw bits, and the
+scratch that then holds the uniforms) take at most ``2 * 2**16`` words each,
+whatever ``n`` and ``T``; the first block sizes them and every later, shorter
+block fits.
 A plain replication's error mass is 0, 1/2 or 1, so each block adds its
 wins plus half its ties exactly, and the running total equals numpy's
 pairwise sum over all replications: plain estimates do not depend on the
-block size, and a plain call holds the source's buffers and one block of
-masses.
-The tilted estimator reads each replication's log weight from two
-per-count tables, one entry per success count of each arm.  It sums in
-groups of 2**16 replications (``_GROUP``), each filled by whole blocks of
-the source, and keeps three numbers per group: the sum of its weighted
-values, the sum of their squared deviations from the group mean, and its
-length.  A tilted call holds the source's buffers, one group of weighted
-values and one block of scratch.  The groups combine by the exact split of
-the sample variance (Chan, Golub & LeVeque 1983); for ``n <= 2**16`` that is
-``np.mean`` and ``np.var(ddof=1)`` over all replications, bit for bit, and
-above it the grouping of the sums can move the last bits.
+block size.  A plain call writes each block's masses over its ``s1`` row and
+holds nothing but the source's buffers.
+The tilted estimator reads each replication's log weight from two per-count
+tables, one entry per success count of each arm.  It sums in groups of 2**16
+replications (``_GROUP``), each filled by whole blocks of the source, and
+keeps three numbers per group: the sum of its weighted values, the sum of
+their squared deviations from the group mean, and its length.  A tilted call
+holds the source's buffers and one group of weighted values: the second lookup
+and the error masses go to the spare row.  The groups combine by the exact
+split of the sample variance (Chan, Golub & LeVeque 1983); for ``n <= 2**16``
+that is ``np.mean`` and ``np.var(ddof=1)`` over all replications, bit for bit,
+and above it the grouping of the sums can move the last bits.
 
 Static schedules draw each success count by inverse CDF: for the raw 64-bit
 draw ``z``, whose top 53 bits ``b = z >> 11`` give the uniform ``b * 2**-53``,
@@ -145,12 +150,15 @@ def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray
     """Draws ``first .. first+k-1`` of every stream, row ``j`` of ``bits`` holding draw
     ``first + j`` as its raw 64-bit word ``z``; returns ``bits``.  The uniform is
     ``(z >> 11) * 2**-53``.  ``bits`` and ``tmp`` are uint64 of shape
-    ``(k, states.size)``; ``tmp`` is scratch, free again on return."""
+    ``(k, states.size)``; ``tmp`` is scratch, free again on return.  ``bits`` may
+    be ``states[None]``, which forms one draw over the states."""
     # the step offsets (k+1) * GAMMA mod 2**64, as a uint64 array product: arrays
     # wrap silently, where a numpy-scalar product would warn on the overflow
     steps = np.arange(first + 1, first + len(bits) + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
-    np.add(states, steps[:, None], out=bits)
+    # states as a (1, m) row: numpy adds it in place when bits is states[None],
+    # where a (m,) input overlapping a (1, m) output is first copied
+    np.add(states[None], steps[:, None], out=bits)
     return _mix64_np(bits, tmp)
 
 
@@ -243,24 +251,24 @@ def _inverse_cdf_sampler(cdf: np.ndarray):
     return sample
 
 
-def _block_length(policy: PolicySpec, n: int) -> int:
-    """Replications in each block of :func:`_count_blocks` but the last, which may
-    be shorter: ``_BLOCK`` for a fixed schedule, ``_GROUP`` for the replay."""
-    return min(n, _BLOCK if policy.deterministic_schedule else _GROUP)
-
-
 def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: float):
     """Terminal counts ``(n1, s1, s2)`` of replications 0 .. n-1 at budget ``T``, arms
     succeeding with probabilities ``p1`` and ``p2``, block by block in index order,
-    in blocks of :func:`_block_length`.
+    in blocks of ``min(n, _BLOCK)`` for a fixed schedule and ``min(n, _GROUP)`` for
+    the replay, the last block possibly shorter; each comes with ``spare``, a
+    float64 row of the block's length that the caller may use as scratch.
 
     A fixed schedule runs blocks of ``_BLOCK``, and its ``n1`` is its int arm-1
-    count: draw 0 of a stream gives ``s1``, draw 1 gives ``s2``.  Plug-in
-    tracking advances a block of ``_GROUP`` replications together, one round at
-    a time, and ``n1`` is an int64 array; the draws of a chunk of rounds are formed in
-    one pass (see the module docstring).  Every buffer is allocated once and
-    each block runs in place.  The yielded arrays are views of those buffers:
-    the caller may overwrite them, and the next block does.
+    count: draw 0 of a stream gives ``s1``, draw 1 gives ``s2``.  Its block takes
+    five rows (see the module docstring): ``s2`` is a view of the draw row, and
+    ``spare`` of the sampler's spent bucket row.  The log-factorial table is
+    dropped once both CDFs are built.  Plug-in tracking advances a block of
+    ``_GROUP`` replications together, one round at a time, and ``n1`` is an int64
+    array; the draws of a chunk of rounds are formed in one pass (see the module
+    docstring), and ``spare`` is the first row of the spent uniforms.  Every
+    buffer is allocated once and each block runs in place.  The yielded arrays
+    are views of those buffers: the caller may overwrite them, and the next block
+    does.
     """
     fixed = policy.deterministic_schedule
     if fixed:
@@ -268,19 +276,21 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
         lf = _log_factorials(max(n1, T - n1))
         sample1 = _inverse_cdf_sampler(_binom_cdf(lf, n1, p1))
         sample2 = _inverse_cdf_sampler(_binom_cdf(lf, T - n1, p2))
+        del lf  # only the CDF builds read it; the blocks need not hold it
 
     def draw_rows(m: int) -> int:
         """Draws formed in one pass over a block of ``m``: one for a fixed schedule,
         ``2R`` for a chunk of ``R = min(T, _GROUP // m)`` rounds of the replay."""
         return 1 if fixed else 2 * min(T, _GROUP // m)
 
-    size = _block_length(policy, n)
+    size = min(n, _BLOCK if fixed else _GROUP)
     reps, states = np.arange(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     # the draw bits and their scratch; R * m <= _GROUP, so the first block's
     # buffers hold the chunk of every later, shorter block
     buffers = np.empty((2, draw_rows(size) * size), dtype=np.uint64)
     flags = np.empty(size, dtype=bool)
-    counts = np.empty((2 if fixed else 3, size), dtype=np.int64)  # (s1, s2) or (n1, s1, s2)
+    # s1, or (n1, s1, s2); a fixed schedule's s2 takes the draw row
+    counts = np.empty((1 if fixed else 3, size), dtype=np.int64)
     for start in range(0, n, size):
         m = min(size, n - start)
         if m < size:  # the last block is shorter
@@ -291,10 +301,10 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
         # tmp is free once a pass's bits are formed: the sampler's bucket
         # indices, or the replay's uniforms
         if fixed:
-            s1, s2 = counts
-            bucket = tmp[0]
+            (s1,), (bucket,), s2 = counts, tmp, bits[0].view(np.int64)
             sample1(_draw_bits(states, 0, bits, tmp)[0], s1, bucket, flags)
-            sample2(_draw_bits(states, 1, bits, tmp)[0], s2, bucket, flags)
+            # draw 1 overwrites the states, and arm 2 the spent draw 0
+            sample2(_draw_bits(states, 1, states[None], tmp)[0], s2, bucket, flags)
         else:
             counts.fill(0)
             n1, s1, s2 = counts
@@ -313,7 +323,7 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
                     n1 += pull1
                     s1 += pull1 & success
                     s2 += ~pull1 & success
-        yield n1, s1, s2
+        yield n1, s1, s2, tmp[0].view(np.float64)
         reps += np.uint64(size)
 
 
@@ -350,10 +360,10 @@ def simulate_plain(
         _check_states(T, _max_states(), f"tracking replay needs T={T} rounds")
     # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
     # partial sum below 2**53 is exact, and the total divided by n is np.mean over
-    # all replications, bit for bit
-    pick2, mass = 0.0, np.empty(_block_length(policy, n))
-    for n1, s1, s2 in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
-        pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, T - n1, out=mass[:s1.size])))
+    # all replications, bit for bit; the masses overwrite s1
+    pick2 = 0.0
+    for n1, s1, s2, _ in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
+        pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, T - n1, out=s1.view(np.float64))))
     mean = (pick2 if inst.best_arm == 1 else n - pick2) / n
     std_err = math.sqrt(mean * (1.0 - mean) / n)
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="plain")
@@ -386,8 +396,8 @@ def simulate_tilted_static(
     ``std_err = sqrt(M2/(n−1)/n)``.  For ``n <= 2**16`` this is ``np.mean`` and
     ``np.var(ddof=1)`` over all the values, bit for bit; above that the sums
     are grouped and may differ from them in the last bits.  The call holds
-    the source's buffers, one group of values and one block of scratch for
-    the second lookup and the error mass.
+    the source's buffers and one group of values; the second lookup and the
+    error mass take the spare row that the source yields with each block.
     """
     if not policy.deterministic_schedule:
         raise ArgumentError(
@@ -402,11 +412,11 @@ def simulate_tilted_static(
     k1, k2 = np.arange(n1 + 1), np.arange(n2 + 1)
     w1 = k1 * hit1 + (n1 - k1) * miss1
     w2 = k2 * hit2 + (n2 - k2) * miss2
-    values, mass = np.empty(min(n, _GROUP)), np.empty(_block_length(policy, n))
+    values = np.empty(min(n, _GROUP))
     total, groups, end = 0.0, [], 0
-    for _, s1, s2 in _count_blocks(policy, T, seed, n, lam, lam):
+    for _, s1, s2, error in _count_blocks(policy, T, seed, n, lam, lam):
         m = s1.size  # replications end .. end+m-1, at the group's offset end % _GROUP
-        v, error = values[end % _GROUP:][:m], mass[:m]
+        v = values[end % _GROUP:][:m]
         end += m
         # success counts lie in [0, n1] and [0, n2], so the lookups skip the check
         np.take(w1, s1, out=v, mode="clip")

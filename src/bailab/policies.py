@@ -212,10 +212,12 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     Without ``out`` the counts broadcast against each other and are left as
     they are.  With ``out``, a float64 array that receives the masses, ``s1``
     and ``s2`` must be int64 arrays of its shape, which serve as scratch and
-    are overwritten; nothing is allocated.  The in-place form takes the sign of
-    the cross-product difference ``s2·n1 − s1·n2`` and maps -1, 0, 1 to 0, 1/2,
-    1 as ``(sign + 1) * 0.5``, exactly the same values.  Both products are
-    non-negative int64, so their difference cannot overflow.
+    are overwritten; nothing is allocated.  ``out`` may share ``s1``'s memory
+    (a float64 view of it), since ``s1`` is last read before ``out`` is
+    written.  The in-place form takes the sign of the cross-product difference
+    ``s2·n1 − s1·n2`` and maps -1, 0, 1 to 0, 1/2, 1 as ``(sign + 1) * 0.5``,
+    exactly the same values.  Both products are non-negative int64, so their
+    difference cannot overflow.
     """
     if out is None:
         lhs = np.asarray(s1, dtype=np.int64) * n2
@@ -224,7 +226,10 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     s1 *= n2
     s2 *= n1
     s2 -= s1
-    np.sign(s2, out=out)
+    # the sign in int64, then one cast copy: a sign written straight to float64
+    # would cast through a buffer of numpy's own
+    np.sign(s2, out=s2)
+    np.copyto(out, s2)
     out += 1.0
     out *= 0.5
     return out

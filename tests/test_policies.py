@@ -236,11 +236,16 @@ class TestRecommend:
         mass = pick2_mass(s1, n1, s2, T - n1)
         # the in-place form, on copies of the counts it overwrites
         in_place = pick2_mass(s1.copy(), n1, s2.copy(), T - n1, out=np.empty(len(states)))
+        # and with the masses written over s1's own memory
+        s1_row = s1.copy()
+        over_s1 = pick2_mass(s1_row, n1, s2.copy(), T - n1, out=s1_row.view(np.float64))
+        assert np.shares_memory(over_s1, s1_row)
         assert np.any(mass == 0.5)  # ties are among the states
         for k, (T, n1, s1, s2) in enumerate(states):
             d2 = rational_pick2(s1, n1, s2, T - n1)
             assert mass[k] == d2  # error mass when arm 1 is best
             assert in_place[k] == d2
+            assert over_s1[k] == d2
             # error mass when arm 2 is best: the arm-1 decision, arms swapped
             assert 1.0 - mass[k] == rational_pick2(s2, T - n1, s1, n1)
             assert pick2_mass(s1, n1, s2, T - n1) == d2
