@@ -19,6 +19,15 @@ subparser only; anything else (``--help``, ``--version``, no arguments, an
 unknown command, a leading ``--``) goes to the parser of every command, which
 prints the same help and errors.  Each of these trees is built on first use
 and kept for the life of the process, and none at import.
+
+Importing this module loads the layers that ``rates``, ``exact``, ``mc`` and
+``scan`` run (``errors``, ``rates``, ``policies``, ``exact`` and ``mc``) and no
+other.  ``construct`` and ``demo`` import ``constructions``, and through it
+``dual``, on their first call of :func:`construct_beating_instance`; ``verify``
+imports ``verification`` when it runs, and so does the parser that lists its
+suites (the ``verify`` subparser and the tree of every command).  The
+evaluation commands, which a sweep runs many times, thus load none of the
+construction and verification code, nor ``fractions`` and ``decimal``.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .constructions import construct_beating_instance
 from .errors import ArgumentError, BaiLabError, CapacityError, DomainError
 # exact_summary is unused here; it stays a module attribute for benchmark tracing
 from .exact import (MAX_STATES_ENV, _check_states, _evaluate, _max_states,  # noqa: F401
@@ -43,7 +51,6 @@ from .exact import (MAX_STATES_ENV, _check_states, _evaluate, _max_states,  # no
 from .mc import simulate_plain, simulate_tilted_static
 from .policies import PolicySpec, check_budget, parse_policy
 from .rates import BanditInstance, _mean_rule, g_closed, g_closed_grid, rate_profile, x_star
-from .verification import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -249,6 +256,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_suites
+
     results = run_suites([args.suite], args.samples, args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -321,6 +330,15 @@ def cmd_scan(args) -> int:
     rows = [[p.T, p.p_error, p.ratio, scan.inv_g_half] for p in scan.points]
     _write_rows(args.out, SCAN_HEADER, rows)
     return EXIT_OK
+
+
+def construct_beating_instance(a: float, x: float):
+    """:func:`bailab.constructions.construct_beating_instance`, imported on the
+    first call, so that only ``construct`` and ``demo`` load ``constructions``
+    and ``dual``; both commands call it through this module attribute."""
+    from .constructions import construct_beating_instance
+
+    return construct_beating_instance(a, x)
 
 
 def cmd_construct(args) -> int:
@@ -433,6 +451,8 @@ def _rates_arguments(p) -> None:
 
 
 def _verify_arguments(p) -> None:
+    from .verification import SUITES
+
     p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .dual import mean_to_natural, natural_to_mean, phi_second, phi_second_range
@@ -354,8 +353,11 @@ def check_odds_inequality(inst: BanditInstance) -> bool:
     The comparison is done in rational arithmetic on the binary values of
     the means, so the answer is the mathematical truth for the instance as
     stored; it is guaranteed on the exact region ``mu1 > mu2``,
-    ``mu1 + mu2 >= 1``.
+    ``mu1 + mu2 >= 1``.  ``fractions`` (and with it ``decimal``) is imported
+    here, its only use, so that ``construct`` and ``demo`` do not load it.
     """
+    from fractions import Fraction
+
     m1 = Fraction(inst.mu1)
     m2 = Fraction(inst.mu2)
     return (1 - m2) * m2 >= (1 - m1) * m1

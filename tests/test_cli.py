@@ -961,6 +961,49 @@ def test_cli_never_imports_scipy():
     assert result["scipy"] == []
 
 
+COMMAND_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import bailab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bailab.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+# the layers and stdlib modules that only some commands need
+ON_DEMAND = {"bailab.constructions", "bailab.dual", "bailab.verification", "fractions"}
+CONSTRUCTIONS = {"bailab.constructions", "bailab.dual"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["exact", "--policy", "plugin:0.5", "--mu", "0.7,0.3", "--T", "24"], set()),
+    (["exact", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "24,100"], set()),
+    (["mc", "--policy", "plugin:0.5", "--mu", "0.7,0.3", "--T", "24", "--n", "100"], set()),
+    (["mc", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "24", "--n", "100", "--tilted"],
+     set()),
+    (["scan", "--policy", "uniform", "--mu", "0.7,0.3", "--T", "2:30"], set()),
+    (["rates", "--mu", "0.9,0.5"], set()),
+    (["construct", "--a", "0.3", "--x", "0.7"], CONSTRUCTIONS),
+    (["demo", "--mu0", "0.9,0.5", "--grid", "0.05"], CONSTRUCTIONS),
+    (["verify", "rates", "--samples", "3"], ON_DEMAND),
+], ids=["exact_plugin", "exact_uniform", "mc_plugin", "mc_tilted", "scan", "rates",
+        "construct", "demo", "verify"])
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
+    """The evaluation commands load no construction or verification code:
+    ``construct`` and ``demo`` import ``constructions`` and ``dual`` when they
+    run, and ``verify`` imports ``verification``, which loads them and
+    ``fractions``."""
+    env = dict(os.environ)
+    src = str(Path(bailab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES_SCRIPT, json.dumps(argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert ON_DEMAND & set(result["modules"]) == loaded
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_import_starts_no_blas_threads():
     """The library calls no BLAS routine, so importing it leaves one thread:

@@ -258,6 +258,15 @@ class TestMemory:
         simulate = simulate_tilted_static if tilted else simulate_plain
         assert _peak_traced_bytes(lambda: simulate(policy, INST, T, 2**21, 1)) <= bound_mib * 2**20
 
+    def test_tilted_tables_add_nothing_to_the_source_peak(self):
+        # at T = 1e6 each arm's per-count table holds 500,001 floats (3.8 MiB);
+        # built after the source's CDF builds (19.3 MiB, a plain call's peak),
+        # they and their one temporary fit under that peak
+        def run():
+            simulate_tilted_static(PolicySpec.uniform(), INST, 10**6, 1000, 1)
+
+        assert _peak_traced_bytes(run) <= 27 * 2**20
+
     def test_blocks_do_not_hold_the_log_factorials(self):
         # at T = 1e6 the table holds 500,001 entries (3.8 MiB); between blocks the
         # source keeps its two threshold tables (7.6 MiB) and block rows, 9.2 MiB
@@ -438,6 +447,13 @@ class TestSimulateTiltedStatic:
         est = simulate_tilted_static(PolicySpec.static(0.5), INST, 10, 2_000, 5)
         assert isinstance(est, Estimate)
         assert est.mean >= 0.0  # no clamping applied beyond nonnegativity of weights
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 500_000])
+    def test_log_ratio_table_matches_the_integer_counts(self, n):
+        hit, miss = math.log(0.7 / 0.41), math.log(0.3 / 0.59)
+        k = np.arange(n + 1)
+        expected = k * hit + (n - k) * miss
+        assert mc._log_ratios(n, hit, miss).tobytes() == expected.tobytes()
 
     def test_schedule_validation(self):
         with pytest.raises(ArgumentError):
