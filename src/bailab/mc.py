@@ -20,18 +20,23 @@ bit-reproducible.  Seeds lie in [0, 2**64), so each seed has its own streams.
 Replications run in fixed blocks, in index order, from one block source for
 every policy: it yields each block's terminal counts ``(n1, s1, s2)`` at the
 success probabilities it is given (the means, or the tilt), with one spare row
-of scratch.  A fixed schedule's blocks hold 2**15 replications (``_BLOCK``),
+of scratch.  A fixed schedule's blocks hold 2**14 replications (``_BLOCK``),
 the tracking replay's 2**16 (``_GROUP``).  The source's buffers are allocated
 once per call, so memory does not grow with ``n``: the stream states, flags
-and counts are as long as the first block, ``min(n, 2**15)`` or
+and counts are as long as the first block, ``min(n, 2**14)`` or
 ``min(n, 2**16)``, and the splitmix64 mixes, the inverse-CDF sampler and the
-fair-tie masses work in place.  A fixed schedule's block lives in five rows of
-the source: the replication indices, the stream states, one row of draw bits,
-one of scratch and ``s1``.  Draw 0 is formed in the draw row and sampled into
-``s1``; draw 1 is then formed over the states, which are spent, and sampled
-into the spent draw row, which holds ``s2``.  The sampler's bucket indices
-take the scratch row, which is then the spare row.  The tracking replay of a
-block of ``m`` replications forms its draws by chunk of
+fair-tie decisions work in place.  A fixed schedule's block lives in five rows
+of the source: the replication indices, the stream states, one row of draw
+bits, one of scratch and ``s1``.  Draw 0 is formed in the draw row and sampled
+into ``s1``; draw 1 is then formed over the states, which are spent, and
+sampled into the spent draw row, which holds ``s2``.  The sampler's bucket
+indices take the scratch row, which is then the spare row.  A fixed
+schedule's draws are formed up to the finalizer's last step ``z ^= z >> 31``
+and no further: that step leaves bits 33-63 alone, so the sampler reads its
+bucket index from the pre-final word, and only the draws of buckets that
+hold a threshold finish the step, for their 53-bit comparison.  The tracking
+replay forms full words, for its uniforms; a block of ``m`` of its
+replications forms its draws by chunk of
 ``R = min(T, 2**16 // m)`` rounds: draws ``2t0 .. 2t0+2R-1`` of every stream
 in one ``(2R, m)`` pass, whose rows ``2(t-t0)`` and ``2(t-t0)+1`` round ``t``
 then reads.  Since ``R * m <= 2**16``, its two buffers (the draw bits, and the
@@ -41,8 +46,9 @@ block fits.
 A plain replication's error mass is 0, 1/2 or 1, so each block adds its
 wins plus half its ties exactly, and the running total equals numpy's
 pairwise sum over all replications: plain estimates do not depend on the
-block size.  A plain call writes each block's masses over its ``s1`` row and
-holds nothing but the source's buffers.
+block size.  A plain call forms no mass: it counts each block's wins and ties
+on the cross-multiplied counts (``policies.pick2_total``), its comparisons
+in the spare row, and holds nothing but the source's buffers.
 The tilted estimator reads each replication's log weight from two per-count
 tables, one entry per success count of each arm.  It sums in groups of 2**16
 replications (``_GROUP``), each filled by whole blocks of the source, and
@@ -66,7 +72,8 @@ between the two integer thresholds: the draws stay those of that CDF on
 every stream the tests check.  Multiplying by a power of two is exact, so
 this is the smallest k whose integer threshold ``floor(cdf[k] * 2**53)`` is
 at least ``b``.  A guide table of 2**14 buckets, indexed by the top 14 bits of
-``z`` (indexed search, Chen & Asau 1974), finds that k.  All the draws of a
+``z`` (indexed search, Chen & Asau 1974), finds that k; they are the top 14
+bits of the pre-final word too.  All the draws of a
 bucket that holds no threshold have one answer, read with one gather.  In a
 bucket that holds one threshold, a draw above it takes the next count.
 The draws of a bucket that holds two or more go to ``searchsorted`` on the
@@ -85,8 +92,8 @@ import numpy as np
 from .errors import ArgumentError, DomainError
 from .exact import _binom_logpmf, _check_states, _log_factorials, _max_states, static_counts
 # plugin_action_prob is unused here; it stays a module attribute for benchmark tracing
-from .policies import (PolicySpec, check_budget, pick2_mass, plugin_action_prob,  # noqa: F401
-                       plugin_actions)
+from .policies import (PolicySpec, check_budget, pick2_mass, pick2_total,  # noqa: F401
+                       plugin_action_prob, plugin_actions)
 from .rates import BanditInstance, lambda_star
 
 __all__ = ["Estimate", "simulate_plain", "simulate_tilted_static"]
@@ -97,18 +104,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
 # Replications per block of a fixed schedule.  Measured in process on the two
-# fixed-schedule runs of the schedules workload (n = 2e6, 2 vCPUs): 2**15 runs
-# as fast as 2**16 with half its buffers (peak RSS 32.9 against 34.7 MiB);
-# 2**14 saves 0.9 MiB more but takes the tilted run about 8 % longer.
-_BLOCK = 1 << 15
+# fixed-schedule runs of the schedules workload (n = 2e6, 2 vCPUs): with the
+# draws read before the finalizer's last step and the plain total counted,
+# 2**14 runs in about the CPU time of 2**15 blocks that formed full words and
+# float masses (median ratios over 2 x 14 alternating process pairs, min of 5
+# runs each: plain static 0.97-0.98, tilted oracle 1.02), and the traced peaks
+# at n = 2**21 fall from 1.54 to 0.90 and from 2.06 to 1.42 MiB.
+_BLOCK = 1 << 14
 # The tilted estimator's summation group: it sums and centres its weighted
 # values in groups of _GROUP replications, filled by whole blocks, and the
 # grouping sets its bits.  Measured at n = 2**21 (oracle schedule, T = 1000):
-# groups of 2**15 would cut the traced peak from 2.63 to 2.38 MiB but move the
+# groups of 2**15 would cut the traced peak from 1.42 to 1.17 MiB but move the
 # last bit of the mean.  The tracking replay runs blocks of _GROUP, and a block
 # of m forms the draws of min(T, _GROUP // m) rounds in one pass.
 _GROUP = 1 << 16
-_BUCKET_BITS = 14  # guide table of 2**14 buckets over the raw 64-bit draws
+_BUCKET_BITS = 14  # guide table of 2**14 buckets over the top bits of the draws
 
 
 @dataclass(frozen=True)
@@ -130,16 +140,29 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array, in place, with ``tmp`` (uint64, the
-    shape of ``z``) as scratch; returns ``z``."""
+def _premix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array up to its last step ``z ^= z >> 31``,
+    in place, with ``tmp`` (uint64, the shape of ``z``) as scratch; returns ``z``.
+    The last step leaves bits 33-63 alone, so these are already the final word's."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
         z *= np.uint64(mult)
+    return z
+
+
+def _finish64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer's last step ``z ^= z >> 31`` on a uint64 array, in
+    place, with ``tmp`` (uint64, the shape of ``z``) as scratch; returns ``z``."""
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
+
+
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, in place, with ``tmp`` (uint64, the
+    shape of ``z``) as scratch; returns ``z``."""
+    return _finish64_np(_premix64_np(z, tmp), tmp)
 
 
 def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -149,12 +172,13 @@ def _stream_states(seed: int, reps: np.ndarray, out: np.ndarray, tmp: np.ndarray
     return _mix64_np(out, tmp)
 
 
-def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Draws ``first .. first+k-1`` of every stream, row ``j`` of ``bits`` holding draw
-    ``first + j`` as its raw 64-bit word ``z``; returns ``bits``.  The uniform is
-    ``(z >> 11) * 2**-53``.  ``bits`` and ``tmp`` are uint64 of shape
-    ``(k, states.size)``; ``tmp`` is scratch, free again on return.  ``bits`` may
-    be ``states[None]``, which forms one draw over the states."""
+def _draw_prewords(states: np.ndarray, first: int, bits: np.ndarray,
+                   tmp: np.ndarray) -> np.ndarray:
+    """Draws ``first .. first+k-1`` of every stream up to the finalizer's last step,
+    row ``j`` of ``bits`` holding draw ``first + j`` as the word ``y`` whose raw
+    64-bit draw is ``z = y ^ (y >> 31)``; returns ``bits``.  ``bits`` and ``tmp``
+    are uint64 of shape ``(k, states.size)``; ``tmp`` is scratch, free again on
+    return.  ``bits`` may be ``states[None]``, which forms one draw over the states."""
     # the step offsets (k+1) * GAMMA mod 2**64, as a uint64 array product: arrays
     # wrap silently, where a numpy-scalar product would warn on the overflow
     steps = np.arange(first + 1, first + len(bits) + 1, dtype=np.uint64)
@@ -162,7 +186,14 @@ def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray
     # states as a (1, m) row: numpy adds it in place when bits is states[None],
     # where a (m,) input overlapping a (1, m) output is first copied
     np.add(states[None], steps[:, None], out=bits)
-    return _mix64_np(bits, tmp)
+    return _premix64_np(bits, tmp)
+
+
+def _draw_bits(states: np.ndarray, first: int, bits: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Draws ``first .. first+k-1`` of every stream, row ``j`` of ``bits`` holding draw
+    ``first + j`` as its raw 64-bit word ``z``; returns ``bits``.  The uniform is
+    ``(z >> 11) * 2**-53``.  The arguments are those of :func:`_draw_prewords`."""
+    return _finish64_np(_draw_prewords(states, first, bits, tmp), tmp)
 
 
 def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -201,24 +232,28 @@ def _binom_cdf(lf: np.ndarray, n: int, p: float) -> np.ndarray:
 
 
 def _inverse_cdf_sampler(cdf: np.ndarray):
-    """Guide-table sampler for the nondecreasing ``cdf`` (values in [0, 1]): maps raw
-    64-bit draws ``z`` to the smallest k with ``cdf[k] >= b * 2**-53`` for ``b = z >> 11``,
-    i.e. ``np.searchsorted(cdf, b * 2**-53)``.
+    """Guide-table sampler for the nondecreasing ``cdf`` (values in [0, 1]): maps
+    draws to the smallest k with ``cdf[k] >= b * 2**-53`` for ``b = z >> 11``, i.e.
+    ``np.searchsorted(cdf, b * 2**-53)``, where ``z`` is the raw 64-bit draw.  It
+    reads each draw as the word ``y`` that the finalizer holds before its last
+    step (:func:`_draw_prewords`), ``z = y ^ (y >> 31)``.
 
     ``cdf[k] * 2**53`` is exact, so ``cdf[k] >= b * 2**-53`` iff ``thr[k] >= b`` for
     the integer threshold ``thr[k] = floor(cdf[k] * 2**53)``.  Bucket ``j`` of the
-    guide table holds the draws with ``z >> 50 == j``, i.e. ``b >> 39 == j``; its
+    guide table holds the draws with ``z >> 50 == j``, i.e. ``b >> 39 == j``; the
+    last step leaves bits 33-63 alone, so that is ``y >> 50 == j``.  Its
     first candidate is the smallest k with ``thr[k] >> 39 >= j``, counted from
     ``np.bincount(thr >> 39)``.  One int64 entry per bucket encodes its case:
     with no threshold inside, every draw's answer is the candidate itself, the
     entry; with one, the answer is the candidate, plus one if the draw is above
     its threshold, and the entry is the candidate's complement ``~k``; with more,
     the draw's answer is ``searchsorted`` on the thresholds, and the entry is
-    ``~len(cdf)``.  Only the draws whose entry is negative are looked at again.
+    ``~len(cdf)``.  Only the draws whose entry is negative are looked at again:
+    they alone finish the last step, for their 53-bit ``b``.
 
     The sampler ``sample(words, out, bucket, flags)`` writes the answers for the
-    uint64 draws ``words`` to ``out`` (int64) and returns it; ``bucket`` (uint64)
-    and ``flags`` (bool) are scratch of the same shape.  Bucket indices lie in
+    uint64 pre-final words ``words`` to ``out`` (int64) and returns it; ``bucket``
+    (uint64) and ``flags`` (bool) are scratch of the same shape.  Bucket indices lie in
     [0, 2**14) by construction, so the lookups use ``mode="clip"``, which never
     clips them and skips the checked path's copy of the output.
     """
@@ -243,7 +278,11 @@ def _inverse_cdf_sampler(cdf: np.ndarray):
         spill = np.flatnonzero(np.less(out, 0, out=flags))
         if spill.size:  # buckets holding one threshold, or more
             k = ~out[spill]
-            b = (words[spill] >> np.uint64(11)).view(np.int64)
+            # their draws finish the finalizer's last step, then compare 53 bits
+            z = words[spill]
+            z ^= z >> np.uint64(31)
+            z >>= np.uint64(11)
+            b = z.view(np.int64)
             k += b > np.take(thr, k, mode="clip")
             crowd = np.flatnonzero(k >= crowded)
             if crowd.size:
@@ -305,9 +344,9 @@ def _count_blocks(policy: PolicySpec, T: int, seed: int, n: int, p1: float, p2: 
         # indices, or the replay's uniforms
         if fixed:
             (s1,), (bucket,), s2 = counts, tmp, bits[0].view(np.int64)
-            sample1(_draw_bits(states, 0, bits, tmp)[0], s1, bucket, flags)
+            sample1(_draw_prewords(states, 0, bits, tmp)[0], s1, bucket, flags)
             # draw 1 overwrites the states, and arm 2 the spent draw 0
-            sample2(_draw_bits(states, 1, states[None], tmp)[0], s2, bucket, flags)
+            sample2(_draw_prewords(states, 1, states[None], tmp)[0], s2, bucket, flags)
         else:
             counts.fill(0)
             n1, s1, s2 = counts
@@ -361,12 +400,13 @@ def simulate_plain(
     T, n, seed = _check_args(inst, T, n, seed)
     if not policy.deterministic_schedule:
         _check_states(T, _max_states(), f"tracking replay needs T={T} rounds")
-    # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, every
-    # partial sum below 2**53 is exact, and the total divided by n is np.mean over
-    # all replications, bit for bit; the masses overwrite s1
+    # masses lie in {0, 1/2, 1}: a block adds its wins plus half its ties, counted
+    # on the cross-products, every partial sum below 2**53 is exact, and the total
+    # divided by n is np.mean over all replications, bit for bit; the comparisons
+    # go to the spare row
     pick2 = 0.0
-    for n1, s1, s2, _ in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
-        pick2 += float(np.add.reduce(pick2_mass(s1, n1, s2, T - n1, out=s1.view(np.float64))))
+    for n1, s1, s2, spare in _count_blocks(policy, T, seed, n, inst.mu1, inst.mu2):
+        pick2 += pick2_total(s1, n1, s2, T - n1, spare.view(np.bool_)[:s1.size])
     mean = (pick2 if inst.best_arm == 1 else n - pick2) / n
     std_err = math.sqrt(mean * (1.0 - mean) / n)
     return Estimate(mean=mean, std_err=std_err, n_samples=n, seed=seed, method="plain")

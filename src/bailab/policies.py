@@ -8,7 +8,8 @@ exploration (``plugin_tracking``).  The final recommendation picks the
 larger empirical mean and splits exact ties fairly.
 
 Each rule has one implementation, used by the exact engine and Monte Carlo
-alike: :func:`pick2_mass` is the fair-tie decision, :func:`arm2_count` the
+alike: :func:`pick2_mass` is the fair-tie decision (:func:`pick2_total` sums it
+over an array of counts from the same cross-products), :func:`arm2_count` the
 arm-2 pulls of a fixed schedule (``exact.static_counts`` applies it), and
 :func:`plugin_actions` the tracking rule; the package validates budgets with
 :func:`check_budget`.
@@ -37,6 +38,7 @@ __all__ = [
     "plugin_actions",
     "plugin_action_grid",
     "pick2_mass",
+    "pick2_total",
     "check_budget",
     "arm2_count",
     "covering_budget",
@@ -202,6 +204,16 @@ def plugin_action_grid(
                           np.arange(n_s2)[None, :], force_rate)
 
 
+def _cross_products(s1, n1, s2, n2, out1=None, out2=None):
+    """The fair-tie comparison's two sides, ``(s1·n2, s2·n1)`` in int64: arm 2's
+    empirical mean is the larger where the second side is, and the means tie
+    where the sides are equal.  Both are non-negative.  ``out1`` and ``out2``
+    may be ``s1`` and ``s2`` (int64 arrays), which then take the products in
+    place; without them the counts broadcast and are left as they are."""
+    return (np.multiply(s1, n2, out=out1, dtype=np.int64),
+            np.multiply(s2, n1, out=out2, dtype=np.int64))
+
+
 def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     """The fair-tie decision over count arrays: mass of picking arm 2, by int64
     cross-multiplication of the empirical means.
@@ -220,11 +232,9 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     difference cannot overflow.
     """
     if out is None:
-        lhs = np.asarray(s1, dtype=np.int64) * n2
-        rhs = np.asarray(s2, dtype=np.int64) * n1
+        lhs, rhs = _cross_products(s1, n1, s2, n2)
         return (rhs > lhs) + 0.5 * (rhs == lhs)
-    s1 *= n2
-    s2 *= n1
+    _cross_products(s1, n1, s2, n2, s1, s2)
     s2 -= s1
     # the sign in int64, then one cast copy: a sign written straight to float64
     # would cast through a buffer of numpy's own
@@ -233,6 +243,24 @@ def pick2_mass(s1, n1, s2, n2, out=None) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
+
+
+def pick2_total(s1, n1, s2, n2, flags) -> float:
+    """The fair-tie decision summed over count arrays: arm 2's wins plus half its
+    ties, equal bit for bit to ``float(np.add.reduce(pick2_mass(s1, n1, s2, n2)))``.
+
+    ``s1`` and ``s2`` are int64 arrays of one shape and ``flags`` a bool array of
+    that shape; all three serve as scratch and are overwritten, and nothing of
+    their length is allocated.  ``n1`` and ``n2`` are ints or int64 arrays of
+    that shape.  The masses lie in {0, 1/2, 1}, so every partial sum of theirs
+    is a multiple of 1/2 below 2**52, exact in any order of summation: the sum
+    is the count of wins plus half the count of ties, which two comparisons of
+    the cross-products count without forming a mass.
+    """
+    lhs, rhs = _cross_products(s1, n1, s2, n2, s1, s2)
+    wins = np.count_nonzero(np.greater(rhs, lhs, out=flags))
+    ties = np.count_nonzero(np.equal(rhs, lhs, out=flags))
+    return float(wins + 0.5 * ties)
 
 
 def parse_policy(text: str) -> PolicySpec:

@@ -18,8 +18,11 @@ from bailab.mc import (
     _binom_cdf,
     _count_blocks,
     _draw_bits,
+    _finish64_np,
     _inverse_cdf_sampler,
     _mix64,
+    _mix64_np,
+    _premix64_np,
     _stream_states,
     simulate_plain,
     simulate_tilted_static,
@@ -56,6 +59,21 @@ class TestStreams:
     def test_mix_is_deterministic(self):
         assert _mix64(0) == _mix64(0)
         assert _mix64(1) != _mix64(2)
+
+    def test_last_step_leaves_the_top_31_bits(self):
+        # the sampler reads its bucket from a draw before the finalizer's last step
+        rng = np.random.default_rng(5)
+        edges = np.array([0, 2**64 - 1, 2**33 - 1, 2**33], dtype=np.uint64)
+        words = np.concatenate([edges, rng.integers(0, 2**64, 10_000, dtype=np.uint64)])
+        tmp = np.empty_like(words)
+        full, head = _mix64_np(words.copy(), tmp), _premix64_np(words.copy(), tmp)
+        assert np.array_equal(full >> np.uint64(33), head >> np.uint64(33))
+        assert np.array_equal(_finish64_np(head.copy(), tmp), full)
+        assert [int(z) for z in full[:4]] == [_mix64(int(w)) for w in edges]
+        # the step alone, on the edge words as pre-final words
+        last = _finish64_np(words.copy(), tmp)
+        assert np.array_equal(last >> np.uint64(33), words >> np.uint64(33))
+        assert np.any((last ^ words) >> np.uint64(32) == 1)  # bit 32 is the highest it moves
 
 
 def binom_cdf(n: int, p: float) -> np.ndarray:
@@ -121,8 +139,10 @@ class TestInverseCdfSampler:
     """The guide table returns what ``searchsorted`` in the CDF returns, on the
     raw 64-bit draws where a bucket or a threshold begins or ends.  A draw's
     uniform reads its top 53 bits ``b``, so each ``b`` is taken with its low 11
-    bits all clear and all set.  At n = 100,000 and 500,000 the tails crowd
-    thresholds into single buckets."""
+    bits all clear and all set.  The sampler reads each draw ``z`` as the word
+    ``y`` before the finalizer's last step ``z = y ^ (y >> 31)``, so it is fed
+    ``y = z ^ (z >> 31) ^ (z >> 62)``, that step's inverse.  At n = 100,000 and
+    500,000 the tails crowd thresholds into single buckets."""
 
     @staticmethod
     def thresholds(cdf):
@@ -140,8 +160,11 @@ class TestInverseCdfSampler:
         words = np.concatenate([b << np.uint64(11), (b << np.uint64(11)) | np.uint64(2**11 - 1)])
         assert words[0] == 0 and words[-1] == 2**64 - 1
         expected = np.searchsorted(cdf, (words >> np.uint64(11)) * 2.0**-53, side="left")
+        prewords = words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
+        assert np.array_equal(prewords ^ (prewords >> np.uint64(31)), words)
         out, bucket = np.empty(words.shape, dtype=np.int64), np.empty_like(words)
-        sampled = _inverse_cdf_sampler(cdf)(words, out, bucket, np.empty(words.shape, dtype=bool))
+        sampled = _inverse_cdf_sampler(cdf)(prewords, out, bucket,
+                                            np.empty(words.shape, dtype=bool))
         assert np.array_equal(sampled, expected)
 
     @pytest.mark.parametrize("n", [100_000, 500_000])
@@ -154,8 +177,8 @@ class TestInverseCdfSampler:
 
 # the tilted estimator's summation group, and the tracking replay's block
 BLOCK = 2**16
-# a fixed schedule's block in the Monte Carlo block source
-SOURCE_BLOCK = 2**15
+# a fixed schedule's block in the Monte Carlo block source, four to a tilted group
+SOURCE_BLOCK = mc._BLOCK
 EDGE_SEED = 2024
 
 
@@ -184,7 +207,8 @@ class TestBlockEdges:
         else:
             assert (est.mean, est.std_err) == pytest.approx(whole, rel=self.TILTED_REL_TOL, abs=0)
 
-    @pytest.mark.parametrize("n", [1, SOURCE_BLOCK - 1, SOURCE_BLOCK + 1, 3 * SOURCE_BLOCK + 7,
+    @pytest.mark.parametrize("n", [1, SOURCE_BLOCK - 1, SOURCE_BLOCK, SOURCE_BLOCK + 1,
+                                   5 * SOURCE_BLOCK + 3, 2**15 - 1, 2**15 + 1, 3 * 2**15 + 7,
                                    BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("mu", [(0.6, 0.45), (0.45, 0.6)])
     def test_static_estimates_equal_the_whole_array_reference(self, edge_uniforms, n, mu):
@@ -197,7 +221,8 @@ class TestBlockEdges:
         self.assert_tilted(simulate_tilted_static(PolicySpec.static(0.3), inst, 60, n, EDGE_SEED),
                            u1, u2, 0.3, inst, 60)
 
-    @pytest.mark.parametrize("n", [1, 2, SOURCE_BLOCK - 1, SOURCE_BLOCK + 1, 3 * SOURCE_BLOCK + 7,
+    @pytest.mark.parametrize("n", [1, 2, SOURCE_BLOCK - 1, SOURCE_BLOCK, SOURCE_BLOCK + 1,
+                                   5 * SOURCE_BLOCK + 3, 2**15 - 1, 2**15 + 1, 3 * 2**15 + 7,
                                    BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("x, mu, T", [(0.5, (0.7, 0.45), 200), (0.62, (0.35, 0.6), 333)],
                              ids=["arm1_best", "arm2_best"])
@@ -213,7 +238,7 @@ class TestBlockEdges:
         blocks = _count_blocks(policy, T, 8, n, inst.mu1, inst.mu2)
         masses = np.concatenate([pick2_mass(s1, n1, s2, T - n1) for n1, s1, s2, _ in blocks])
         assert masses.size == n
-        edges = [i for edge in (SOURCE_BLOCK, BLOCK, 3 * SOURCE_BLOCK, 2 * BLOCK)
+        edges = [i for edge in (SOURCE_BLOCK, 2**15, BLOCK, 3 * 2**15, 2 * BLOCK)
                  for i in range(edge - 2, edge + 3)] + [n - 1]
         assert masses[edges].tolist() == [replay_pick2(policy, inst, T, 8, i) for i in edges]
         assert simulate_plain(policy, inst, T, n, 8).mean == float(np.mean(masses))
@@ -248,11 +273,12 @@ class TestMemory:
 
         assert peak(n) - peak(2**16) < 2**20
 
-    # at n = 2**21 the source's five block rows and its two guide tables take
-    # about 1.5 MiB; the tilted call adds its group of 2**16 values, 2.1 MiB
+    # at n = 2**21 the source's five block rows of 2**14 words and its two guide
+    # tables take about 0.9 MiB; the tilted call adds its group of 2**16 values,
+    # 1.4 MiB in all
     @pytest.mark.parametrize("policy, T, tilted, bound_mib", [
-        (PolicySpec.static(0.4), 40, False, 1.8),
-        (PolicySpec.oracle_static(INST), 1000, True, 2.4),
+        (PolicySpec.static(0.4), 40, False, 1.1),
+        (PolicySpec.oracle_static(INST), 1000, True, 1.7),
     ], ids=["plain", "tilted"])
     def test_fixed_schedule_peak_is_bounded(self, policy, T, tilted, bound_mib):
         simulate = simulate_tilted_static if tilted else simulate_plain

@@ -1,5 +1,7 @@
 """Tests for the sampling policies and the recommendation rule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bailab.policies import (
     covering_budget,
     parse_policy,
     pick2_mass,
+    pick2_total,
     plugin_action_grid,
     plugin_action_prob,
     plugin_actions,
@@ -250,6 +253,50 @@ class TestRecommend:
             assert 1.0 - mass[k] == rational_pick2(s2, T - n1, s1, n1)
             assert pick2_mass(s1, n1, s2, T - n1) == d2
         assert max(s1 * (T - n1) for T, n1, s1, _ in states) > 2**61
+
+    @staticmethod
+    def assert_total_equals_the_summed_masses(s1, n1, s2, n2):
+        # in both orientations: arm 1 best, and arm 2 best with the arms swapped
+        for a, na, b, nb in ((s1, n1, s2, n2), (s2, n2, s1, n1)):
+            want = float(np.add.reduce(pick2_mass(a, na, b, nb)))
+            got = pick2_total(a.copy(), na, b.copy(), nb, np.empty(a.shape, dtype=bool))
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_pick2_total_equals_the_summed_masses_on_every_state(self):
+        states = [(T, n1, s1, s2) for T in range(2, 13) for n1 in range(1, T)
+                  for s1 in range(n1 + 1) for s2 in range(T - n1 + 1)]
+        T, n1, s1, s2 = (np.array(column, dtype=np.int64) for column in zip(*states))
+        # an array n1, as the tracking replay's
+        self.assert_total_equals_the_summed_masses(s1, n1, s2, T - n1)
+        # a scalar n1 over all the counts of one (T, n1), as a fixed schedule's
+        for budget, pulls in sorted({(T, n1) for T, n1, _, _ in states}):
+            at = (T == budget) & (n1 == pulls)
+            self.assert_total_equals_the_summed_masses(s1[at], pulls, s2[at], budget - pulls)
+
+    def test_pick2_total_equals_the_summed_masses_on_random_counts(self):
+        rng, ties = np.random.default_rng(20231), 0
+        for _ in range(500):
+            T, m = int(rng.integers(2, 2000)), int(rng.integers(0, 300))
+            n1 = int(rng.integers(1, T))
+            n2 = T - n1
+            s1, s2 = rng.integers(0, n1 + 1, m), rng.integers(0, n2 + 1, m)
+            # planted ties: s1 = j·n1/g and s2 = j·n2/g give s1·n2 == s2·n1
+            g = math.gcd(n1, n2)
+            tied = rng.random(m) < 0.3
+            j = rng.integers(0, g + 1, m)
+            s1[tied], s2[tied] = (j * (n1 // g))[tied], (j * (n2 // g))[tied]
+            ties += np.count_nonzero(s1 * n2 == s2 * n1)
+            self.assert_total_equals_the_summed_masses(s1, n1, s2, n2)
+            # an array n1: each replication its own pulls, ties planted alike
+            n1s = rng.integers(1, T, m)
+            n2s = T - n1s
+            s1, s2 = rng.integers(0, n1s + 1), rng.integers(0, n2s + 1)
+            gs = np.gcd(n1s, n2s)
+            j = (rng.random(m) * (gs + 1)).astype(np.int64)
+            s1[tied], s2[tied] = (j * (n1s // gs))[tied], (j * (n2s // gs))[tied]
+            ties += np.count_nonzero(s1 * n2s == s2 * n1s)
+            self.assert_total_equals_the_summed_masses(s1, n1s, s2, n2s)
+        assert ties > 30_000  # about 0.3 of the 2 * 500 * 150 replications
 
 
 class TestCheckBudget:
